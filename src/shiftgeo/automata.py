@@ -12,13 +12,15 @@ bounded exhaustive check over periodic orbit pairs is provided.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .configs import Alphabet, Configuration, periodic_config
 from .errors import PreconditionError
-from .metrics import cyclic_mismatch_density, d_besicovitch
+from .metrics import _profile_mismatches, _residue_profile, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
                      shannon_cover, contains_config, language,
                      _words_by_length)
@@ -253,7 +255,8 @@ def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
                 break
         if right_ctx:
             break
-    assert left_ctx and right_ctx, "reduced table must depend on both ends"
+    if not (left_ctx and right_ctx):
+        raise AssertionError("reduced table must depend on both ends")
     u, a, b = left_ctx
     v, c, d = right_ctx
     row = {s: table[u + s] for s in syms}
@@ -264,13 +267,15 @@ def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
                 and col[alpha] != col[gamma]:
             pair = (alpha, gamma)
             break
-    assert pair is not None, "no separated symbol pair exists"
+    if pair is None:
+        raise AssertionError("no separated symbol pair exists")
     alpha, gamma = pair
     x = periodic_config(u + alpha + v, f.alphabet)
     y = periodic_config(u + gamma + v, f.alphabet)
     d_in = d_besicovitch(x, y)
     d_out = d_besicovitch(apply_ca(f, x), apply_ca(f, y))
-    assert d_in == Fraction(1, 2 * r - 1)
+    if d_in != Fraction(1, 2 * r - 1):
+        raise AssertionError(f"witness distance {d_in} is not 1/{2 * r - 1}")
     return (x, y, d_in, d_out)
 
 
@@ -352,15 +357,25 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     periodic points of X with least period <= P (first point an orbit
     representative, second ranging over whole orbits; for periodic pairs the
     centered and uniform densities agree, so one scan covers both metrics).
+
+    Only the rotations k < g = gcd(|w1|, |w2|) of the second point are
+    scanned.  Rotating w2 by k shifts the residue classes mod g of its
+    indices by k, and f(rot_k w2) = rot_k f(w2) because f commutes with the
+    shift; so both densities depend on k only through k mod g, every
+    rotation k >= g repeats the verdicts of k mod g < k, and the first
+    witness of each property is the one a scan of every rotation finds.
     """
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
     if not preserves_shift(f, X):
         raise PreconditionError("rule does not map the shift into itself")
     orbits = periodic_orbits(X, P)
-    rotations = {}
-    for w in orbits:
-        fw = apply_cyclic(f, w)
-        rotations[w] = [(w[k:] + w[:k], fw[k:] + fw[:k])
-                        for k in range(len(w))]
+    images = {w: apply_cyclic(f, w) for w in orbits}
+
+    @functools.cache
+    def profile(w, g):
+        return _residue_profile(w, g, f.alphabet.symbols)
+
     first = {"contracting": None, "isometric": None, "expanding": None}
 
     def note(prop, w1, w2, din, dout):
@@ -370,17 +385,21 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
                 periodic_config(w2, f.alphabet), din, dout)
 
     for w1 in orbits:
-        fw1 = rotations[w1][0][1]
         for w2 in orbits:
-            for rot, frot in rotations[w2]:
-                din = cyclic_mismatch_density(w1, rot)
-                dout = cyclic_mismatch_density(fw1, frot)
-                if dout > din:
-                    note("contracting", w1, rot, din, dout)
-                if dout != din:
-                    note("isometric", w1, rot, din, dout)
-                if dout < din:
-                    note("expanding", w1, rot, din, dout)
+            g = gcd(len(w1), len(w2))
+            p1, q1 = profile(w1, g), profile(images[w1], g)
+            p2, q2 = profile(w2, g), profile(images[w2], g)
+            for k in range(g):
+                # d_in and d_out share the denominator lcm(|w1|, |w2|)
+                m_in, block = _profile_mismatches(p1, p2, k)
+                m_out, _ = _profile_mismatches(q1, q2, k)
+                if m_in == m_out:
+                    continue
+                rot = w2[k:] + w2[:k]
+                din, dout = Fraction(m_in, block), Fraction(m_out, block)
+                note("isometric", w1, rot, din, dout)
+                note("contracting" if m_out > m_in else "expanding",
+                     w1, rot, din, dout)
             if all(first.values()):
                 break
         if all(first.values()):

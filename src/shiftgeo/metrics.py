@@ -4,9 +4,18 @@ The upper-density pseudometric over centered windows (Besicovitch) and its
 uniform-over-positions variant (Weyl) have closed forms for eventually
 periodic points: with rho_L and rho_R the asymptotic mismatch densities of
 the left and right arms, the centered-window limit is (rho_L + rho_R)/2 and
-the uniform one is max(rho_L, rho_R).  Both are computed as exact rationals
-over one lcm-length block beyond the finite parts; the test suite checks the
-closed forms against large-window estimates.
+the uniform one is max(rho_L, rho_R).  Both are exact rationals; the test
+suite checks the closed forms against large-window estimates.
+
+Mismatches between two periodic words u and v are counted by residue class.
+With g = gcd(|u|, |v|), index a of u meets index b of v exactly once per
+lcm(|u|, |v|) block when a = b (mod g), and never otherwise (CRT).  So the
+block holds lcm - sum_r sum_s A_r[s] B_r[s] mismatches, where A_r[s] and
+B_r[s] count the symbol s at the indices = r (mod g) of u and of v: O(|u| +
+|v|) work instead of O(lcm).  A block of at most 16 cells per class and
+shared symbol is compared cell by cell instead, which is cheaper there.  An
+arm beyond the finite parts is a rotation of its period word (reversed for
+the left arm), so arm densities use the same count.
 
 Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
@@ -19,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul, ne
 
 from . import _graph
 from .configs import Configuration, least_rotation, lcm, periodic_config
@@ -29,6 +40,46 @@ from .shifts import ShiftPresentation, contains_config, periodic_orbits
 def _check_alphabets(x: Configuration, y: Configuration):
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
+
+
+# ---------------------------------------------------------------------------
+# residue-class mismatch counting
+
+
+def _residue_profile(w: str, g: int, symbols) -> tuple:
+    """(|w|, g, counts): counts[r * |symbols| + i] is how often the i-th
+    symbol, in the iteration order of `symbols`, occurs at the indices
+    = r (mod g) of w.  g must divide |w|."""
+    return len(w), g, tuple(w[r::g].count(s)
+                            for r in range(g) for s in symbols)
+
+
+def _profile_mismatches(pu, pv, k: int = 0) -> tuple[int, int]:
+    """(mismatches, lcm) over one block of inf(u) against inf(v[k:] + v[:k]),
+    from residue profiles of u and v over the same g and symbols.
+
+    Rotating v by k shifts its residue classes by k, so k matters only
+    mod g.
+    """
+    (m, g, a), (n, _g, b) = pu, pv
+    block = m // g * n
+    s = k * len(b) // g
+    return block - sum(map(mul, a, b[s:] + b[:s])), block
+
+
+def _mismatches(u: str, v: str) -> tuple[int, int]:
+    """(mismatches, lcm) over one block of the aligned inf(u) and inf(v)."""
+    m, n = len(u), len(v)
+    g = gcd(m, n)
+    block = m // g * n
+    shared = set(u) & set(v)
+    if block <= 16 * g * len(shared):
+        # Profiling takes one str.count per class and symbol, and one costs
+        # about as much as comparing 16 to 30 cells; a block this short
+        # (one length dividing the other, say) is cheaper to compare.
+        return sum(map(ne, u * (block // m), v * (block // n))), block
+    return _profile_mismatches(_residue_profile(u, g, shared),
+                               _residue_profile(v, g, shared))
 
 
 # ---------------------------------------------------------------------------
@@ -52,32 +103,30 @@ def d_cantor(x: Configuration, y: Configuration) -> Fraction:
     raise AssertionError("distinct canonical configurations must differ")
 
 
-def _right_arm_density(x: Configuration, y: Configuration) -> Fraction:
-    start = max(len(x.right_finite), len(y.right_finite))
-    block = lcm(len(x.right_period), len(y.right_period))
-    mism = sum(x.symbol_at(i) != y.symbol_at(i)
-               for i in range(start, start + block))
-    return Fraction(mism, block)
-
-
-def _left_arm_density(x: Configuration, y: Configuration) -> Fraction:
-    start = max(len(x.left_finite), len(y.left_finite))
-    block = lcm(len(x.left_period), len(y.left_period))
-    mism = sum(x.symbol_at(-i) != y.symbol_at(-i)
-               for i in range(start + 1, start + block + 1))
-    return Fraction(mism, block)
+def _arm_density(x: Configuration, y: Configuration, side: str) -> Fraction:
+    """Asymptotic mismatch density of the left ("L") or right ("R") arms."""
+    if side == "R":
+        arms = [(c.right_finite, c.right_period) for c in (x, y)]
+    else:  # read leftwards from coordinate -1
+        arms = [(c.left_finite, c.left_period[::-1]) for c in (x, y)]
+    start = max(len(fin) for fin, _p in arms)
+    words = []
+    for fin, p in arms:  # each arm from `start` on is a rotation of p
+        k = (start - len(fin)) % len(p)
+        words.append(p[k:] + p[:k])
+    return Fraction(*_mismatches(*words))
 
 
 def d_besicovitch(x: Configuration, y: Configuration) -> Fraction:
     """Asymptotic mismatch density over centered windows, exact."""
     _check_alphabets(x, y)
-    return (_left_arm_density(x, y) + _right_arm_density(x, y)) / 2
+    return (_arm_density(x, y, "L") + _arm_density(x, y, "R")) / 2
 
 
 def d_weyl(x: Configuration, y: Configuration) -> Fraction:
     """Asymptotic mismatch density, uniform over window positions, exact."""
     _check_alphabets(x, y)
-    return max(_left_arm_density(x, y), _right_arm_density(x, y))
+    return max(_arm_density(x, y, "L"), _arm_density(x, y, "R"))
 
 
 def estimator_error_bound(x: Configuration, y: Configuration) -> int:
@@ -265,11 +314,7 @@ def distance_to_shift(x: Configuration, Y: ShiftPresentation) -> Fraction:
 
 def cyclic_mismatch_density(u: str, v: str) -> Fraction:
     """Mismatch density of the aligned periodic points given by u and v."""
-    period = lcm(len(u), len(v))
-    a = u * (period // len(u))
-    b = v * (period // len(v))
-    mism = sum(c != d for c, d in zip(a, b))
-    return Fraction(mism, period)
+    return Fraction(*_mismatches(u, v))
 
 
 @dataclass
@@ -344,6 +389,8 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
     The search is sound: the exact distance to X is computed first and only
     periodic points achieving exactly that distance count as minimizers.
     """
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     x_orbits = periodic_orbits(X, P)

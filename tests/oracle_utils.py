@@ -119,6 +119,48 @@ def apply_cyclic_oracle(table: dict, lo: int, hi: int, w: str) -> str:
         for i in range(p))
 
 
+def check_on_subshift_oracle(table: dict, lo: int, hi: int,
+                             orbits) -> dict:
+    """Full-rotation periodic-pair scan of a CA with rule `table` over the
+    offsets [lo, hi]: w1 runs over the orbit words, w2 over every rotation
+    of every orbit word, in order, and each property maps to its first
+    violation (w1, rotated w2, d_in, d_out), or to None.  Densities are
+    counted over unfolded lcm blocks."""
+    images = {w: apply_cyclic_oracle(table, lo, hi, w) for w in orbits}
+    first = {"contracting": None, "isometric": None, "expanding": None}
+    for w1 in orbits:
+        for w2 in orbits:
+            for k in range(len(w2)):
+                rot = w2[k:] + w2[:k]
+                frot = images[w2][k:] + images[w2][:k]
+                din = cyclic_density_oracle(w1, rot)
+                dout = cyclic_density_oracle(images[w1], frot)
+                for prop, bad in (("contracting", dout > din),
+                                  ("isometric", dout != din),
+                                  ("expanding", dout < din)):
+                    if bad and first[prop] is None:
+                        first[prop] = (w1, rot, din, dout)
+            if all(first.values()):
+                return first
+    return first
+
+
+def unfolded_arm_densities(x: Configuration,
+                           y: Configuration) -> tuple[Fraction, Fraction]:
+    """(left, right) mismatch densities of the arms of x and y, counted
+    cell by cell over one lcm block beyond both finite parts."""
+    start = (len(x.left_finite) + len(y.left_finite)
+             + len(x.right_finite) + len(y.right_finite))
+    out = []
+    for sign, px, py in ((-1, x.left_period, y.left_period),
+                         (1, x.right_period, y.right_period)):
+        n = lcm(len(px), len(py))
+        mism = sum(x.symbol_at(sign * i) != y.symbol_at(sign * i)
+                   for i in range(start + 1, start + 1 + n))
+        out.append(Fraction(mism, n))
+    return out[0], out[1]
+
+
 def rand_config(rng, alphabet: Alphabet, max_period: int = 4,
                 max_finite: int = 3) -> Configuration:
     syms = alphabet.symbols

@@ -23,9 +23,9 @@ from shiftgeo.metrics import (cyclic_mismatch_density, d_besicovitch, d_weyl,
                               unique_approximation_search)
 from shiftgeo.paths import (block_path_source, dyadic_digits,
                             intersperse_path_source)
-from shiftgeo.automata import (CellularAutomaton, apply_cyclic,
-                               check_on_subshift, classify_full_shift,
-                               elementary_ca, isometric_ca_precondition,
+from shiftgeo.automata import (CellularAutomaton, check_on_subshift,
+                               classify_full_shift, elementary_ca,
+                               isometric_ca_precondition,
                                minimal_neighborhood, minimal_neighborhood_on,
                                preserves_shift)
 from shiftgeo.homotopy import extract_complex
@@ -37,7 +37,8 @@ from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              disjoint_union, even_shift, full_shift,
                              golden_mean, language, mixing_distance,
                              periodic_orbits)
-from oracle_utils import necklaces, parity_shift_uap_oracle, rand_config
+from oracle_utils import check_on_subshift_oracle, eca_table, necklaces, \
+    parity_shift_uap_oracle, rand_config
 
 A012 = Alphabet("012")
 
@@ -56,40 +57,22 @@ def block_shift():
 # -- criterion 1: elementary CA classification vs exhaustive oracle ---------
 
 
-def _oracle_full_shift_verdicts(rule, orbits, rotations):
+def _oracle_full_shift_verdicts(rule, orbits):
     """Exhaustive periodic-pair oracle on the binary full shift: scan all
     (orbit representative, orbit point) pairs with period <= 8 and compare
     exact aligned densities before and after the rule."""
-    table = elementary_ca(rule)
-    images = {w: apply_cyclic(table, w) for w in orbits}
-    contracting = isometric = expanding = True
-    for w1 in orbits:
-        fw1 = images[w1]
-        for w2 in orbits:
-            fw2 = images[w2]
-            for k in rotations[w2]:
-                rot, frot = w2[k:] + w2[:k], fw2[k:] + fw2[:k]
-                din = cyclic_mismatch_density(w1, rot)
-                dout = cyclic_mismatch_density(fw1, frot)
-                if dout > din:
-                    contracting = False
-                if dout != din:
-                    isometric = False
-                if dout < din:
-                    expanding = False
-            if not (contracting or isometric or expanding):
-                return False, False, False
-    return contracting, isometric, expanding
+    first = check_on_subshift_oracle(eca_table(rule), -1, 1, orbits)
+    return tuple(first[prop] is None
+                 for prop in ("contracting", "isometric", "expanding"))
 
 
 def test_criterion_1_elementary_classification():
     start = time.monotonic()
     orbits = [w for p in range(1, 9) for w in necklaces("01", p)]
-    rotations = {w: list(range(len(w))) for w in orbits}
     counts = {"contracting": 0, "isometric": 0, "expanding": 0}
     for rule in range(256):
         got = classify_full_shift(elementary_ca(rule))
-        want = _oracle_full_shift_verdicts(rule, orbits, rotations)
+        want = _oracle_full_shift_verdicts(rule, orbits)
         assert (got.contracting, got.isometric, got.expanding) == want, rule
         counts["contracting"] += got.contracting
         counts["isometric"] += got.isometric

@@ -134,6 +134,12 @@ def test_contracting_example_small():
     assert chk.isometric is not None
 
 
+@pytest.mark.parametrize("P", [0, -3])
+def test_check_on_subshift_rejects_non_positive_period(P):
+    with pytest.raises(PreconditionError, match="period bound"):
+        check_on_subshift(elementary_ca(204), golden_mean(), P)
+
+
 def test_identity_isometric_on_golden():
     chk = check_on_subshift(elementary_ca(204), golden_mean(), 6)
     assert chk.isometric is None and chk.contracting is None \

@@ -77,6 +77,19 @@ def test_classify_on_shift(capsys, golden_file, tmp_path):
     assert "contracting: no violation up to period 5" in out
 
 
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_bounded_searches_reject_non_positive_period(capsys, golden_file,
+                                                     period):
+    rc, out, err = run(capsys, "classify", "eca:204", "--shift", golden_file,
+                       "--period", period)
+    assert rc == 3 and "period bound must be positive" in err
+    assert "no violation" not in out
+    rc, out, err = run(capsys, "uap", "search", golden_file,
+                       "--period", period)
+    assert rc == 3 and "period bound must be positive" in err
+    assert "no violation" not in out
+
+
 def test_classify_precondition(capsys, golden_file):
     rc, out, _ = run(capsys, "classify", "--precondition",
                      "--shift", golden_file, "--length", "3",

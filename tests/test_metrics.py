@@ -202,6 +202,9 @@ def test_nearest_periodic():
         nearest_periodic(g, parse_config("inf(0).1inf(1)", BINARY), 4)
     with pytest.raises(PreconditionError):
         nearest_periodic(g, ONE, 0)
+    for P in (0, -3):
+        with pytest.raises(PreconditionError, match="period bound"):
+            unique_approximation_search(g, P)
     # a shift whose shortest periodic point exceeds the bound
     orbit5 = ShiftPresentation(
         BINARY, list("abcde"),
