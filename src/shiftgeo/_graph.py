@@ -94,63 +94,86 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     ``nodes`` are the node ids of one SCC; ``edges[v]`` lists (target, weight)
     pairs with both endpoints inside the SCC.  Returns the exact minimum mean
     and one cycle (as a node list) achieving it.
+
+    Karp's recurrence over walks of exactly k edges from ``nodes[0]``, with
+    each row holding only the nodes some k-edge walk reaches.  Time is
+    O(sum_k |frontier_k| * outdeg) and memory is one entry per reached
+    (k, node) pair.  On a phase-layered graph (every edge goes from phase j
+    to phase j + 1 mod p, as in the product of a presentation with a
+    position cycle) every frontier lies in one phase, so both are linear in
+    the number of nodes rather than quadratic.
+
+    The cycle returned is the shortest, then earliest, closed subwalk of
+    mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
+    runs between consecutive occurrences of one node: if any node repeated
+    strictly inside it, it would split into two closed walks, each of mean
+    at least the minimum, hence both of mean exactly the minimum, and the
+    shorter one would have been chosen.  So only the pairs (previous
+    occurrence, occurrence) are tried, in O(n).
     """
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
-    s = 0
-    INF = None
-    # dist[k][v] = min weight of a walk with exactly k edges from s to v
-    dist = [[INF] * n for _ in range(n + 1)]
-    parent = [[-1] * n for _ in range(n + 1)]
-    dist[0][s] = 0
+    adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
+    # dist[k][v] = min weight of a walk with exactly k edges from node 0 to
+    # v, parent[k][v] = its predecessor; seen[v] lists (k, dist[k][v]) for
+    # every k < n that reaches v, in ascending k.
+    dist: list[dict[int, int]] = [{0: 0}]
+    parent: list[dict[int, int]] = [{}]
+    seen: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k in range(1, n + 1):
-        dk, dk1, pk = dist[k], dist[k - 1], parent[k]
-        for u in range(n):
-            du = dk1[u]
-            if du is None:
-                continue
-            for (t, w) in edges[nodes[u]]:
-                v = idx[t]
+        prev = dist[-1]
+        dk: dict[int, int] = {}
+        pk: dict[int, int] = {}
+        # ascending u with a strict < keeps the least predecessor on ties
+        for u in sorted(prev):
+            du = prev[u]
+            seen[u].append((k - 1, du))
+            for (v, w) in adj[u]:
                 cand = du + w
-                if dk[v] is None or cand < dk[v] or (cand == dk[v] and u < pk[v]):
+                if v not in dk or cand < dk[v]:
                     dk[v] = cand
                     pk[v] = u
+        dist.append(dk)
+        parent.append(pk)
+    # min over v of max over k of (dist[n][v] - dist[k][v]) / (n - k), as
+    # (numerator, positive denominator) pairs compared by cross-multiplying;
+    # the first maximum per v and the first minimum over ascending v win.
+    dn = dist[n]
     best = None
     best_v = -1
-    for v in range(n):
-        if dist[n][v] is None:
-            continue
+    for v in sorted(dn):
         worst = None
-        for k in range(n):
-            if dist[k][v] is None:
-                continue
-            val = Fraction(dist[n][v] - dist[k][v], n - k)
-            if worst is None or val > worst:
-                worst = val
-        if worst is not None and (best is None or worst < best):
+        for (k, dkv) in seen[v]:
+            num, den = dn[v] - dkv, n - k
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (
+                best is None or best[0] * worst[1] > worst[0] * best[1]):
             best = worst
             best_v = v
     if best is None:
         raise ValueError("graph has no cycle")
+    mean = Fraction(*best)
     # Recover a cycle of mean `best` from the optimal n-edge walk into best_v.
     walk = [best_v]
-    v, k = best_v, n
-    while k > 0:
-        v = parent[k][v]
-        walk.append(v)
-        k -= 1
+    for k in range(n, 0, -1):
+        walk.append(parent[k][walk[-1]])
     walk.reverse()  # length n+1, indices into `nodes`
-    weight_of = {}
-    for u in nodes:
-        for (t, w) in edges[u]:
-            key = (idx[u], idx[t])
-            if key not in weight_of or w < weight_of[key]:
-                weight_of[key] = w
-    for clen in range(1, n + 1):
-        for i in range(n + 1 - clen):
-            if walk[i] == walk[i + clen]:
-                total = sum(weight_of[(walk[i + j], walk[i + j + 1])]
-                            for j in range(clen))
-                if Fraction(total, clen) == best:
-                    return best, [nodes[w] for w in walk[i:i + clen]]
-    raise AssertionError("min mean cycle not found on optimal walk")
+    # The walk's first j edges weigh dist[j][walk[j]], since each parent
+    # edge attains the minimum.
+    last: dict[int, int] = {}
+    found = None
+    for j, v in enumerate(walk):
+        i = last.get(v)
+        last[v] = j
+        if i is None:
+            continue
+        clen = j - i
+        total = dist[j][v] - dist[i][v]
+        if total * mean.denominator == mean.numerator * clen and (
+                found is None or (clen, i) < found):
+            found = (clen, i)
+    if found is None:
+        raise AssertionError("min mean cycle not found on optimal walk")
+    clen, i = found
+    return mean, [nodes[w] for w in walk[i:i + clen]]

@@ -430,6 +430,10 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
     """
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
+    if L <= 0:
+        raise PreconditionError("factor length bound must be positive")
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
     if not contains_config(X, periodic_config(zero, X.alphabet)):
         return RigidityReport(False, None, {})
     periodic_words: dict[int, list[str]] = {}

@@ -29,9 +29,13 @@ def _digest(path: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: expected a JSON object, got "
+                         f"{type(d).__name__}")
+    return d
 
 
 def load_shift(path: str) -> shifts.ShiftPresentation:
@@ -116,6 +120,8 @@ def cmd_dist(ns, rep: Report) -> None:
         d = metrics.distance_to_shift(x, Y)
         rep.put("distance", _frac_json(d), f"distance to shift: {_frac(d)}")
         return
+    if len(ns.args) != 2:
+        raise InputError(f"dist needs two configurations, got {len(ns.args)}")
     x = parse_config(ns.args[0], ab)
     y = parse_config(ns.args[1], ab)
     if ns.estimate:

@@ -109,6 +109,7 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
 
 def cylinder(mu: MarkovMeasure, w: str) -> float:
     """Measure of the set of points carrying w at a fixed position."""
+    mu.cover.alphabet.check_word(w)
     if w == "":
         return 1.0
     C = mu.cover

@@ -21,7 +21,10 @@ Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
 presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
 run per strongly connected component, and the best co-reachable (left cycle,
-right cycle) pair wins.
+right cycle) pair wins.  Every edge inside an arm's component goes from
+position phase j to phase j + 1 mod p, so the product is phase-layered: the
+nodes a walk of k edges can reach share one phase, at most |Q| of them, and
+Karp's frontier rows stay that small (time and memory linear in p).
 """
 
 from __future__ import annotations

@@ -178,3 +178,73 @@ def unfolded_density(x: Configuration, y: Configuration,
                      N: int) -> Fraction:
     mism = sum(x.symbol_at(i) != y.symbol_at(i) for i in range(-N, N + 1))
     return Fraction(mism, 2 * N + 1)
+
+
+def karp_min_mean_oracle(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
+    """Minimum mean cycle of a strongly connected weighted graph, by the
+    dense Karp tables and the full (length, start) scan of the optimal walk
+    that ``shiftgeo._graph.karp_min_mean`` replaced.
+
+    ``nodes`` are the node ids of one SCC; ``edges[v]`` lists (target, weight)
+    pairs with both endpoints inside the SCC.  Returns the exact minimum mean
+    and one cycle (as a node list) achieving it.
+    """
+    n = len(nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
+    s = 0
+    INF = None
+    # dist[k][v] = min weight of a walk with exactly k edges from s to v
+    dist = [[INF] * n for _ in range(n + 1)]
+    parent = [[-1] * n for _ in range(n + 1)]
+    dist[0][s] = 0
+    for k in range(1, n + 1):
+        dk, dk1, pk = dist[k], dist[k - 1], parent[k]
+        for u in range(n):
+            du = dk1[u]
+            if du is None:
+                continue
+            for (t, w) in edges[nodes[u]]:
+                v = idx[t]
+                cand = du + w
+                if dk[v] is None or cand < dk[v] or (cand == dk[v] and u < pk[v]):
+                    dk[v] = cand
+                    pk[v] = u
+    best = None
+    best_v = -1
+    for v in range(n):
+        if dist[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if dist[k][v] is None:
+                continue
+            val = Fraction(dist[n][v] - dist[k][v], n - k)
+            if worst is None or val > worst:
+                worst = val
+        if worst is not None and (best is None or worst < best):
+            best = worst
+            best_v = v
+    if best is None:
+        raise ValueError("graph has no cycle")
+    # Recover a cycle of mean `best` from the optimal n-edge walk into best_v.
+    walk = [best_v]
+    v, k = best_v, n
+    while k > 0:
+        v = parent[k][v]
+        walk.append(v)
+        k -= 1
+    walk.reverse()  # length n+1, indices into `nodes`
+    weight_of = {}
+    for u in nodes:
+        for (t, w) in edges[u]:
+            key = (idx[u], idx[t])
+            if key not in weight_of or w < weight_of[key]:
+                weight_of[key] = w
+    for clen in range(1, n + 1):
+        for i in range(n + 1 - clen):
+            if walk[i] == walk[i + clen]:
+                total = sum(weight_of[(walk[i + j], walk[i + j + 1])]
+                            for j in range(clen))
+                if Fraction(total, clen) == best:
+                    return best, [nodes[w] for w in walk[i:i + clen]]
+    raise AssertionError("min mean cycle not found on optimal walk")

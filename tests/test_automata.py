@@ -181,6 +181,14 @@ def test_conjugacy_probe():
     assert d_besicovitch(apply_ca(conj, w.x), apply_ca(conj, w.y)) == w.d_out
 
 
+@pytest.mark.parametrize("L, P, bound", [(0, 4, "factor length"),
+                                         (-2, 4, "factor length"),
+                                         (3, 0, "period"), (3, -1, "period")])
+def test_rigidity_precondition_rejects_non_positive_bounds(L, P, bound):
+    with pytest.raises(PreconditionError, match=f"{bound} bound"):
+        isometric_ca_precondition(golden_mean(), "0", L, P)
+
+
 def test_rigidity_precondition():
     assert isometric_ca_precondition(golden_mean(), "0", 4, 9).passed
     assert isometric_ca_precondition(even_shift(), "0", 4, 9).passed

@@ -97,6 +97,40 @@ def test_classify_precondition(capsys, golden_file):
     assert rc == 0 and "pass" in out
 
 
+@pytest.mark.parametrize("length, period, bound", [
+    ("0", "4", "factor length"), ("-1", "4", "factor length"),
+    ("3", "0", "period"), ("3", "-2", "period")])
+def test_classify_precondition_rejects_non_positive_bounds(
+        capsys, golden_file, length, period, bound):
+    rc, out, err = run(capsys, "classify", "--precondition",
+                       "--shift", golden_file, "--length", length,
+                       "--period", period)
+    assert rc == 3 and f"{bound} bound must be positive" in err
+    assert "precondition:" not in out
+
+
+def test_non_object_json_is_an_input_error(capsys, tmp_path, golden_file):
+    listed = tmp_path / "list.json"
+    listed.write_text(json.dumps([1, 2]))
+    rc, _, err = run(capsys, "dist", "--to-shift", str(listed),
+                     "inf(0).inf(0)")
+    assert rc == 2 and "expected a JSON object, got list" in err
+    rc, _, err = run(capsys, "classify", str(listed), "--shift",
+                     golden_file, "--period", "3")
+    assert rc == 2 and "expected a JSON object, got list" in err
+
+
+def test_dist_needs_two_configurations(capsys):
+    rc, _, err = run(capsys, "dist", "--db", "inf(0).inf(01)")
+    assert rc == 2 and "dist needs two configurations, got 1" in err
+
+
+def test_measure_cylinder_rejects_unknown_symbol(capsys, golden_file):
+    rc, out, err = run(capsys, "measure", "cylinder", golden_file, "0x")
+    assert rc == 2 and "symbol 'x' not in alphabet" in err
+    assert "mu(" not in out
+
+
 def test_shift_commands(capsys, golden_file, even_file):
     rc, out, _ = run(capsys, "shift", "mixing", golden_file)
     assert rc == 0 and "1" in out

@@ -1,5 +1,6 @@
 """Differential tests: the residue-class mismatch kernel and the gcd-class
-CA scan against the unfolded brute-force oracles in oracle_utils.
+CA scan against the unfolded brute-force oracles in oracle_utils, and the
+frontier-row Karp against the dense-table Karp it replaced.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -8,16 +9,21 @@ on every run.
 import functools
 import itertools
 from math import gcd
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from shiftgeo import _graph
 from shiftgeo.automata import CellularAutomaton, check_on_subshift, \
     preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration
-from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, d_weyl
+from shiftgeo.errors import EmptyShiftError
+from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, \
+    d_weyl, distance_to_shift_detail
 from shiftgeo.shifts import SftSpec, compile_sft, full_shift
 from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
-    cyclic_density_oracle, necklaces, unfolded_arm_densities
+    cyclic_density_oracle, karp_min_mean_oracle, necklaces, \
+    unfolded_arm_densities
 
 
 def deterministic(examples: int):
@@ -147,3 +153,102 @@ def test_arm_distances_match_unfolded_oracle(pair):
     left, right = unfolded_arm_densities(x, y)
     assert d_besicovitch(x, y) == (left + right) / 2
     assert d_weyl(x, y) == max(left, right)
+
+
+WEIGHTS = st.integers(-2, 3)
+
+
+@st.composite
+def strongly_connected_graph(draw):
+    """(nodes, edges) of a strongly connected digraph on 1 to 9 nodes with
+    arbitrary ids: a cycle through every node, plus random extra edges that
+    may be self-loops or parallel to others.  Small weights make ties in
+    the Karp tables common."""
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n,
+                        unique=True))
+    order = draw(st.permutations(ids))
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids),
+                                     st.sampled_from(ids)), max_size=3 * n))
+    pairs = draw(st.permutations(pairs))
+    edges = {v: [] for v in ids}
+    for (u, v) in pairs:
+        edges[u].append((v, draw(WEIGHTS)))
+    return ids, edges
+
+
+@deterministic(400)
+@given(strongly_connected_graph())
+def test_karp_min_mean_matches_dense_oracle(graph):
+    nodes, edges = graph
+    assert _graph.karp_min_mean(nodes, edges) == \
+        karp_min_mean_oracle(nodes, edges)
+
+
+@st.composite
+def phase_layered_scc(draw):
+    """(nodes, edges) of the largest strongly connected component of a
+    random graph on |Q| <= 5 states times p <= 30 phases, every edge going
+    from phase j to phase j + 1 mod p, as in the product of a presentation
+    with a position cycle.  Node (q, j) has id j * |Q| + q."""
+    nq = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 30))
+    weight = draw(st.sampled_from([st.integers(0, 1), WEIGHTS]))
+    succ = [[] for _ in range(nq * p)]
+    wsucc = [[] for _ in range(nq * p)]
+    for j in range(p):
+        for q in range(nq):
+            u = j * nq + q
+            targets = draw(st.lists(st.integers(0, nq - 1), min_size=1,
+                                    max_size=3))
+            for t in targets:
+                v = (j + 1) % p * nq + t
+                succ[u].append(v)
+                wsucc[u].append((v, draw(weight)))
+    comps = _graph.strongly_connected_components(nq * p, succ)
+    comp = max(comps, key=len)
+    members = set(comp)
+    edges = {v: [(t, w) for (t, w) in wsucc[v] if t in members]
+             for v in comp}
+    return comp, edges
+
+
+@deterministic(200)
+@given(phase_layered_scc())
+def test_karp_min_mean_matches_dense_oracle_on_phase_layers(graph):
+    nodes, edges = graph
+    if not any(edges.values()):
+        return  # a single node without a self-loop has no cycle
+    assert _graph.karp_min_mean(nodes, edges) == \
+        karp_min_mean_oracle(nodes, edges)
+
+
+@st.composite
+def point_and_sft(draw):
+    """A non-empty binary SFT with one to three forbidden words of length 1
+    to 4, and an eventually periodic point with arm periods <= 30.  Lengths
+    are drawn first, so long arms and many-state covers are common."""
+
+    def word(lo, hi):
+        n = draw(st.integers(lo, hi))
+        return draw(st.text(st.sampled_from("01"), min_size=n, max_size=n))
+
+    forbidden = tuple(word(1, 4) for _ in range(draw(st.integers(1, 3))))
+    try:
+        Y = compile_sft(SftSpec(BINARY, forbidden))
+    except EmptyShiftError:
+        reject()
+    x = Configuration(BINARY, word(1, 30), word(0, 4), word(0, 4),
+                      word(1, 30))
+    return x, Y
+
+
+@deterministic(200)
+@given(point_and_sft())
+def test_distance_to_shift_detail_matches_dense_karp(case):
+    x, Y = case
+    got = distance_to_shift_detail(x, Y)
+    with mock.patch.object(_graph, "karp_min_mean", karp_min_mean_oracle):
+        want = distance_to_shift_detail(x, Y)
+    assert got == want
