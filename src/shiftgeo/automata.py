@@ -22,8 +22,7 @@ from .configs import Alphabet, Configuration, periodic_config
 from .errors import PreconditionError
 from .metrics import _profile_mismatches, _residue_profile, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
-                     shannon_cover, contains_config, language,
-                     _words_by_length)
+                     shannon_cover, contains_config, language)
 
 MAX_WIDTH = 12
 
@@ -418,6 +417,19 @@ class RigidityReport:
         return self.passed
 
 
+def _periodic_words(X: ShiftPresentation, P: int) -> dict[int, list[str]]:
+    """For p = 1..P, the words w of length p with inf(w) in X: every
+    rotation of an orbit word whose length divides p, repeated p/|u| times.
+    Lists are grouped by orbit, not sorted."""
+    words: dict[int, list[str]] = {p: [] for p in range(1, P + 1)}
+    for u in periodic_orbits(X, P):
+        n = len(u)
+        rots = [u[i:] + u[:i] for i in range(n)]
+        for p in range(n, P + 1, n):
+            words[p] += [r * (p // n) for r in rots]
+    return words
+
+
 def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
                               P: int) -> RigidityReport:
     """Bounded check of the periodic-richness condition under which every
@@ -436,11 +448,7 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
         raise PreconditionError("period bound must be positive")
     if not contains_config(X, periodic_config(zero, X.alphabet)):
         return RigidityReport(False, None, {})
-    periodic_words: dict[int, list[str]] = {}
-    for p in range(1, P + 1):
-        periodic_words[p] = [w for w in _words_by_length(X.alphabet, p)
-                             if contains_config(
-                                 X, periodic_config(w, X.alphabet))]
+    periodic_words = _periodic_words(X, P)
     used = {}
     for n in range(1, L + 1):
         for w in language(X, n):

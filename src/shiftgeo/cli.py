@@ -115,6 +115,9 @@ def _alphabet_from(ns, fallback="01") -> Alphabet:
 def cmd_dist(ns, rep: Report) -> None:
     ab = _alphabet_from(ns)
     if ns.to_shift:
+        if len(ns.args) != 1:
+            raise InputError(f"dist --to-shift takes one configuration, "
+                             f"got {len(ns.args)}")
         Y = load_shift(ns.to_shift)
         x = parse_config(ns.args[0], Y.alphabet)
         d = metrics.distance_to_shift(x, Y)
@@ -314,8 +317,19 @@ def cmd_shift(ns, rep: Report) -> None:
         rep.put("contains", res, str(res))
 
 
+# the positional arguments each measure mode takes
+_MEASURE_ARGS = {"parry": "FILE", "cylinder": "FILE WORD", "decay": "FILE",
+                 "binom-bound": "N M P", "growth-threshold": "K A",
+                 "generic": "", "ball-count": "WORD N EPS"}
+
+
 def cmd_measure(ns, rep: Report) -> None:
     mode = ns.mode
+    names = _MEASURE_ARGS[mode].split()
+    if len(ns.args) != len(names):
+        takes = " ".join(names) or "no arguments"
+        raise InputError(f"measure {mode} takes {takes}, got "
+                         f"{len(ns.args)} argument(s)")
     if mode in ("parry", "cylinder", "decay"):
         X = load_shift(ns.args[0])
         mu = measures.parry_measure(X)

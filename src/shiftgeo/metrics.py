@@ -35,9 +35,10 @@ from math import gcd
 from operator import mul, ne
 
 from . import _graph
-from .configs import Configuration, least_rotation, lcm, periodic_config
+from .configs import Configuration, lcm, periodic_config
 from .errors import EmptyShiftError, PreconditionError
-from .shifts import ShiftPresentation, contains_config, periodic_orbits
+from .shifts import (ShiftPresentation, contains_config, full_shift,
+                     lyndon_words, periodic_orbits)
 
 
 def _check_alphabets(x: Configuration, y: Configuration):
@@ -397,28 +398,23 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     x_orbits = periodic_orbits(X, P)
-    from .shifts import _words_by_length
-    from .configs import is_primitive
-    for p in range(1, P + 1):
-        for w in _words_by_length(X.alphabet, p):
-            if not is_primitive(w) or least_rotation(w) != w:
-                continue
-            y = periodic_config(w, X.alphabet)
-            if contains_config(X, y):
-                continue
-            d_true = distance_to_shift(y, X)
-            orbit_hits: list[str] = []
-            points: list[str] = []
-            for ow in x_orbits:
-                rots = sorted(ow[i:] + ow[:i] for i in range(len(ow)))
-                hit = [r for r in rots
-                       if cyclic_mismatch_density(w, r) == d_true]
-                if hit:
-                    orbit_hits.append(ow)
-                    points.append(hit[0])
-            if len(orbit_hits) >= 2:
-                return UapVerdict(
-                    True, P, witness=y, distance=d_true,
-                    minimizers=[periodic_config(pt, X.alphabet)
-                                for pt in sorted(points)])
+    for w in lyndon_words(full_shift(X.alphabet), P):
+        y = periodic_config(w, X.alphabet)
+        if contains_config(X, y):
+            continue
+        d_true = distance_to_shift(y, X)
+        orbit_hits: list[str] = []
+        points: list[str] = []
+        for ow in x_orbits:
+            rots = sorted(ow[i:] + ow[:i] for i in range(len(ow)))
+            hit = [r for r in rots
+                   if cyclic_mismatch_density(w, r) == d_true]
+            if hit:
+                orbit_hits.append(ow)
+                points.append(hit[0])
+        if len(orbit_hits) >= 2:
+            return UapVerdict(
+                True, P, witness=y, distance=d_true,
+                minimizers=[periodic_config(pt, X.alphabet)
+                            for pt in sorted(points)])
     return UapVerdict(False, P)

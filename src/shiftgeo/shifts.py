@@ -6,8 +6,9 @@ paths.  SFTs given by forbidden-word lists compile to presentations via the
 standard higher-block construction.  On top of this the module provides
 language queries, minimal deterministic presentations (Shannon covers),
 transitive components, mixing distances, synchronizing/unbordered word
-search, an exact entropy-positivity test, intersections, and membership of
-eventually periodic configurations.
+search, an exact entropy-positivity test, intersections, membership of
+eventually periodic configurations, and periodic orbits, enumerated as the
+Lyndon words of the presented language.
 
 All operations are pure; presentations are immutable after construction.
 """
@@ -19,8 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import _graph
-from .configs import (Alphabet, Configuration, is_primitive, is_unbordered,
-                      least_rotation)
+from .configs import Alphabet, Configuration, is_unbordered, periodic_config
 from .errors import CapError, EmptyShiftError, PreconditionError
 
 
@@ -702,19 +702,67 @@ def contains_config(X: ShiftPresentation, x: Configuration) -> bool:
     return bool(mid & right_stable)
 
 
+def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
+    """Lyndon words of length <= max_period all of whose prefixes are
+    factors of X, ordered by length and then lexicographically in the
+    alphabet's order.
+
+    A Lyndon word is primitive and strictly least among its rotations, with
+    symbols compared as characters (the order of ``configs.least_rotation``).
+    The words are read off the Fredricksen-Kessler-Maiorana prenecklace
+    tree (Ruskey, Savage and Wang 1992): a prefix a[0:t] of least period p
+    extends by a[t - p], keeping p, or by any larger symbol, taking period
+    t + 1, and it is a Lyndon word exactly when p == t.  Every prefix of a
+    Lyndon word is a prenecklace, so the walk carries each prefix's state
+    set on X and drops a subtree as soon as that set is empty.
+
+    The cost is one ``X.step`` per child of a visited prenecklace that is a
+    factor of X (on the full shift O(|A|^P / P) prenecklaces), one join per
+    word returned, and a final sort.  The walk keeps an explicit stack and
+    one shared prefix, so memory is O(|A| P) beyond the words returned, and
+    a one-symbol alphabet (a path of depth max_period) needs no recursion.
+    """
+    if max_period <= 0 or X.is_empty:
+        return []
+    order = sorted(X.alphabet)
+    # the symbols >= b, largest first: pushed in this order, the prefixes
+    # pop in lexicographic order
+    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
+    start = frozenset(X.states)
+    words: list[str] = []
+    a: list[str] = []  # the current prefix
+    # (length t, last symbol a[t - 1], least period p, state set)
+    stack = [(1, b, 1, S) for b in pushes[order[0]]
+             if (S := X.step(start, b))]
+    while stack:
+        t, b, p, S = stack.pop()
+        del a[t - 1:]
+        a.append(b)
+        if p == t:
+            words.append("".join(a))
+        if t == max_period:
+            continue
+        keep = a[t - p]
+        for b in pushes[keep]:
+            T = X.step(S, b)
+            if T:
+                stack.append((t + 1, b, p if b == keep else t + 1, T))
+    if order == list(X.alphabet):
+        words.sort(key=len)  # stable, so lexicographic within a length
+    else:
+        words.sort(key=lambda w: (len(w), [X.alphabet.index(b) for b in w]))
+    return words
+
+
 def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
     """Lex-least primitive representatives of the periodic orbits of X with
-    least period <= max_period."""
-    from .configs import periodic_config
-    out = []
-    seen = set()
-    for p in range(1, max_period + 1):
-        for w in _words_by_length(X.alphabet, p):
-            if w in seen:
-                continue
-            if not is_primitive(w) or least_rotation(w) != w:
-                continue
-            seen.add(w)
-            if contains_config(X, periodic_config(w, X.alphabet)):
-                out.append(w)
-    return out
+    least period <= max_period, ordered by length and then lexicographically
+    in the alphabet's order.
+
+    The candidates are the :func:`lyndon_words` of X, whose prefixes are all
+    factors of X; each is kept when its periodic point lies in X
+    (``contains_config``).  The cost is that walk plus one membership test
+    per candidate.
+    """
+    return [w for w in lyndon_words(X, max_period)
+            if contains_config(X, periodic_config(w, X.alphabet))]

@@ -248,3 +248,102 @@ def karp_min_mean_oracle(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
                 if Fraction(total, clen) == best:
                     return best, [nodes[w] for w in walk[i:i + clen]]
     raise AssertionError("min mean cycle not found on optimal walk")
+
+
+# -- the |A|^p orbit loops that shiftgeo.shifts.lyndon_words replaced -------
+
+
+def periodic_orbits_oracle(X, max_period: int) -> list[str]:
+    """Lex-least primitive representatives of the periodic orbits of X with
+    least period <= max_period."""
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.shifts import _words_by_length, contains_config
+    out = []
+    seen = set()
+    for p in range(1, max_period + 1):
+        for w in _words_by_length(X.alphabet, p):
+            if w in seen:
+                continue
+            if not is_primitive(w) or least_rotation(w) != w:
+                continue
+            seen.add(w)
+            if contains_config(X, periodic_config(w, X.alphabet)):
+                out.append(w)
+    return out
+
+
+def unique_approximation_search_oracle(X, P: int):
+    """``metrics.unique_approximation_search`` with its candidate words
+    drawn from the old |A|^p loop and its orbits from
+    :func:`periodic_orbits_oracle`."""
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.metrics import UapVerdict, cyclic_mismatch_density, \
+        distance_to_shift
+    from shiftgeo.shifts import _words_by_length, contains_config
+    x_orbits = periodic_orbits_oracle(X, P)
+    for p in range(1, P + 1):
+        for w in _words_by_length(X.alphabet, p):
+            if not is_primitive(w) or least_rotation(w) != w:
+                continue
+            y = periodic_config(w, X.alphabet)
+            if contains_config(X, y):
+                continue
+            d_true = distance_to_shift(y, X)
+            orbit_hits: list[str] = []
+            points: list[str] = []
+            for ow in x_orbits:
+                rots = sorted(ow[i:] + ow[:i] for i in range(len(ow)))
+                hit = [r for r in rots
+                       if cyclic_mismatch_density(w, r) == d_true]
+                if hit:
+                    orbit_hits.append(ow)
+                    points.append(hit[0])
+            if len(orbit_hits) >= 2:
+                return UapVerdict(
+                    True, P, witness=y, distance=d_true,
+                    minimizers=[periodic_config(pt, X.alphabet)
+                                for pt in sorted(points)])
+    return UapVerdict(False, P)
+
+
+def precondition_words_oracle(X, P: int) -> dict:
+    """For p = 1..P, every word w of length p, in the alphabet's order,
+    with inf(w) in X."""
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.shifts import _words_by_length, contains_config
+    periodic_words: dict[int, list[str]] = {}
+    for p in range(1, P + 1):
+        periodic_words[p] = [w for w in _words_by_length(X.alphabet, p)
+                             if contains_config(
+                                 X, periodic_config(w, X.alphabet))]
+    return periodic_words
+
+
+def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
+    """``automata.isometric_ca_precondition`` on the word lists of
+    :func:`precondition_words_oracle`."""
+    from shiftgeo.automata import RigidityReport
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.shifts import contains_config, language
+    if not contains_config(X, periodic_config(zero, X.alphabet)):
+        return RigidityReport(False, None, {})
+    periodic_words = precondition_words_oracle(X, P)
+    used = {}
+    for n in range(1, L + 1):
+        for w in language(X, n):
+            for s in sorted(set(w)):
+                found = None
+                for p in range(1, P + 1):
+                    marker = s + zero * (p - 1)
+                    if not contains_config(
+                            X, periodic_config(marker, X.alphabet)):
+                        continue
+                    horizon = len(w) + p
+                    if any(w in (c * (horizon // p + 2))
+                           for c in periodic_words[p]):
+                        found = p
+                        break
+                if found is None:
+                    return RigidityReport(False, (w, s), used)
+                used[(w, s)] = found
+    return RigidityReport(True, None, used)

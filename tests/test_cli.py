@@ -131,6 +131,31 @@ def test_measure_cylinder_rejects_unknown_symbol(capsys, golden_file):
     assert "mu(" not in out
 
 
+@pytest.mark.parametrize("mode, args, takes", [
+    ("parry", [], "FILE"),
+    ("cylinder", ["GOLDEN"], "FILE WORD"),
+    ("decay", ["GOLDEN", "GOLDEN"], "FILE"),
+    ("binom-bound", ["5"], "N M P"),
+    ("growth-threshold", ["2"], "K A"),
+    ("generic", ["01"], "no arguments"),
+    ("ball-count", ["0101"], "WORD N EPS")])
+def test_measure_checks_argument_count(capsys, golden_file, mode, args,
+                                       takes):
+    args = [golden_file if a == "GOLDEN" else a for a in args]
+    rc, out, err = run(capsys, "measure", mode, *args)
+    assert rc == 2 and out == ""
+    assert (f"measure {mode} takes {takes}, got {len(args)} argument(s)"
+            in err)
+    assert "index out of range" not in err and "unpack" not in err
+
+
+def test_dist_to_shift_takes_one_configuration(capsys, golden_file):
+    rc, out, err = run(capsys, "dist", "--to-shift", golden_file,
+                       "inf(0).inf(0)", "inf(1).inf(1)")
+    assert rc == 2 and out == ""
+    assert "dist --to-shift takes one configuration, got 2" in err
+
+
 def test_shift_commands(capsys, golden_file, even_file):
     rc, out, _ = run(capsys, "shift", "mixing", golden_file)
     assert rc == 0 and "1" in out

@@ -1,6 +1,7 @@
 """Differential tests: the residue-class mismatch kernel and the gcd-class
-CA scan against the unfolded brute-force oracles in oracle_utils, and the
-frontier-row Karp against the dense-table Karp it replaced.
+CA scan against the unfolded brute-force oracles in oracle_utils, the
+frontier-row Karp against the dense-table Karp it replaced, and the
+Lyndon-word orbit enumerator against the |A|^p loops it replaced.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -14,16 +15,20 @@ from unittest import mock
 from hypothesis import given, reject, settings, strategies as st
 
 from shiftgeo import _graph
-from shiftgeo.automata import CellularAutomaton, check_on_subshift, \
-    preserves_shift
-from shiftgeo.configs import Alphabet, BINARY, Configuration
+from shiftgeo.automata import CellularAutomaton, _periodic_words, \
+    check_on_subshift, isometric_ca_precondition, preserves_shift
+from shiftgeo.configs import Alphabet, BINARY, Configuration, \
+    is_primitive, least_rotation
 from shiftgeo.errors import EmptyShiftError
 from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, \
-    d_weyl, distance_to_shift_detail
-from shiftgeo.shifts import SftSpec, compile_sft, full_shift
+    d_weyl, distance_to_shift_detail, unique_approximation_search
+from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
+    disjoint_union, full_shift, lyndon_words, periodic_orbits
 from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
-    cyclic_density_oracle, karp_min_mean_oracle, necklaces, \
-    unfolded_arm_densities
+    cyclic_density_oracle, isometric_ca_precondition_oracle, \
+    karp_min_mean_oracle, necklaces, periodic_orbits_oracle, \
+    precondition_words_oracle, unfolded_arm_densities, \
+    unique_approximation_search_oracle
 
 
 def deterministic(examples: int):
@@ -252,3 +257,86 @@ def test_distance_to_shift_detail_matches_dense_karp(case):
     with mock.patch.object(_graph, "karp_min_mean", karp_min_mean_oracle):
         want = distance_to_shift_detail(x, Y)
     assert got == want
+
+
+# -- the Lyndon-word orbit enumerator against the |A|^p loops ---------------
+
+
+@st.composite
+def presentation(draw, kinds=("sft", "graph", "union")):
+    """A presentation over one to three of the symbols 0, 1, 2, in any
+    order (so the alphabet's order may differ from the character order):
+    a compiled SFT with up to three forbidden words of length 1 to 3, a
+    random non-deterministic labeled graph on up to four states (often with
+    states that trimming removes, sometimes empty), or a disjoint union of
+    two of these."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "union":
+        return disjoint_union(draw(presentation(("sft", "graph"))),
+                              draw(presentation(("sft", "graph"))))
+    k = draw(st.integers(1, 3))
+    ab = Alphabet(draw(st.permutations("012"))[:k])
+    syms = st.sampled_from(ab.symbols)
+    if kind == "sft":
+        words = st.text(syms, min_size=1, max_size=3)
+        try:
+            return compile_sft(SftSpec(ab, tuple(draw(
+                st.lists(words, max_size=3)))))
+        except EmptyShiftError:
+            reject()
+    n = draw(st.integers(1, 4))
+    states = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(states, states, syms), min_size=1,
+                          max_size=8))
+    return ShiftPresentation(ab, range(n), edges)
+
+
+def _lyndon_oracle(X, P: int) -> list[str]:
+    """Lyndon words of length <= P (as the old loop picked them) whose
+    prefixes are all factors of X, by brute force."""
+    return [w for p in range(1, P + 1)
+            for w in ("".join(t) for t in
+                      itertools.product(X.alphabet.symbols, repeat=p))
+            if is_primitive(w) and least_rotation(w) == w
+            and all(X.accepts_word(w[:i]) for i in range(1, p + 1))]
+
+
+@deterministic(300)
+@given(presentation(), st.sampled_from(range(9)))
+def test_periodic_orbits_match_word_loop_oracle(X, P):
+    if len(X.alphabet) == 3:
+        P = min(P, 6)  # the oracle walks all 3^p words
+    assert lyndon_words(X, P) == _lyndon_oracle(X, P)
+    assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
+
+
+@deterministic(300)
+@given(presentation(), st.sampled_from(range(1, 9)))
+def test_uap_search_matches_word_loop_oracle(X, P):
+    if X.is_empty:
+        reject()
+    if len(X.alphabet) == 3:
+        P = min(P, 5)  # each candidate runs distance_to_shift twice
+    got = unique_approximation_search(X, P)
+    want = unique_approximation_search_oracle(X, P)
+    for field in ("violation", "period_bound", "witness", "distance",
+                  "minimizers"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@deterministic(150)
+@given(presentation(), st.data())
+def test_rigidity_precondition_matches_word_list_oracle(X, data):
+    zero = data.draw(st.sampled_from(X.alphabet.symbols))
+    L = data.draw(st.integers(1, 3))
+    P = data.draw(st.sampled_from(range(1, 7 if len(X.alphabet) == 3
+                                         else 9)))
+    old = precondition_words_oracle(X, P)
+    new = _periodic_words(X, P)
+    assert {p: sorted(ws) for p, ws in new.items()} == \
+        {p: sorted(ws) for p, ws in old.items()}
+    got = isometric_ca_precondition(X, zero, L, P)
+    want = isometric_ca_precondition_oracle(X, zero, L, P)
+    assert got.passed == want.passed
+    assert got.failing == want.failing
+    assert got.periods_used == want.periods_used

@@ -9,7 +9,7 @@ from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              contains_config, disjoint_union, even_shift,
                              full_shift, golden_mean, intersect, language,
-                             language_equal, mixing_distance,
+                             language_equal, lyndon_words, mixing_distance,
                              mixing_sft_inside, periodic_orbits,
                              positive_entropy, shannon_cover,
                              transitive_components,
@@ -275,3 +275,68 @@ def test_periodic_orbits():
     assert got == ["0", "01", "001", "0001"]
     assert periodic_orbits(full_shift(BINARY), 3) == \
         ["0", "1", "01", "001", "011"]
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def test_orbit_counts_match_trace_formula():
+    """On a higher-block graph with adjacency matrix A, X has tr(A^d) points
+    of period d, so (1/n) sum_{d|n} mu(n/d) tr(A^d) orbits of least period
+    n (Lind and Marcus, sections 2.2 and 6.4)."""
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        syms = "01" if rng.random() < 0.6 else "012"
+        forbidden = tuple(
+            "".join(rng.choice(syms) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 3)))
+        try:
+            X = compile_sft(SftSpec(Alphabet(syms), forbidden))
+        except EmptyShiftError:
+            continue
+        checked += 1
+        P = 10 if syms == "01" else 7
+        idx = {s: i for i, s in enumerate(X.states)}
+        A = [[0] * len(idx) for _ in idx]
+        for (s, t, _a) in X.edges:
+            A[idx[s]][idx[t]] += 1
+        traces, M = [], A
+        for _ in range(P):
+            traces.append(sum(M[i][i] for i in range(len(M))))
+            M = [[sum(r[k] * A[k][j] for k in range(len(A)))
+                  for j in range(len(A))] for r in M]
+        orbits = periodic_orbits(X, P)
+        for n in range(1, P + 1):
+            total = sum(_mobius(n // d) * traces[d - 1]
+                        for d in range(1, n + 1) if n % d == 0)
+            assert total % n == 0
+            assert sum(len(w) == n for w in orbits) == total // n, \
+                (syms, forbidden, n)
+
+
+def test_periodic_orbits_of_one_symbol_need_no_recursion():
+    assert periodic_orbits(full_shift(Alphabet("0")), 3000) == ["0"]
+    assert lyndon_words(full_shift(Alphabet("0")), 3000) == ["0"]
+
+
+def test_lyndon_words_edge_cases():
+    for P in (0, -1, -5):
+        assert lyndon_words(full_shift(BINARY), P) == []
+    empty = ShiftPresentation(BINARY, ["a", "b"], [("a", "b", "0")])
+    assert empty.is_empty
+    assert lyndon_words(empty, 6) == []
+    assert periodic_orbits(empty, 6) == []
+    # the order is by length, then by the alphabet's order; representatives
+    # are least rotations in the character order
+    assert lyndon_words(full_shift(Alphabet("10")), 3) == \
+        ["1", "0", "01", "011", "001"]
