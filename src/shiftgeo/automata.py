@@ -61,9 +61,6 @@ class CellularAutomaton:
         return hash((self.alphabet, self.left, self.right,
                      tuple(sorted(self.table.items()))))
 
-    def local(self, pattern: str) -> str:
-        return self.table[pattern]
-
     def to_dict(self) -> dict:
         return {"alphabet": "".join(self.alphabet.symbols),
                 "offsets": [self.left, self.right],

@@ -108,6 +108,39 @@ def _alphabet_from(ns, fallback="01") -> Alphabet:
     return Alphabet(ns.alphabet or fallback)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InputError(f"{text!r} is not a rational number") from e
+
+
+# the positional arguments each (command, mode) takes; `path embed` takes
+# one or more coordinates, which paths.embed_point checks
+_ARGS = {
+    ("complex", "extract"): "FILE", ("complex", "embed"): "COMPLEX FILE",
+    ("complex", "coords"): "FILE CONFIG",
+    **{("path", mode): "" for mode in ("prefix", "window", "sample")},
+    ("uap", "nearest"): "FILE CONFIG", ("uap", "search"): "FILE",
+    **{("shift", mode): "FILE" for mode in (
+        "compile", "cover", "components", "mixing", "sync-word", "entropy",
+        "inside", "language")},
+    ("shift", "contains"): "FILE CONFIG",
+    ("measure", "parry"): "FILE", ("measure", "cylinder"): "FILE WORD",
+    ("measure", "decay"): "FILE", ("measure", "binom-bound"): "N M P",
+    ("measure", "growth-threshold"): "K A", ("measure", "generic"): "",
+    ("measure", "ball-count"): "WORD N EPS",
+}
+
+
+def _check_arg_count(ns) -> None:
+    names = _ARGS.get((ns.cmd, getattr(ns, "mode", None)))
+    if names is not None and len(ns.args) != len(names.split()):
+        raise InputError(f"{ns.cmd} {ns.mode} takes "
+                         f"{names or 'no arguments'}, got {len(ns.args)} "
+                         f"argument(s)")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -233,7 +266,7 @@ def cmd_complex(ns, rep: Report) -> None:
 def cmd_path(ns, rep: Report) -> None:
     if ns.mode in ("prefix", "window") and ns.r is None:
         raise InputError(f"path {ns.mode} needs -r RATIONAL")
-    r = Fraction(ns.r) if ns.r is not None else None
+    r = _rational(ns.r) if ns.r is not None else None
     n = ns.window
     if ns.mode == "prefix":
         fn = (paths.intersperse_path_prefix if ns.construction == "intersperse"
@@ -246,7 +279,7 @@ def cmd_path(ns, rep: Report) -> None:
         w = fn(r, n)
         rep.put("word", w, w)
     elif ns.mode == "embed":
-        v = [Fraction(t) for t in ns.args]
+        v = [_rational(t) for t in ns.args]
         w = paths.embed_point(v, n)
         rep.put("word", w, w)
     else:  # sample
@@ -317,19 +350,8 @@ def cmd_shift(ns, rep: Report) -> None:
         rep.put("contains", res, str(res))
 
 
-# the positional arguments each measure mode takes
-_MEASURE_ARGS = {"parry": "FILE", "cylinder": "FILE WORD", "decay": "FILE",
-                 "binom-bound": "N M P", "growth-threshold": "K A",
-                 "generic": "", "ball-count": "WORD N EPS"}
-
-
 def cmd_measure(ns, rep: Report) -> None:
     mode = ns.mode
-    names = _MEASURE_ARGS[mode].split()
-    if len(ns.args) != len(names):
-        takes = " ".join(names) or "no arguments"
-        raise InputError(f"measure {mode} takes {takes}, got "
-                         f"{len(ns.args)} argument(s)")
     if mode in ("parry", "cylinder", "decay"):
         X = load_shift(ns.args[0])
         mu = measures.parry_measure(X)
@@ -355,7 +377,7 @@ def cmd_measure(ns, rep: Report) -> None:
         ok = measures.verify_binomial_bound(n, m, p)
         rep.put("holds", ok, f"bound holds: {ok}")
     elif mode == "growth-threshold":
-        k, a = Fraction(ns.args[0]), Fraction(ns.args[1])
+        k, a = _rational(ns.args[0]), _rational(ns.args[1])
         m, n0 = measures.binomial_growth_threshold(k, a)
         rep.put("m", m)
         rep.put("n0", n0)
@@ -368,7 +390,7 @@ def cmd_measure(ns, rep: Report) -> None:
     else:  # ball-count
         w = ns.args[0]
         n = int(ns.args[1])
-        eps = Fraction(ns.args[2])
+        eps = _rational(ns.args[2])
         count, bound, ok = measures.hamming_ball_count(w, n, eps)
         rep.put("count", count)
         rep.put("bound", bound)
@@ -486,6 +508,7 @@ def main(argv=None) -> int:
             pass
     rep = Report(["shiftgeo"] + argv, inputs)
     try:
+        _check_arg_count(ns)
         _HANDLERS[ns.cmd](ns, rep)
     except CapError as e:
         print(f"resource cap: {e}", file=sys.stderr)

@@ -20,10 +20,10 @@ from .errors import CapError, PreconditionError
 from .metrics import distance_to_shift
 from .paths import block_bounds
 from .shifts import (ShiftPresentation, concatenation_closure,
-                     contains_config, intersect, is_unbordered,
-                     language_equal, language_subset, mixing_distance,
-                     positive_entropy, shannon_cover, transitive_components,
-                     _words_by_length)
+                     contains_config, intersect, language_equal,
+                     language_subset, mixing_distance, positive_entropy,
+                     shannon_cover, transitive_components, _pads,
+                     _synchronizing_words)
 
 # ---------------------------------------------------------------------------
 # abstract complexes and barycentric points
@@ -186,19 +186,11 @@ def average(X: ShiftPresentation, m: int, r: Fraction, x: Configuration,
         raise PreconditionError("x is not a point of X")
     if not contains_config(X, y):
         raise PreconditionError("y is not a point of X")
-    mm = max(m, 1)
-    constraints: list = []
+    constraints = []
     for i in range(-N, N + 1):
-        j = i if i >= 0 else -1 - i
-        a, b = block_bounds(j)
-        zeros = int(r * (b - a))
-        cell = None
-        if a + mm <= j < b - mm:
-            if j + mm <= a + zeros:
-                cell = x.symbol_at(i)
-            elif j >= a + zeros + mm - 1:
-                cell = y.symbol_at(i)
-        constraints.append(cell)
+        side = average_selects(m, r, i)
+        constraints.append(None if side is None
+                           else (x if side == "x" else y).symbol_at(i))
     return lex_least_completion(X, constraints)
 
 
@@ -280,35 +272,25 @@ def embed_complex(K: AbstractComplex, X: ShiftPresentation,
     n = len(K.vertices)
     if n == 0:
         raise PreconditionError("complex has no vertices")
-    for length in range(1, word_cap + 1):
-        for w in _words_by_length(C.alphabet, length):
-            if not is_unbordered(w):
+    for w in _synchronizing_words(C, word_cap):
+        for k in range(0, pad_cap + 1):
+            us = _pads(C, w, k)
+            if len(us) < n:
                 continue
-            if len(C.read(C.states, w)) != 1:
+            vs = _pads(C, w, k + 1)
+            if not vs:
                 continue
-            for k in range(0, pad_cap + 1):
-                us = [u for u in _words_by_length(C.alphabet, k)
-                      if w not in u and C.accepts_word(w + u + w)]
-                if len(us) < n:
-                    continue
-                vs = [v for v in _words_by_length(C.alphabet, k + 1)
-                      if w not in v and C.accepts_word(w + v + w)]
-                if not vs:
-                    continue
-                picked = us[:n]
-                v = vs[0]
-                vertex_words = dict(zip(sorted(K.vertices, key=str), picked))
-                face_shifts = {}
-                ok = True
-                for face in sorted(K.faces, key=lambda f: (len(f), sorted(f))):
-                    words = [w + v] + [w + vertex_words[t] for t in face]
-                    Y = concatenation_closure(C.alphabet, words)
-                    if not language_subset(Y, C):
-                        ok = False
-                        break
-                    face_shifts[face] = Y
-                if ok:
-                    return ComplexEmbedding(w, v, vertex_words, face_shifts)
+            v = vs[0]
+            vertex_words = dict(zip(sorted(K.vertices, key=str), us))
+            face_shifts = {}
+            for face in sorted(K.faces, key=lambda f: (len(f), sorted(f))):
+                words = [w + v] + [w + vertex_words[t] for t in face]
+                Y = concatenation_closure(C.alphabet, words)
+                if not language_subset(Y, C):
+                    break
+                face_shifts[face] = Y
+            else:
+                return ComplexEmbedding(w, v, vertex_words, face_shifts)
     raise CapError("no embedding data found within the search caps")
 
 

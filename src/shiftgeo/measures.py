@@ -22,7 +22,8 @@ import numpy as np
 
 from .configs import Alphabet
 from .errors import PreconditionError
-from .shifts import ShiftPresentation, is_irreducible, language, shannon_cover
+from .shifts import ShiftPresentation, is_irreducible, language, \
+    shannon_cover, _indexed
 
 STOCHASTIC_TOL = 1e-12
 POWER_TOL = 1e-15
@@ -74,7 +75,7 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
         raise PreconditionError("presentation is reducible")
     C = shannon_cover(X)
     n = len(C.states)
-    idx = {s: i for i, s in enumerate(C.states)}
+    idx = _indexed(C)[0]
     A = np.zeros((n, n))
     for (s, t, _a) in C.edges:
         A[idx[s], idx[t]] += 1.0
@@ -149,8 +150,11 @@ def cylinder_decay_bound(mu: MarkovMeasure, L: int,
 
     gamma is the largest probability of any length-t transition path; the
     smallest t <= t_cap that pushes it below 1 is chosen.  Fails for
-    degenerate measures whose paths keep probability 1.
+    degenerate measures whose paths keep probability 1.  L must be
+    positive.
     """
+    if L <= 0:
+        raise PreconditionError("length bound must be positive")
     C = mu.cover
     states = list(C.states)
     best = None

@@ -202,10 +202,6 @@ def embed_point(v, n: int) -> str:
     return "".join(out)
 
 
-def embed_point_source(v) -> PathSource:
-    return PathSource(lambda n: embed_point(v, n))
-
-
 # ---------------------------------------------------------------------------
 # measure transport sampler
 

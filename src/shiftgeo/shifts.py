@@ -10,6 +10,13 @@ search, an exact entropy-positivity test, intersections, membership of
 eventually periodic configurations, and periodic orbits, enumerated as the
 Lyndon words of the presented language.
 
+Each search has one private implementation that its callers share: the
+factor walk ``_factors``, the subset construction ``_subset_graph``, the
+index adjacency and SCCs ``_indexed``/``_components``, and the search for
+an unbordered synchronizing marker w and padding words u with w u w a
+factor, ``_synchronizing_words``/``_pads`` (also used by
+``homotopy.embed_complex``).
+
 All operations are pure; presentations are immutable after construction.
 """
 
@@ -238,20 +245,30 @@ def disjoint_union(*parts: ShiftPresentation) -> ShiftPresentation:
 # language queries
 
 
-def language(X: ShiftPresentation, n: int) -> list[str]:
-    """All length-n factors of X, lexicographically sorted."""
+def _factors(X: ShiftPresentation, n: int):
+    """Yield the length-n factors of X in the alphabet's lexicographic
+    order, by a depth-first walk on the state sets of their prefixes."""
+    if n < 0:
+        raise ValueError(f"factor length must be non-negative, got {n}")
     if X.is_empty:
-        return []
-    frontier = {"": frozenset(X.states)}
-    for _ in range(n):
-        nxt: dict[str, frozenset] = {}
-        for w, S in frontier.items():
-            for a in X.alphabet:
-                T = X.step(S, a)
-                if T:
-                    nxt[w + a] = T
-        frontier = nxt
-    return sorted(frontier)
+        return
+    backwards = X.alphabet.symbols[::-1]
+    stack = [("", frozenset(X.states))]
+    while stack:
+        w, S = stack.pop()
+        if len(w) == n:
+            yield w
+            continue
+        for a in backwards:
+            T = X.step(S, a)
+            if T:
+                stack.append((w + a, T))
+
+
+def language(X: ShiftPresentation, n: int) -> list[str]:
+    """All length-n factors of X, lexicographically sorted.  Raises
+    ValueError for n < 0."""
+    return sorted(_factors(X, n))
 
 
 def _separating_word(A: ShiftPresentation, B: ShiftPresentation):
@@ -292,22 +309,24 @@ def language_equal(A: ShiftPresentation, B: ShiftPresentation) -> bool:
 # Shannon cover
 
 
-def _determinize(X: ShiftPresentation) -> ShiftPresentation:
+def _subset_graph(X: ShiftPresentation, step):
+    """The state sets reachable from X.states under ``step`` (``X.step`` or
+    ``X.step_back``), in breadth-first order, and the labeled edges
+    (S, step(S, a), a) between them."""
     start = frozenset(X.states)
+    sets = [start]
     seen = {start}
-    queue = [start]
     edges = []
-    while queue:
-        S = queue.pop(0)
+    for S in sets:
         for a in X.alphabet:
-            T = X.step(S, a)
+            T = step(S, a)
             if not T:
                 continue
             edges.append((S, T, a))
             if T not in seen:
                 seen.add(T)
-                queue.append(T)
-    return ShiftPresentation(X.alphabet, list(seen), edges)
+                sets.append(T)
+    return sets, edges
 
 
 def _merge_equivalent(X: ShiftPresentation) -> ShiftPresentation:
@@ -357,7 +376,8 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
     """
     if X.is_empty:
         raise EmptyShiftError("empty shift has no cover")
-    M = _merge_equivalent(_determinize(X))
+    M = _merge_equivalent(ShiftPresentation(X.alphabet,
+                                            *_subset_graph(X, X.step)))
     changed = True
     while changed:
         changed = False
@@ -379,12 +399,22 @@ def is_irreducible(X: ShiftPresentation) -> bool:
     """True iff the presented shift is irreducible (nonempty)."""
     if X.is_empty:
         return False
-    C = shannon_cover(X)
+    return len(_components(shannon_cover(X))) == 1
+
+
+def _indexed(C: ShiftPresentation):
+    """(idx, succ): the index of each state in C.states, and the successor
+    index list of each state, one entry per edge."""
     idx = {s: i for i, s in enumerate(C.states)}
     succ = [[] for _ in C.states]
     for (s, t, _a) in C.edges:
         succ[idx[s]].append(idx[t])
-    return len(_graph.strongly_connected_components(len(C.states), succ)) == 1
+    return idx, succ
+
+
+def _components(C: ShiftPresentation) -> list:
+    """Strongly connected components of C, as lists of state indices."""
+    return _graph.strongly_connected_components(len(C.states), _indexed(C)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +436,8 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
     if X.is_empty:
         return ComponentDecomposition([])
     C = shannon_cover(X)
-    idx = {s: i for i, s in enumerate(C.states)}
-    succ = [[] for _ in C.states]
-    for (s, t, _a) in C.edges:
-        succ[idx[s]].append(idx[t])
-    comps = _graph.strongly_connected_components(len(C.states), succ)
     cands = []
-    for comp in comps:
+    for comp in _components(C):
         names = {C.states[i] for i in comp}
         edges = [e for e in C.edges if e[0] in names and e[1] in names]
         if not edges:
@@ -439,15 +464,12 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
 # mixing distance
 
 
-def _cover_period(C: ShiftPresentation) -> int:
-    """gcd of cycle lengths of a strongly connected presentation."""
-    idx = {s: i for i, s in enumerate(C.states)}
+def _cover_period(succ) -> int:
+    """gcd of cycle lengths of a strongly connected graph, given by its
+    successor index lists."""
     level = {0: 0}
     queue = [0]
     g = 0
-    succ = [[] for _ in C.states]
-    for (s, t, _a) in C.edges:
-        succ[idx[s]].append(idx[t])
     while queue:
         v = queue.pop(0)
         for w in succ[v]:
@@ -457,32 +479,6 @@ def _cover_period(C: ShiftPresentation) -> int:
             else:
                 g = gcd(g, level[v] + 1 - level[w])
     return abs(g) if g else 1
-
-
-def _forward_subset_family(C: ShiftPresentation) -> list[frozenset]:
-    seen = {frozenset(C.states)}
-    queue = [frozenset(C.states)]
-    while queue:
-        S = queue.pop(0)
-        for a in C.alphabet:
-            T = C.step(S, a)
-            if T and T not in seen:
-                seen.add(T)
-                queue.append(T)
-    return sorted(seen, key=lambda S: (len(S), _state_key(S)))
-
-
-def _backward_subset_family(C: ShiftPresentation) -> list[frozenset]:
-    seen = {frozenset(C.states)}
-    queue = [frozenset(C.states)]
-    while queue:
-        S = queue.pop(0)
-        for a in C.alphabet:
-            T = C.step_back(S, a)
-            if T and T not in seen:
-                seen.add(T)
-                queue.append(T)
-    return sorted(seen, key=lambda S: (len(S), _state_key(S)))
 
 
 def _minimal_sets(family: list[frozenset]) -> list[frozenset]:
@@ -496,18 +492,19 @@ def mixing_distance(X: ShiftPresentation) -> int:
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     C = shannon_cover(X)
-    if not is_irreducible(C):
+    idx, succ = _indexed(C)
+    if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
         raise PreconditionError("shift is not irreducible")
-    g = _cover_period(C)
+    g = _cover_period(succ)
     if g > 1:
         raise PreconditionError(f"shift is not mixing (period {g})")
-    idx = {s: i for i, s in enumerate(C.states)}
     n_states = len(C.states)
     adj = [[False] * n_states for _ in range(n_states)]
-    for (s, t, _a) in C.edges:
-        adj[idx[s]][idx[t]] = True
-    ends = _minimal_sets(_forward_subset_family(C))
-    starts = _minimal_sets(_backward_subset_family(C))
+    for i, row in enumerate(succ):
+        for j in row:
+            adj[i][j] = True
+    ends = _minimal_sets(_subset_graph(C, C.step)[0])
+    starts = _minimal_sets(_subset_graph(C, C.step_back)[0])
     end_sets = [sorted(idx[s] for s in S) for S in ends]
     start_sets = [frozenset(idx[s] for s in S) for S in starts]
 
@@ -543,24 +540,31 @@ def mixing_distance(X: ShiftPresentation) -> int:
 # synchronizing words, entropy, the SFT-inside construction
 
 
-def _words_by_length(ab: Alphabet, length: int):
-    for tup in itertools.product(ab.symbols, repeat=length):
-        yield "".join(tup)
+def _synchronizing_words(C: ShiftPresentation, cap: int):
+    """Yield the unbordered words of length <= cap that synchronize the
+    deterministic presentation C (reading one leads to a single state), by
+    length and then in the alphabet's lexicographic order."""
+    for length in range(1, cap + 1):
+        for w in _factors(C, length):
+            if len(C.read(C.states, w)) == 1 and is_unbordered(w):
+                yield w
+
+
+def _pads(C: ShiftPresentation, w: str, k: int) -> list[str]:
+    """The words u of length k that avoid w and have w u w a factor of C, in
+    the alphabet's lexicographic order."""
+    return [u for u in _factors(C, k)
+            if w not in u and C.accepts_word(w + u + w)]
 
 
 def find_unbordered_synchronizing(X: ShiftPresentation,
                                   cap: int = 16) -> str:
     """Lexicographically least among the shortest words that synchronize the
     Shannon cover and are unbordered."""
-    C = shannon_cover(X)
-    for length in range(1, cap + 1):
-        for w in _words_by_length(C.alphabet, length):
-            if not is_unbordered(w):
-                continue
-            reached = C.read(C.states, w)
-            if len(reached) == 1:
-                return w
-    raise CapError(f"no unbordered synchronizing word of length <= {cap}")
+    w = next(_synchronizing_words(shannon_cover(X), cap), None)
+    if w is None:
+        raise CapError(f"no unbordered synchronizing word of length <= {cap}")
+    return w
 
 
 def positive_entropy(X: ShiftPresentation) -> bool:
@@ -573,15 +577,10 @@ def positive_entropy(X: ShiftPresentation) -> bool:
     if X.is_empty:
         return False
     C = shannon_cover(X)
-    idx = {s: i for i, s in enumerate(C.states)}
-    succ = [[] for _ in C.states]
-    for (s, t, _a) in C.edges:
-        succ[idx[s]].append(idx[t])
-    comps = _graph.strongly_connected_components(len(C.states), succ)
-    for comp in comps:
-        members = set(comp)
+    for comp in _components(C):
+        names = {C.states[i] for i in comp}
         internal = sum(1 for (s, t, _a) in C.edges
-                       if idx[s] in members and idx[t] in members)
+                       if s in names and t in names)
         if internal > len(comp):
             return True
     return False
@@ -623,23 +622,15 @@ def mixing_sft_inside(X: ShiftPresentation, word_cap: int = 16,
         raise PreconditionError("shift does not have positive entropy")
     mixing_distance(X)  # raises unless X is mixing
     C = shannon_cover(X)
-    for length in range(1, word_cap + 1):
-        for w in _words_by_length(C.alphabet, length):
-            if not is_unbordered(w):
-                continue
-            if len(C.read(C.states, w)) != 1:
-                continue
-            for k in range(0, pad_cap + 1):
-                us = [u for u in _words_by_length(C.alphabet, k)
-                      if w not in u and C.accepts_word(w + u + w)]
-                vs = [v for v in _words_by_length(C.alphabet, k + 1)
-                      if w not in v and C.accepts_word(w + v + w)]
-                if us and vs:
-                    u, v = us[0], vs[0]
-                    Y = concatenation_closure(C.alphabet, [w + u, w + v])
-                    if (language_subset(Y, C) and positive_entropy(Y)
-                            and _is_mixing(Y)):
-                        return SftInside(Y, w, u, v)
+    for w in _synchronizing_words(C, word_cap):
+        for k in range(0, pad_cap + 1):
+            us, vs = _pads(C, w, k), _pads(C, w, k + 1)
+            if us and vs:
+                u, v = us[0], vs[0]
+                Y = concatenation_closure(C.alphabet, [w + u, w + v])
+                if (language_subset(Y, C) and positive_entropy(Y)
+                        and _is_mixing(Y)):
+                    return SftInside(Y, w, u, v)
     raise CapError("no (w, u, v) triple found within the search caps")
 
 

@@ -253,15 +253,20 @@ def karp_min_mean_oracle(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
 # -- the |A|^p orbit loops that shiftgeo.shifts.lyndon_words replaced -------
 
 
+def _all_words(alphabet, p: int):
+    """Every word of length p, in the alphabet's lexicographic order."""
+    return ("".join(t) for t in itertools.product(alphabet.symbols, repeat=p))
+
+
 def periodic_orbits_oracle(X, max_period: int) -> list[str]:
     """Lex-least primitive representatives of the periodic orbits of X with
     least period <= max_period."""
     from shiftgeo.configs import periodic_config
-    from shiftgeo.shifts import _words_by_length, contains_config
+    from shiftgeo.shifts import contains_config
     out = []
     seen = set()
     for p in range(1, max_period + 1):
-        for w in _words_by_length(X.alphabet, p):
+        for w in _all_words(X.alphabet, p):
             if w in seen:
                 continue
             if not is_primitive(w) or least_rotation(w) != w:
@@ -279,10 +284,10 @@ def unique_approximation_search_oracle(X, P: int):
     from shiftgeo.configs import periodic_config
     from shiftgeo.metrics import UapVerdict, cyclic_mismatch_density, \
         distance_to_shift
-    from shiftgeo.shifts import _words_by_length, contains_config
+    from shiftgeo.shifts import contains_config
     x_orbits = periodic_orbits_oracle(X, P)
     for p in range(1, P + 1):
-        for w in _words_by_length(X.alphabet, p):
+        for w in _all_words(X.alphabet, p):
             if not is_primitive(w) or least_rotation(w) != w:
                 continue
             y = periodic_config(w, X.alphabet)
@@ -310,10 +315,10 @@ def precondition_words_oracle(X, P: int) -> dict:
     """For p = 1..P, every word w of length p, in the alphabet's order,
     with inf(w) in X."""
     from shiftgeo.configs import periodic_config
-    from shiftgeo.shifts import _words_by_length, contains_config
+    from shiftgeo.shifts import contains_config
     periodic_words: dict[int, list[str]] = {}
     for p in range(1, P + 1):
-        periodic_words[p] = [w for w in _words_by_length(X.alphabet, p)
+        periodic_words[p] = [w for w in _all_words(X.alphabet, p)
                              if contains_config(
                                  X, periodic_config(w, X.alphabet))]
     return periodic_words
@@ -347,3 +352,104 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
                     return RigidityReport(False, (w, s), used)
                 used[(w, s)] = found
     return RigidityReport(True, None, used)
+
+
+# -- the |A|^k (w, u, v) loops that shiftgeo.shifts._synchronizing_words and
+# shiftgeo.shifts._pads replaced ---------------------------------------------
+
+
+def find_unbordered_synchronizing_oracle(X, cap: int = 16) -> str:
+    """``shifts.find_unbordered_synchronizing`` on the old loop over every
+    word of each length."""
+    from shiftgeo.configs import is_unbordered
+    from shiftgeo.errors import CapError
+    from shiftgeo.shifts import shannon_cover
+    C = shannon_cover(X)
+    for length in range(1, cap + 1):
+        for w in _all_words(C.alphabet, length):
+            if not is_unbordered(w):
+                continue
+            reached = C.read(C.states, w)
+            if len(reached) == 1:
+                return w
+    raise CapError(f"no unbordered synchronizing word of length <= {cap}")
+
+
+def mixing_sft_inside_oracle(X, word_cap: int = 16, pad_cap: int = 8):
+    """``shifts.mixing_sft_inside`` on the old loops over every word w, u
+    and v of each length."""
+    from shiftgeo.configs import is_unbordered
+    from shiftgeo.errors import CapError, PreconditionError
+    from shiftgeo.shifts import SftInside, concatenation_closure, \
+        language_subset, mixing_distance, positive_entropy, shannon_cover
+    if not positive_entropy(X):
+        raise PreconditionError("shift does not have positive entropy")
+    mixing_distance(X)
+    C = shannon_cover(X)
+    for length in range(1, word_cap + 1):
+        for w in _all_words(C.alphabet, length):
+            if not is_unbordered(w):
+                continue
+            if len(C.read(C.states, w)) != 1:
+                continue
+            for k in range(0, pad_cap + 1):
+                us = [u for u in _all_words(C.alphabet, k)
+                      if w not in u and C.accepts_word(w + u + w)]
+                vs = [v for v in _all_words(C.alphabet, k + 1)
+                      if w not in v and C.accepts_word(w + v + w)]
+                if us and vs:
+                    u, v = us[0], vs[0]
+                    Y = concatenation_closure(C.alphabet, [w + u, w + v])
+                    if not (language_subset(Y, C) and positive_entropy(Y)):
+                        continue
+                    try:
+                        mixing_distance(Y)
+                    except PreconditionError:
+                        continue
+                    return SftInside(Y, w, u, v)
+    raise CapError("no (w, u, v) triple found within the search caps")
+
+
+def embed_complex_oracle(K, X, word_cap: int = 16, pad_cap: int = 8):
+    """``homotopy.embed_complex`` on the old loops over every word w, u and
+    v of each length."""
+    from shiftgeo.configs import is_unbordered
+    from shiftgeo.errors import CapError, PreconditionError
+    from shiftgeo.homotopy import ComplexEmbedding
+    from shiftgeo.shifts import concatenation_closure, language_subset, \
+        mixing_distance, positive_entropy, shannon_cover
+    if not positive_entropy(X):
+        raise PreconditionError("shift does not have positive entropy")
+    mixing_distance(X)
+    C = shannon_cover(X)
+    n = len(K.vertices)
+    if n == 0:
+        raise PreconditionError("complex has no vertices")
+    for length in range(1, word_cap + 1):
+        for w in _all_words(C.alphabet, length):
+            if not is_unbordered(w):
+                continue
+            if len(C.read(C.states, w)) != 1:
+                continue
+            for k in range(0, pad_cap + 1):
+                us = [u for u in _all_words(C.alphabet, k)
+                      if w not in u and C.accepts_word(w + u + w)]
+                if len(us) < n:
+                    continue
+                vs = [v for v in _all_words(C.alphabet, k + 1)
+                      if w not in v and C.accepts_word(w + v + w)]
+                if not vs:
+                    continue
+                vertex_words = dict(zip(sorted(K.vertices, key=str), us))
+                face_shifts = {}
+                for face in sorted(K.faces, key=lambda f: (len(f), sorted(f))):
+                    Y = concatenation_closure(
+                        C.alphabet, [w + vs[0]] + [w + vertex_words[t]
+                                                   for t in face])
+                    if not language_subset(Y, C):
+                        break
+                    face_shifts[face] = Y
+                else:
+                    return ComplexEmbedding(w, vs[0], vertex_words,
+                                            face_shifts)
+    raise CapError("no embedding data found within the search caps")

@@ -138,15 +138,47 @@ def test_measure_cylinder_rejects_unknown_symbol(capsys, golden_file):
     ("binom-bound", ["5"], "N M P"),
     ("growth-threshold", ["2"], "K A"),
     ("generic", ["01"], "no arguments"),
-    ("ball-count", ["0101"], "WORD N EPS")])
+    ("ball-count", ["0101"], "WORD N EPS"),
+    ("complex extract", ["GOLDEN", "GOLDEN"], "FILE"),
+    ("complex embed", ["GOLDEN"], "COMPLEX FILE"),
+    ("complex coords", ["GOLDEN"], "FILE CONFIG"),
+    ("uap nearest", ["GOLDEN"], "FILE CONFIG"),
+    ("uap search", ["GOLDEN", "extra"], "FILE"),
+    *[(f"shift {mode}", ["GOLDEN", "GOLDEN"], "FILE") for mode in (
+        "compile", "cover", "components", "mixing", "sync-word", "entropy",
+        "inside", "language")],
+    ("shift contains", ["GOLDEN"], "FILE CONFIG"),
+    ("path prefix", ["1/2"], "no arguments"),
+    ("path sample", ["7"], "no arguments")])
 def test_measure_checks_argument_count(capsys, golden_file, mode, args,
                                        takes):
+    """Every mode checks its positional argument count; a mode without a
+    command is a measure mode."""
+    command = mode if " " in mode else f"measure {mode}"
     args = [golden_file if a == "GOLDEN" else a for a in args]
-    rc, out, err = run(capsys, "measure", mode, *args)
+    rc, out, err = run(capsys, *command.split(), *args)
     assert rc == 2 and out == ""
-    assert (f"measure {mode} takes {takes}, got {len(args)} argument(s)"
+    assert (f"{command} takes {takes}, got {len(args)} argument(s)"
             in err)
     assert "index out of range" not in err and "unpack" not in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["measure", "growth-threshold", "1/0", "2"], 2, "not a rational number"),
+    (["measure", "ball-count", "0101", "3", "1/0"], 2,
+     "not a rational number"),
+    (["path", "prefix", "-r", "1/0"], 2, "not a rational number"),
+    (["path", "embed", "0", "1/0"], 2, "not a rational number"),
+    (["path", "window", "-r", "half"], 2, "not a rational number"),
+    (["shift", "language", "GOLDEN", "--length", "-2"], 2,
+     "factor length must be non-negative"),
+    (["measure", "decay", "GOLDEN", "--length", "-1"], 3,
+     "length bound must be positive")])
+def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
+                                            message):
+    argv = [golden_file if a == "GOLDEN" else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == code and out == "" and message in err
 
 
 def test_dist_to_shift_takes_one_configuration(capsys, golden_file):

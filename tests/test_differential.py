@@ -1,7 +1,8 @@
 """Differential tests: the residue-class mismatch kernel and the gcd-class
 CA scan against the unfolded brute-force oracles in oracle_utils, the
 frontier-row Karp against the dense-table Karp it replaced, and the
-Lyndon-word orbit enumerator against the |A|^p loops it replaced.
+Lyndon-word orbit enumerator and the (w, u, v) triple search against the
+|A|^p loops they replaced.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -19,14 +20,18 @@ from shiftgeo.automata import CellularAutomaton, _periodic_words, \
     check_on_subshift, isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     is_primitive, least_rotation
-from shiftgeo.errors import EmptyShiftError
+from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
+from shiftgeo.homotopy import AbstractComplex, embed_complex
 from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, \
     d_weyl, distance_to_shift_detail, unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
-    disjoint_union, full_shift, lyndon_words, periodic_orbits
+    disjoint_union, find_unbordered_synchronizing, full_shift, \
+    lyndon_words, mixing_sft_inside, periodic_orbits
 from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
-    cyclic_density_oracle, isometric_ca_precondition_oracle, \
-    karp_min_mean_oracle, necklaces, periodic_orbits_oracle, \
+    cyclic_density_oracle, embed_complex_oracle, \
+    find_unbordered_synchronizing_oracle, \
+    isometric_ca_precondition_oracle, karp_min_mean_oracle, \
+    mixing_sft_inside_oracle, necklaces, periodic_orbits_oracle, \
     precondition_words_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle
 
@@ -340,3 +345,41 @@ def test_rigidity_precondition_matches_word_list_oracle(X, data):
     assert got.passed == want.passed
     assert got.failing == want.failing
     assert got.periods_used == want.periods_used
+
+
+# -- the (w, u, v) triple search against the |A|^k word loops ---------------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the search error it raised."""
+    try:
+        return fn(*args)
+    except (CapError, PreconditionError) as e:
+        return type(e), str(e)
+
+
+@deterministic(200)
+@given(presentation(), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_triple_search_matches_word_loop_oracle(X, word_cap, pad_cap, data):
+    got = _outcome(find_unbordered_synchronizing, X, word_cap)
+    assert got == _outcome(find_unbordered_synchronizing_oracle, X, word_cap)
+    got = _outcome(mixing_sft_inside, X, word_cap, pad_cap)
+    want = _outcome(mixing_sft_inside_oracle, X, word_cap, pad_cap)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.w, got.u, got.v) == (want.w, want.u, want.v)
+        assert got.shift.to_dict() == want.shift.to_dict()
+    vertices = "abc"[:data.draw(st.integers(1, 3))]
+    faces = data.draw(st.lists(st.sets(st.sampled_from(vertices),
+                                       min_size=1), max_size=3))
+    K = AbstractComplex.make(vertices, faces)
+    got = _outcome(embed_complex, K, X, word_cap, pad_cap)
+    want = _outcome(embed_complex_oracle, K, X, word_cap, pad_cap)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.marker, got.filler, got.vertex_words) == \
+            (want.marker, want.filler, want.vertex_words)
+        assert {f: Y.to_dict() for f, Y in got.face_shifts.items()} == \
+            {f: Y.to_dict() for f, Y in want.face_shifts.items()}

@@ -89,6 +89,13 @@ def test_decay_degenerate():
         cylinder_decay_bound(parry_measure(orbit), 8)
 
 
+@pytest.mark.parametrize("L", [0, -1])
+def test_decay_rejects_non_positive_length(L):
+    with pytest.raises(PreconditionError,
+                       match="length bound must be positive"):
+        cylinder_decay_bound(parry_measure(golden_mean()), L)
+
+
 def test_binomial_bound_examples():
     assert verify_binomial_bound(1, 2, 1)
     assert verify_binomial_bound(5, 3, 1)

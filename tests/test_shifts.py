@@ -47,6 +47,13 @@ def test_language_examples():
         assert counts[i] == counts[i - 1] + counts[i - 2]
 
 
+def test_language_rejects_negative_length():
+    assert language(golden_mean(), 0) == [""]
+    for X in (golden_mean(), ShiftPresentation(BINARY, [], [])):
+        with pytest.raises(ValueError, match="non-negative"):
+            language(X, -2)
+
+
 def test_language_matches_forbidden_oracle():
     # for these SFTs every avoiding word is extendable, so language =
     # avoiding words exactly
