@@ -2,11 +2,11 @@
 probabilities with exponential decay certificates, exact combinatorial
 bound validators, and seeded generic-point sampling.
 
-Eigenvector computations use floating point with explicit residual
-tolerances; every combinatorial bound (binomial inequalities, Hamming ball
-counts) uses exact big-integer rationals, with the few irrational factors
-enclosed by outward-rounded interval arithmetic so that positive verdicts
-are sound.
+Eigenvector computations use floating point (numpy, imported on first use)
+with explicit residual tolerances; every combinatorial bound (binomial
+inequalities, Hamming ball counts) uses exact big-integer rationals.  The one
+irrational factor, 2 pi, is enclosed between exact rationals from a Machin
+series, so every verdict is exact.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import mpmath
-import numpy as np
-
 from .configs import Alphabet
 from .errors import PreconditionError
-from .shifts import ShiftPresentation, is_irreducible, language, \
-    shannon_cover, _indexed
+from .shifts import ShiftPresentation, language, shannon_cover, \
+    _components, _indexed
 
 STOCHASTIC_TOL = 1e-12
 POWER_TOL = 1e-15
@@ -71,9 +68,13 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
     converge even for a periodic single cycle), to tolerance 1e-15 with an
     iteration cap.
     """
-    if not is_irreducible(X):
+    import numpy as np
+
+    if X.is_empty:
         raise PreconditionError("presentation is reducible")
     C = shannon_cover(X)
+    if len(_components(C)) != 1:
+        raise PreconditionError("presentation is reducible")
     n = len(C.states)
     idx = _indexed(C)[0]
     A = np.zeros((n, n))
@@ -191,10 +192,34 @@ def cylinder_decay_bound(mu: MarkovMeasure, L: int,
 # exact binomial bounds
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _bc = raw
-    val = Fraction(int(man)) * Fraction(2) ** exp
-    return -val if sign else val
+def _arctan_inv(x: int, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < arctan(1/x) < hi for an integer x > 1: the partial
+    sums with `terms` and `terms` + 1 terms of the alternating series
+    sum_k (-1)^k / ((2k+1) x^(2k+1)), whose terms decrease."""
+    s = sum(Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
+            for k in range(terms))
+    t = s + Fraction((-1) ** terms, (2 * terms + 1) * x ** (2 * terms + 1))
+    return min(s, t), max(s, t)
+
+
+def _pi_less_than(num: int, den: int) -> bool:
+    """Exact test of pi < num/den for den > 0.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) encloses pi
+    between rationals; the number of series terms doubles until the
+    enclosure lies on one side of num/den.  pi is irrational, so it never
+    equals num/den and the loop ends.
+    """
+    terms = 2
+    while True:
+        lo5, hi5 = _arctan_inv(5, terms)
+        lo239, hi239 = _arctan_inv(239, terms)
+        lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+        if hi.numerator * den < num * hi.denominator:
+            return True
+        if lo.numerator * den > num * lo.denominator:
+            return False
+        terms *= 2
 
 
 def verify_binomial_bound(n: int, m: int, p: int) -> bool:
@@ -203,31 +228,19 @@ def verify_binomial_bound(n: int, m: int, p: int) -> bool:
         C(m n, p n)  <  n^(-1/2) m^(mn+1/2) /
                         (sqrt(2 pi) (m-p)^((m-p)n+1/2) p^(pn+1/2)).
 
-    The left side is an exact integer; the right side is enclosed in an
-    outward-rounded interval (128-bit working precision, doubled on demand),
-    so the returned verdict is sound.
+    Squared, it reads pi L < R with the integers
+    L = 2 C(m n, p n)^2 n (m-p)^(2(m-p)n+1) p^(2pn+1) and R = m^(2mn+1);
+    the one irrational factor, 2 pi, is enclosed between exact rationals
+    from a Machin series, so the returned verdict is exact.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 < p < m:
         raise ValueError("need 0 < p < m")
-    lhs = Fraction(comb(m * n, p * n))
-    for prec in (128, 256, 512, 1024):
-        iv = mpmath.iv
-        iv.prec = prec
-        rhs = (1 / iv.sqrt(2 * iv.pi)
-               * iv.mpf(n) ** iv.mpf(-0.5)
-               * iv.mpf(m) ** (m * n + iv.mpf(0.5))
-               / (iv.mpf(m - p) ** ((m - p) * n + iv.mpf(0.5))
-                  * iv.mpf(p) ** (p * n + iv.mpf(0.5))))
-        raw_lo, raw_hi = rhs._mpi_
-        lo = _raw_mpf_to_fraction(raw_lo)
-        hi = _raw_mpf_to_fraction(raw_hi)
-        if lhs < lo:
-            return True
-        if lhs >= hi:
-            return False
-    raise RuntimeError("interval evaluation failed to separate the sides")
+    q = m - p
+    L = (2 * comb(m * n, p * n) ** 2 * n * q ** (2 * q * n + 1)
+         * p ** (2 * p * n + 1))
+    return _pi_less_than(m ** (2 * m * n + 1), L)
 
 
 def _block_condition_exact(m: int, k: Fraction, a: Fraction) -> bool:
@@ -291,7 +304,9 @@ def binomial_growth_threshold(k, a, m_cap: int = 1 << 16,
 
 
 def bernoulli_prefix(alphabet: Alphabet, seed: int, N: int) -> str:
-    """N symbols drawn i.i.d. uniformly with a seeded generator."""
+    """N >= 0 symbols drawn i.i.d. uniformly with a seeded generator."""
+    if N < 0:
+        raise PreconditionError("prefix length must be non-negative")
     rng = random.Random(seed)
     syms = alphabet.symbols
     k = len(syms)
@@ -312,6 +327,8 @@ def hamming_ball_count(w: str, n: int, eps, alphabet: Alphabet | None = None,
             syms = tuple(sorted(set(w) | {"0", "1"}))[:2]
     else:
         syms = alphabet.symbols
+    if n < 0:
+        raise PreconditionError("word length must be non-negative")
     if n > n_cap:
         raise ValueError(f"n = {n} exceeds the enumeration cap {n_cap}")
     eps = Fraction(eps)

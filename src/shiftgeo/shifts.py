@@ -395,13 +395,6 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
     return M.renamed()
 
 
-def is_irreducible(X: ShiftPresentation) -> bool:
-    """True iff the presented shift is irreducible (nonempty)."""
-    if X.is_empty:
-        return False
-    return len(_components(shannon_cover(X))) == 1
-
-
 def _indexed(C: ShiftPresentation):
     """(idx, succ): the index of each state in C.states, and the successor
     index list of each state, one entry per edge."""
@@ -560,7 +553,9 @@ def _pads(C: ShiftPresentation, w: str, k: int) -> list[str]:
 def find_unbordered_synchronizing(X: ShiftPresentation,
                                   cap: int = 16) -> str:
     """Lexicographically least among the shortest words that synchronize the
-    Shannon cover and are unbordered."""
+    Shannon cover and are unbordered, of length at most cap > 0."""
+    if cap <= 0:
+        raise PreconditionError("word length cap must be positive")
     w = next(_synchronizing_words(shannon_cover(X), cap), None)
     if w is None:
         raise CapError(f"no unbordered synchronizing word of length <= {cap}")

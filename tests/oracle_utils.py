@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from shiftgeo.configs import Alphabet, Configuration, is_primitive, \
     least_rotation
@@ -362,8 +362,10 @@ def find_unbordered_synchronizing_oracle(X, cap: int = 16) -> str:
     """``shifts.find_unbordered_synchronizing`` on the old loop over every
     word of each length."""
     from shiftgeo.configs import is_unbordered
-    from shiftgeo.errors import CapError
+    from shiftgeo.errors import CapError, PreconditionError
     from shiftgeo.shifts import shannon_cover
+    if cap <= 0:
+        raise PreconditionError("word length cap must be positive")
     C = shannon_cover(X)
     for length in range(1, cap + 1):
         for w in _all_words(C.alphabet, length):
@@ -453,3 +455,43 @@ def embed_complex_oracle(K, X, word_cap: int = 16, pad_cap: int = 8):
                     return ComplexEmbedding(w, vs[0], vertex_words,
                                             face_shifts)
     raise CapError("no embedding data found within the search caps")
+
+
+def _raw_mpf_to_fraction(raw) -> Fraction:
+    sign, man, exp, _bc = raw
+    val = Fraction(int(man)) * Fraction(2) ** exp
+    return -val if sign else val
+
+
+def verify_binomial_bound_oracle(n: int, m: int, p: int) -> bool:
+    """Exact check of the strict Stirling-type inequality
+
+        C(m n, p n)  <  n^(-1/2) m^(mn+1/2) /
+                        (sqrt(2 pi) (m-p)^((m-p)n+1/2) p^(pn+1/2)).
+
+    The left side is an exact integer; the right side is enclosed in an
+    outward-rounded interval (128-bit working precision, doubled on demand),
+    so the returned verdict is sound.
+    """
+    import mpmath
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if not 0 < p < m:
+        raise ValueError("need 0 < p < m")
+    lhs = Fraction(comb(m * n, p * n))
+    for prec in (128, 256, 512, 1024):
+        iv = mpmath.iv
+        iv.prec = prec
+        rhs = (1 / iv.sqrt(2 * iv.pi)
+               * iv.mpf(n) ** iv.mpf(-0.5)
+               * iv.mpf(m) ** (m * n + iv.mpf(0.5))
+               / (iv.mpf(m - p) ** ((m - p) * n + iv.mpf(0.5))
+                  * iv.mpf(p) ** (p * n + iv.mpf(0.5))))
+        raw_lo, raw_hi = rhs._mpi_
+        lo = _raw_mpf_to_fraction(raw_lo)
+        hi = _raw_mpf_to_fraction(raw_hi)
+        if lhs < lo:
+            return True
+        if lhs >= hi:
+            return False
+    raise RuntimeError("interval evaluation failed to separate the sides")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shiftgeo
 from shiftgeo.cli import main
 
 
@@ -173,7 +177,13 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
     (["shift", "language", "GOLDEN", "--length", "-2"], 2,
      "factor length must be non-negative"),
     (["measure", "decay", "GOLDEN", "--length", "-1"], 3,
-     "length bound must be positive")])
+     "length bound must be positive"),
+    (["shift", "sync-word", "GOLDEN", "--length", "-5"], 3,
+     "word length cap must be positive"),
+    (["measure", "generic", "--length", "-3"], 3,
+     "prefix length must be non-negative"),
+    (["measure", "ball-count", "01", "-3", "1/4"], 3,
+     "word length must be non-negative")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]
@@ -310,8 +320,35 @@ def test_exit_codes(capsys, tmp_path, golden_file):
                   {"from": "b", "to": "a", "label": "1"}]}))
     rc, _, err = run(capsys, "shift", "mixing", str(orbit))
     assert rc == 3 and "period" in err
-    rc, _, err = run(capsys, "shift", "sync-word", str(orbit),
-                     "--length", "0")
-    assert rc == 4 and "cap" in err
+    # on the orbit of 0011 no symbol synchronizes; 01 is the first word
+    orbit4 = tmp_path / "orbit4.json"
+    orbit4.write_text(json.dumps({
+        "alphabet": "01", "states": ["a", "b", "c", "d"],
+        "edges": [{"from": "a", "to": "b", "label": "0"},
+                  {"from": "b", "to": "c", "label": "0"},
+                  {"from": "c", "to": "d", "label": "1"},
+                  {"from": "d", "to": "a", "label": "1"}]}))
+    rc, _, err = run(capsys, "shift", "sync-word", str(orbit4),
+                     "--length", "1")
+    assert rc == 4 and "length <= 1" in err
+    rc, out, _ = run(capsys, "shift", "sync-word", str(orbit4),
+                     "--length", "2")
+    assert rc == 0 and "'01'" in out
     rc, _, _ = run(capsys, "nonsense")
     assert rc == 2
+
+
+def test_cold_start_loads_neither_numpy_nor_mpmath():
+    """Only parry_measure needs numpy and no command needs mpmath, so a
+    top-level import of either would slow every cold CLI call."""
+    code = ("import sys, shiftgeo.cli\n"
+            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
+            "rc = shiftgeo.cli.main('measure binom-bound 12 4 1'.split())\n"
+            "print(rc, 'mpmath' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "bound holds: True", "0 False"]

@@ -2,7 +2,8 @@
 CA scan against the unfolded brute-force oracles in oracle_utils, the
 frontier-row Karp against the dense-table Karp it replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
-|A|^p loops they replaced.
+|A|^p loops they replaced, and the Machin enclosure of pi in the binomial
+bound against the mpmath interval evaluation it replaced.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -13,6 +14,7 @@ import itertools
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from shiftgeo import _graph
@@ -22,6 +24,7 @@ from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     is_primitive, least_rotation
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.homotopy import AbstractComplex, embed_complex
+from shiftgeo.measures import _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, \
     d_weyl, distance_to_shift_detail, unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
@@ -33,7 +36,7 @@ from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
     mixing_sft_inside_oracle, necklaces, periodic_orbits_oracle, \
     precondition_words_oracle, unfolded_arm_densities, \
-    unique_approximation_search_oracle
+    unique_approximation_search_oracle, verify_binomial_bound_oracle
 
 
 def deterministic(examples: int):
@@ -383,3 +386,21 @@ def test_triple_search_matches_word_loop_oracle(X, word_cap, pad_cap, data):
             (want.marker, want.filler, want.vertex_words)
         assert {f: Y.to_dict() for f, Y in got.face_shifts.items()} == \
             {f: Y.to_dict() for f, Y in want.face_shifts.items()}
+
+
+def test_binomial_bound_matches_interval_oracle():
+    pytest.importorskip("mpmath")
+    points = [(n, m, p) for n in range(1, 61) for m in range(2, 9)
+              for p in range(1, m)] + [(1000, 7, 3), (10000, 5, 2)]
+    for n, m, p in points:
+        assert verify_binomial_bound(n, m, p) == \
+            verify_binomial_bound_oracle(n, m, p), (n, m, p)
+
+
+@pytest.mark.parametrize("num, den, below", [
+    (333, 106, False), (103993, 33102, False),
+    (22, 7, True), (355, 113, True), (104348, 33215, True)])
+def test_pi_comparison_on_rationals_near_pi(num, den, below):
+    """Every grid verdict above is True; these rationals on both sides of
+    pi, down to 3e-10 away, cover the False branch."""
+    assert _pi_less_than(num, den) is below

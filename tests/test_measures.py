@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 from shiftgeo.configs import Alphabet, BINARY
-from shiftgeo.errors import PreconditionError
+from shiftgeo import measures, shifts
+from shiftgeo.errors import EmptyShiftError, PreconditionError
 from shiftgeo.measures import (bernoulli_prefix, binomial_growth_threshold,
                                cylinder, cylinder_decay_bound,
                                hamming_ball_count, parry_measure,
@@ -52,6 +53,22 @@ def test_parry_reducible_rejected():
         [("a", "a", "0"), ("a", "b", "1"), ("b", "b", "1")])
     with pytest.raises(PreconditionError):
         parry_measure(reducible)
+
+
+def test_parry_builds_cover_once(monkeypatch):
+    calls = []
+    real = shifts.shannon_cover
+    for module in (shifts, measures):
+        monkeypatch.setattr(module, "shannon_cover",
+                            lambda X: calls.append(X) or real(X))
+    parry_measure(golden_mean())
+    assert len(calls) == 1
+    empty = ShiftPresentation(BINARY, ["a"], [])
+    with pytest.raises(PreconditionError,
+                       match="presentation is reducible") as info:
+        parry_measure(empty)
+    assert not isinstance(info.value, EmptyShiftError)
+    assert len(calls) == 1
 
 
 def test_cylinder_additivity():

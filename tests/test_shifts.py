@@ -189,10 +189,16 @@ def test_sync_word_cap():
                               [("a", "b", "0"), ("b", "a", "0")])
     # the periodic orbit of 0 has cover = 1 state; every word synchronizes
     assert find_unbordered_synchronizing(orbit) == "0"
+    # on the orbit of 0011 no symbol synchronizes; 01 is the first word
+    orbit4 = ShiftPresentation(BINARY, ["a", "b", "c", "d"], [
+        ("a", "b", "0"), ("b", "c", "0"), ("c", "d", "1"), ("d", "a", "1")])
     with pytest.raises(CapError):
-        # a two-letter full shift restricted so no unbordered word syncs
-        # within a tiny cap
-        find_unbordered_synchronizing(even_shift(), cap=0)
+        find_unbordered_synchronizing(orbit4, cap=1)
+    assert find_unbordered_synchronizing(orbit4, cap=2) == "01"
+    for cap in (0, -5):
+        with pytest.raises(PreconditionError,
+                           match="word length cap must be positive"):
+            find_unbordered_synchronizing(even_shift(), cap=cap)
 
 
 def test_positive_entropy():
