@@ -12,7 +12,6 @@ bounded exhaustive check over periodic orbit pairs is provided.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from math import gcd
 
 from .configs import Alphabet, Configuration, periodic_config
 from .errors import PreconditionError
-from .metrics import _profile_mismatches, _residue_profile, d_besicovitch
+from .metrics import _Correlator, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
                      shannon_cover, contains_config, language)
 
@@ -360,6 +359,15 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     shift; so both densities depend on k only through k mod g, every
     rotation k >= g repeats the verdicts of k mod g < k, and the first
     witness of each property is the one a scan of every rotation finds.
+
+    Each pair costs two packed correlations (see ``metrics``): cin =
+    A(w1) B(w2) and cout = A(f w1) B(f w2), whose digit 2N - 1 - k |A|
+    (N = g |A|) is the match count at class k before and after the rule.
+    Every digit is at most lcm(|w1|, |w2|) <= P^2 < 2^D with D =
+    (P * P).bit_length(), so no digit carries, and when the class digits of
+    cin and cout agree, so do d_in and d_out at every k: one comparison
+    settles the pair.  Otherwise the classes are read in ascending k, as a
+    per-k scan would, so each property keeps the same first witness.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
@@ -367,35 +375,30 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
         raise PreconditionError("rule does not map the shift into itself")
     orbits = periodic_orbits(X, P)
     images = {w: apply_cyclic(f, w) for w in orbits}
-
-    @functools.cache
-    def profile(w, g):
-        return _residue_profile(w, g, f.alphabet.symbols)
+    corr = _Correlator(f.alphabet.symbols, P)
+    pack, mask, digits = corr.pack, corr.mask, corr.digits
 
     first = {"contracting": None, "isometric": None, "expanding": None}
-
-    def note(prop, w1, w2, din, dout):
-        if first[prop] is None:
-            first[prop] = PropertyWitness(
-                periodic_config(w1, f.alphabet),
-                periodic_config(w2, f.alphabet), din, dout)
-
     for w1 in orbits:
         for w2 in orbits:
             g = gcd(len(w1), len(w2))
-            p1, q1 = profile(w1, g), profile(images[w1], g)
-            p2, q2 = profile(w2, g), profile(images[w2], g)
-            for k in range(g):
+            cin = pack(w1, g)[0] * pack(w2, g)[1]
+            cout = pack(images[w1], g)[0] * pack(images[w2], g)[1]
+            if (cin ^ cout) & mask(g):
                 # d_in and d_out share the denominator lcm(|w1|, |w2|)
-                m_in, block = _profile_mismatches(p1, p2, k)
-                m_out, _ = _profile_mismatches(q1, q2, k)
-                if m_in == m_out:
-                    continue
-                rot = w2[k:] + w2[:k]
-                din, dout = Fraction(m_in, block), Fraction(m_out, block)
-                note("isometric", w1, rot, din, dout)
-                note("contracting" if m_out > m_in else "expanding",
-                     w1, rot, din, dout)
+                block = len(w1) // g * len(w2)
+                for k, (a, b) in enumerate(zip(digits(cin, g),
+                                               digits(cout, g))):
+                    if a == b:
+                        continue
+                    m_in, m_out = block - a, block - b
+                    for prop in ("isometric", "contracting" if m_out > m_in
+                                 else "expanding"):
+                        if first[prop] is None:
+                            first[prop] = PropertyWitness(
+                                periodic_config(w1, f.alphabet),
+                                periodic_config(w2[k:] + w2[:k], f.alphabet),
+                                Fraction(m_in, block), Fraction(m_out, block))
             if all(first.values()):
                 break
         if all(first.values()):
@@ -414,16 +417,16 @@ class RigidityReport:
         return self.passed
 
 
-def _periodic_words(X: ShiftPresentation, P: int) -> dict[int, list[str]]:
-    """For p = 1..P, the words w of length p with inf(w) in X: every
-    rotation of an orbit word whose length divides p, repeated p/|u| times.
-    Lists are grouped by orbit, not sorted."""
-    words: dict[int, list[str]] = {p: [] for p in range(1, P + 1)}
+def _periodic_words(X: ShiftPresentation, P: int) -> dict[int, set[str]]:
+    """For p = 1..P, the set of words w of length p with inf(w) in X: every
+    rotation of an orbit word whose length divides p, repeated p/|u|
+    times."""
+    words: dict[int, set[str]] = {p: set() for p in range(1, P + 1)}
     for u in periodic_orbits(X, P):
         n = len(u)
         rots = [u[i:] + u[:i] for i in range(n)]
         for p in range(n, P + 1, n):
-            words[p] += [r * (p // n) for r in rots]
+            words[p].update(r * (p // n) for r in rots)
     return words
 
 
@@ -452,9 +455,7 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
             for s in sorted(set(w)):
                 found = None
                 for p in range(1, P + 1):
-                    marker = s + zero * (p - 1)
-                    if not contains_config(
-                            X, periodic_config(marker, X.alphabet)):
+                    if s + zero * (p - 1) not in periodic_words[p]:
                         continue
                     horizon = len(w) + p
                     if any(w in (c * (horizon // p + 2))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .configs import Alphabet
-from .errors import PreconditionError
+from .errors import CapError, PreconditionError
 from .shifts import ShiftPresentation, language, shannon_cover, \
     _components, _indexed
 
@@ -321,6 +321,8 @@ def hamming_ball_count(w: str, n: int, eps, alphabet: Alphabet | None = None,
 
     Returns (count, bound, count <= bound).
     """
+    if not w:
+        raise PreconditionError("need a non-empty period word")
     if alphabet is None:
         syms = tuple(sorted(set(w)))
         if len(syms) < 2:
@@ -330,7 +332,7 @@ def hamming_ball_count(w: str, n: int, eps, alphabet: Alphabet | None = None,
     if n < 0:
         raise PreconditionError("word length must be non-negative")
     if n > n_cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {n_cap}")
+        raise CapError(f"n = {n} exceeds the enumeration cap {n_cap}")
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError("need 0 <= eps <= 1")

@@ -17,6 +17,18 @@ shared symbol is compared cell by cell instead, which is cheaper there.  An
 arm beyond the finite parts is a rotation of its period word (reversed for
 the left arm), so arm densities use the same count.
 
+Rotating v by k shifts its residue classes by k, so the scans over all
+rotations of v need the match count for each class k < g, and these form
+one cyclic correlation of the two flattened profiles (Fischer and Paterson
+1974).  With N = g |A| counts per profile, u's profile is packed into an
+integer with D-bit digits (count j at digit j) and v's profile, doubled and
+reversed, into another (count j of the doubled list at digit 2N - 1 - j).
+Digit 2N - 1 - k |A| of their product is then the match count of inf(u)
+against inf(v[k:] + v[:k]) over one lcm block, for every k < g at once
+(Kronecker substitution; Harvey 2009); the other digits are never read.
+Every digit of the product is at most |u| |v| / g = lcm, so 2^D > lcm rules
+out carries and the digits are exact.
+
 Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
 presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
@@ -29,6 +41,7 @@ Karp's frontier rows stay that small (time and memory linear in p).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -37,8 +50,8 @@ from operator import mul, ne
 from . import _graph
 from .configs import Configuration, lcm, periodic_config
 from .errors import EmptyShiftError, PreconditionError
-from .shifts import (ShiftPresentation, contains_config, full_shift,
-                     lyndon_words, periodic_orbits)
+from .shifts import (ShiftPresentation, full_shift, lyndon_words,
+                     periodic_orbits)
 
 
 def _check_alphabets(x: Configuration, y: Configuration):
@@ -51,24 +64,10 @@ def _check_alphabets(x: Configuration, y: Configuration):
 
 
 def _residue_profile(w: str, g: int, symbols) -> tuple:
-    """(|w|, g, counts): counts[r * |symbols| + i] is how often the i-th
-    symbol, in the iteration order of `symbols`, occurs at the indices
-    = r (mod g) of w.  g must divide |w|."""
-    return len(w), g, tuple(w[r::g].count(s)
-                            for r in range(g) for s in symbols)
-
-
-def _profile_mismatches(pu, pv, k: int = 0) -> tuple[int, int]:
-    """(mismatches, lcm) over one block of inf(u) against inf(v[k:] + v[:k]),
-    from residue profiles of u and v over the same g and symbols.
-
-    Rotating v by k shifts its residue classes by k, so k matters only
-    mod g.
-    """
-    (m, g, a), (n, _g, b) = pu, pv
-    block = m // g * n
-    s = k * len(b) // g
-    return block - sum(map(mul, a, b[s:] + b[:s])), block
+    """counts[r * |symbols| + i]: how often the i-th symbol, in the
+    iteration order of `symbols`, occurs at the indices = r (mod g) of w.
+    g must divide |w|."""
+    return tuple(w[r::g].count(s) for r in range(g) for s in symbols)
 
 
 def _mismatches(u: str, v: str) -> tuple[int, int]:
@@ -82,8 +81,65 @@ def _mismatches(u: str, v: str) -> tuple[int, int]:
         # about as much as comparing 16 to 30 cells; a block this short
         # (one length dividing the other, say) is cheaper to compare.
         return sum(map(ne, u * (block // m), v * (block // n))), block
-    return _profile_mismatches(_residue_profile(u, g, shared),
-                               _residue_profile(v, g, shared))
+    return block - sum(map(mul, _residue_profile(u, g, shared),
+                            _residue_profile(v, g, shared))), block
+
+
+def _packed_profile(symbols: tuple, D: int, w: str, g: int) -> tuple:
+    """(A, B): the residue profile of w mod g packed into D-bit digits as
+    is (count j at digit j), and doubled and reversed (count j of the
+    doubled list at digit 2N - 1 - j)."""
+    counts = _residue_profile(w, g, symbols)
+    a = b = 0
+    for c in reversed(counts):
+        a = a << D | c
+    for c in counts * 2:
+        b = b << D | c
+    return a, b
+
+
+def _class_offsets(D: int, S: int, g: int) -> range:
+    """Bit offsets of the digits 2N - 1 - k S (N = g S) that hold the
+    classes k = 0, 1, ..., g - 1 of a product A(u, g) * B(v, g)."""
+    top, step = D * (2 * g * S - 1), D * S
+    return range(top, top - g * step, -step)
+
+
+def _class_mask(D: int, S: int, g: int) -> int:
+    return sum(((1 << D) - 1) << o for o in _class_offsets(D, S, g))
+
+
+class _Correlator:
+    """Packed correlations of words of length <= P over a fixed symbol
+    order, for one search.
+
+    ``pack(w, g)`` is w's packed (A, B), cached per (word, g), and
+    ``mask(g)`` covers the class digits of a g-class product.  The digit
+    width is D = (P * P).bit_length(): every lcm of two lengths <= P is at
+    most P^2 < 2^D.
+    """
+
+    def __init__(self, symbols, P: int):
+        self.D = D = (P * P).bit_length()
+        self.S = S = len(symbols)
+        # caches on partials, not on bound methods: no reference cycle
+        # keeps them alive once the search returns
+        self.pack = functools.cache(
+            functools.partial(_packed_profile, tuple(symbols), D))
+        self.mask = functools.cache(functools.partial(_class_mask, D, S))
+
+    def digits(self, product: int, g: int) -> list[int]:
+        """The class match counts, k = 0, ..., g - 1, in a product."""
+        low = (1 << self.D) - 1
+        return [product >> o & low
+                for o in _class_offsets(self.D, self.S, g)]
+
+    def class_matches(self, u: str, v: str) -> tuple[int, int, list[int]]:
+        """(g, lcm, counts): counts[k] matches of inf(u) against
+        inf(v[k:] + v[:k]) over one lcm block, for each k < g."""
+        g = gcd(len(u), len(v))
+        product = self.pack(u, g)[0] * self.pack(v, g)[1]
+        return g, len(u) // g * len(v), self.digits(product, g)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +384,24 @@ class MinimizerSet:
     period_bound: int
 
 
+def _least_rotation_in(w: str, g: int, classes) -> str:
+    """The lexicographically least rotation w[i:] + w[:i] with i mod g in
+    `classes`."""
+    return min(w[i:] + w[:i] for i in range(len(w)) if i % g in classes)
+
+
 def nearest_periodic(X: ShiftPresentation, y: Configuration,
                      P: int) -> MinimizerSet:
     """Orbit representatives among the periodic points of X with least
     period <= P that achieve the minimum exact distance to y.
 
     Each representative is the lexicographically least point of its orbit
-    among those achieving the minimum.
+    among those achieving the minimum.  The distance from y to a rotation
+    w[i:] + w[:i] of an orbit word depends on i only through its class
+    i mod g, g = gcd(|y|, |w|), so one packed correlation per orbit gives
+    every class's distance: the classes of greatest match count are the
+    argmin, and the reported point is the least rotation i with i mod g
+    among them.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
@@ -345,27 +412,24 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     yw = y.right_period
+    corr = _Correlator(X.alphabet.symbols, P)
     best: Fraction | None = None
-    achievers: list[tuple[str, str]] = []  # (orbit representative, point)
+    points: list[str] = []  # one per orbit achieving `best`
     for w in periodic_orbits(X, P):
-        rots = sorted(w[i:] + w[:i] for i in range(len(w)))
-        orbit_best = None
-        orbit_point = None
-        for r in rots:
-            d = cyclic_mismatch_density(yw, r)
-            if orbit_best is None or d < orbit_best:
-                orbit_best, orbit_point = d, r
+        g, block, counts = corr.class_matches(yw, w)
+        top = max(counts)
+        orbit_best = Fraction(block - top, block)
         if best is None or orbit_best < best:
             best = orbit_best
-            achievers = [(w, orbit_point)]
-        elif orbit_best == best:
-            achievers.append((w, orbit_point))
+            points = []
+        if orbit_best == best:
+            points.append(_least_rotation_in(
+                w, g, {k for k, c in enumerate(counts) if c == top}))
     if best is None:
         raise PreconditionError(
             f"shift has no periodic points with period <= {P}")
-    mins = [periodic_config(pt, X.alphabet)
-            for _w, pt in sorted(achievers, key=lambda t: t[1])]
-    return MinimizerSet(best, mins, P)
+    return MinimizerSet(best, [periodic_config(pt, X.alphabet)
+                               for pt in sorted(points)], P)
 
 
 @dataclass
@@ -398,21 +462,21 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     x_orbits = periodic_orbits(X, P)
+    in_x = set(x_orbits)
+    corr = _Correlator(X.alphabet.symbols, P)
     for w in lyndon_words(full_shift(X.alphabet), P):
-        y = periodic_config(w, X.alphabet)
-        if contains_config(X, y):
+        if w in in_x:  # inf(w) is in X: its distance is 0
             continue
+        y = periodic_config(w, X.alphabet)
         d_true = distance_to_shift(y, X)
-        orbit_hits: list[str] = []
         points: list[str] = []
         for ow in x_orbits:
-            rots = sorted(ow[i:] + ow[:i] for i in range(len(ow)))
-            hit = [r for r in rots
-                   if cyclic_mismatch_density(w, r) == d_true]
+            g, block, counts = corr.class_matches(w, ow)
+            mism = d_true * block  # a count only if block allows d_true
+            hit = {k for k, c in enumerate(counts) if block - c == mism}
             if hit:
-                orbit_hits.append(ow)
-                points.append(hit[0])
-        if len(orbit_hits) >= 2:
+                points.append(_least_rotation_in(ow, g, hit))
+        if len(points) >= 2:
             return UapVerdict(
                 True, P, witness=y, distance=d_true,
                 minimizers=[periodic_config(pt, X.alphabet)

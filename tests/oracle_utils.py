@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 from shiftgeo.configs import Alphabet, Configuration, is_primitive, \
     least_rotation
@@ -24,6 +25,70 @@ def cyclic_density_oracle(u: str, v: str) -> Fraction:
     n = lcm(len(u), len(v))
     mism = sum(u[i % len(u)] != v[i % len(v)] for i in range(n))
     return Fraction(mism, n)
+
+
+# -- the per-class residue sum that the packed correlation in
+# shiftgeo.metrics._Correlator replaced --------------------------------------
+
+
+def residue_profile_oracle(w: str, g: int, symbols) -> tuple:
+    """(|w|, g, counts): counts[r * |symbols| + i] is how often the i-th
+    symbol, in the iteration order of `symbols`, occurs at the indices
+    = r (mod g) of w.  g must divide |w|."""
+    return len(w), g, tuple(w[r::g].count(s)
+                            for r in range(g) for s in symbols)
+
+
+def profile_mismatches_oracle(pu, pv, k: int = 0) -> tuple[int, int]:
+    """(mismatches, lcm) over one block of inf(u) against inf(v[k:] + v[:k]),
+    from residue profiles of u and v over the same g and symbols.
+
+    Rotating v by k shifts its residue classes by k, so k matters only
+    mod g.
+    """
+    (m, g, a), (n, _g, b) = pu, pv
+    block = m // g * n
+    s = k * len(b) // g
+    return block - sum(map(mul, a, b[s:] + b[:s])), block
+
+
+def nearest_periodic_oracle(X, y, P: int):
+    """``metrics.nearest_periodic`` as a loop over every sorted rotation of
+    every orbit word, one ``cyclic_mismatch_density`` call each."""
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.errors import EmptyShiftError, PreconditionError
+    from shiftgeo.metrics import MinimizerSet, cyclic_mismatch_density
+    from shiftgeo.shifts import periodic_orbits
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
+    if not y.is_periodic:
+        raise PreconditionError("y must be periodic")
+    if y.period > P:
+        raise PreconditionError("period of y exceeds the bound")
+    if X.is_empty:
+        raise EmptyShiftError("empty shift")
+    yw = y.right_period
+    best = None
+    achievers = []  # (orbit representative, point)
+    for w in periodic_orbits(X, P):
+        rots = sorted(w[i:] + w[:i] for i in range(len(w)))
+        orbit_best = None
+        orbit_point = None
+        for r in rots:
+            d = cyclic_mismatch_density(yw, r)
+            if orbit_best is None or d < orbit_best:
+                orbit_best, orbit_point = d, r
+        if best is None or orbit_best < best:
+            best = orbit_best
+            achievers = [(w, orbit_point)]
+        elif orbit_best == best:
+            achievers.append((w, orbit_point))
+    if best is None:
+        raise PreconditionError(
+            f"shift has no periodic points with period <= {P}")
+    mins = [periodic_config(pt, X.alphabet)
+            for _w, pt in sorted(achievers, key=lambda t: t[1])]
+    return MinimizerSet(best, mins, P)
 
 
 def necklaces(symbols: str, p: int) -> list[str]:

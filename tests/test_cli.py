@@ -183,7 +183,11 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
     (["measure", "generic", "--length", "-3"], 3,
      "prefix length must be non-negative"),
     (["measure", "ball-count", "01", "-3", "1/4"], 3,
-     "word length must be non-negative")])
+     "word length must be non-negative"),
+    (["measure", "ball-count", "", "3", "1/4"], 3,
+     "need a non-empty period word"),
+    (["measure", "ball-count", "01", "30", "1/4"], 4,
+     "n = 30 exceeds the enumeration cap 22")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]

@@ -1,5 +1,7 @@
-"""Differential tests: the residue-class mismatch kernel and the gcd-class
-CA scan against the unfolded brute-force oracles in oracle_utils, the
+"""Differential tests: the residue-class mismatch kernel, the packed
+rotation-class correlation and the gcd-class CA scan against the unfolded
+brute-force oracles and the per-class residue sum in oracle_utils, the
+nearest-point search against its loop over every rotation, the
 frontier-row Karp against the dense-table Karp it replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
 |A|^p loops they replaced, and the Machin enclosure of pi in the binomial
@@ -11,6 +13,7 @@ on every run.
 
 import functools
 import itertools
+from fractions import Fraction
 from math import gcd
 from unittest import mock
 
@@ -21,12 +24,13 @@ from shiftgeo import _graph
 from shiftgeo.automata import CellularAutomaton, _periodic_words, \
     check_on_subshift, isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
-    is_primitive, least_rotation
+    is_primitive, least_rotation, periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.homotopy import AbstractComplex, embed_complex
 from shiftgeo.measures import _pi_less_than, verify_binomial_bound
-from shiftgeo.metrics import cyclic_mismatch_density, d_besicovitch, \
-    d_weyl, distance_to_shift_detail, unique_approximation_search
+from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
+    d_besicovitch, d_weyl, distance_to_shift_detail, nearest_periodic, \
+    unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     disjoint_union, find_unbordered_synchronizing, full_shift, \
     lyndon_words, mixing_sft_inside, periodic_orbits
@@ -34,9 +38,11 @@ from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
     cyclic_density_oracle, embed_complex_oracle, \
     find_unbordered_synchronizing_oracle, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
-    mixing_sft_inside_oracle, necklaces, periodic_orbits_oracle, \
-    precondition_words_oracle, unfolded_arm_densities, \
-    unique_approximation_search_oracle, verify_binomial_bound_oracle
+    mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
+    periodic_orbits_oracle, precondition_words_oracle, \
+    profile_mismatches_oracle, residue_profile_oracle, \
+    unfolded_arm_densities, unique_approximation_search_oracle, \
+    verify_binomial_bound_oracle
 
 
 def deterministic(examples: int):
@@ -142,6 +148,68 @@ def word_pair(draw):
 def test_cyclic_mismatch_density_matches_unfolded_oracle(pair):
     u, v = pair
     assert cyclic_mismatch_density(u, v) == cyclic_density_oracle(u, v)
+
+
+# Coprime lengths up to 200 whose lcm is within 2 of a power of two.  Just
+# above one, two constant words match at every cell of the block, so the
+# class digit reaches 2^(D - 1) with D = (P * P).bit_length(): a digit one
+# bit narrower carries into its neighbour.
+NEAR_POWERS = [(m, n) for n in range(2, 201) for m in range(1, n)
+               if gcd(m, n) == 1
+               and any(0 < abs(m * n - 2 ** j) <= 2 for j in range(4, 16))]
+
+
+@st.composite
+def long_word_pair(draw):
+    """Two words of lengths 1 to 200 over 2 to 4 symbols, each drawn from a
+    prefix of the symbols (so a word may be constant and match everywhere),
+    with lengths that are equal, coprime, share a proper divisor, or are a
+    coprime pair from NEAR_POWERS."""
+    symbols = "0123"[:draw(st.integers(2, 4))]
+    kind = draw(st.sampled_from(["equal", "coprime", "shared", "power"]))
+    if kind == "power":
+        m, n = draw(st.sampled_from(NEAR_POWERS))
+        if draw(st.booleans()):
+            m, n = n, m
+    else:
+        m = draw(st.integers(1, 200))
+        others = {"equal": [m],
+                  "coprime": [n for n in range(1, 201) if gcd(m, n) == 1],
+                  "shared": [n for n in range(1, 201)
+                             if n != m and 1 < gcd(m, n)]}[kind] or [m]
+        n = draw(st.sampled_from(others))
+
+    def word(length):
+        used = symbols[:draw(st.integers(1, len(symbols)))]
+        return draw(st.text(st.sampled_from(used), min_size=length,
+                            max_size=length))
+
+    return symbols, word(m), word(n)
+
+
+@deterministic(250)
+@given(long_word_pair())
+def test_packed_class_matches_match_per_class_oracles(case):
+    symbols, u, v = case
+    corr = _Correlator(symbols, max(len(u), len(v)))
+    g, block, counts = corr.class_matches(u, v)
+    assert g == gcd(len(u), len(v)) and len(counts) == g
+    pu = residue_profile_oracle(u, g, symbols)
+    pv = residue_profile_oracle(v, g, symbols)
+    for k in range(g):
+        assert (block - counts[k], block) == \
+            profile_mismatches_oracle(pu, pv, k), k
+    for i in range(len(v)):  # every rotation, by its class i mod g
+        assert Fraction(block - counts[i % g], block) == \
+            cyclic_density_oracle(u, v[i:] + v[:i]), i
+
+
+def test_packed_class_matches_near_powers_of_two():
+    """Constant words match at all lcm cells; the digit must hold that."""
+    for m, n in NEAR_POWERS:
+        corr = _Correlator("01", n)
+        assert corr.class_matches("0" * m, "0" * n) == (1, m * n, [m * n])
+        assert corr.class_matches("0" * m, "1" * n) == (1, m * n, [0])
 
 
 @st.composite
@@ -332,6 +400,31 @@ def test_uap_search_matches_word_loop_oracle(X, P):
         assert getattr(got, field) == getattr(want, field), field
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the search error it raised."""
+    try:
+        return fn(*args)
+    except (CapError, PreconditionError) as e:
+        return type(e), str(e)
+
+
+@deterministic(200)
+@given(presentation(), st.data())
+def test_nearest_periodic_matches_rotation_loop_oracle(X, data):
+    P = data.draw(st.integers(1, 6 if len(X.alphabet) == 3 else 8))
+    n = data.draw(st.integers(1, P))
+    w = data.draw(st.text(st.sampled_from(X.alphabet.symbols), min_size=n,
+                          max_size=n))
+    y = periodic_config(w, X.alphabet)
+    got = _outcome(nearest_periodic, X, y, P)
+    want = _outcome(nearest_periodic_oracle, X, y, P)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for field in ("distance", "minimizers", "period_bound"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
 @deterministic(150)
 @given(presentation(), st.data())
 def test_rigidity_precondition_matches_word_list_oracle(X, data):
@@ -351,14 +444,6 @@ def test_rigidity_precondition_matches_word_list_oracle(X, data):
 
 
 # -- the (w, u, v) triple search against the |A|^k word loops ---------------
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of the search error it raised."""
-    try:
-        return fn(*args)
-    except (CapError, PreconditionError) as e:
-        return type(e), str(e)
 
 
 @deterministic(200)

@@ -7,7 +7,7 @@ import pytest
 
 from shiftgeo.configs import Alphabet, BINARY
 from shiftgeo import measures, shifts
-from shiftgeo.errors import EmptyShiftError, PreconditionError
+from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.measures import (bernoulli_prefix, binomial_growth_threshold,
                                cylinder, cylinder_decay_bound,
                                hamming_ball_count, parry_measure,
@@ -175,8 +175,10 @@ def test_hamming_ball_count_examples():
         1 for t in itertools.product("01", repeat=8)
         if any(sum(a != b for a, b in zip(t, c)) <= 2 for c in centers))
     assert count == brute
-    with pytest.raises(ValueError):
+    with pytest.raises(CapError):
         hamming_ball_count("0", 30, F(1, 2))
+    with pytest.raises(PreconditionError):
+        hamming_ball_count("", 3, F(1, 4))
     # ternary alphabet takes the generic enumeration path
     count, bound, ok = hamming_ball_count("012", 3, F(1, 3),
                                           alphabet=Alphabet("012"))
