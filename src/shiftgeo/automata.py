@@ -292,35 +292,20 @@ def isometry_decomposition(f: CellularAutomaton):
 
 
 def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
-    """Exact test that f maps X into X, via an image presentation."""
+    """Exact test that f maps X into X, via an image presentation: on the
+    Shannon cover, (q, u) with |u| = width - 1 readable from q steps by a
+    to (q.(u+a)[0], (u+a)[1:]), labeled f(u + a)."""
+    if f.alphabet != X.alphabet:
+        raise ValueError("alphabet mismatch")
     C = shannon_cover(X)
-    w = f.width
-    if w == 1:
-        states = list(C.states)
-        edges = [(s, t, f.table[a]) for (s, t, a) in C.edges]
-    else:
-        states = []
-        edges = []
-        for q in C.states:
-            frontier = [("", q)]
-            for _ in range(w - 1):
-                frontier = [(u + a, t)
-                            for (u, qq) in frontier
-                            for a in C.alphabet
-                            for t in C.successors(qq, a)]
-            states += [(q, u) for (u, _t) in frontier]
-        states = sorted(set(states), key=lambda s: (str(s[0]), s[1]))
-        state_set = set(states)
-        for (q, u) in states:
-            for mid in C.read({q}, u[:1]):
-                for a in C.alphabet:
-                    if not C.read({mid}, u[1:] + a):
-                        continue
-                    nxt = (mid, u[1:] + a)
-                    if nxt in state_set:
-                        edges.append(((q, u), nxt, f.table[u + a]))
-    image = ShiftPresentation(C.alphabet, states, edges)
-    return language_subset(image, C)
+    states = [(q, "") for q in C.states]
+    for _ in range(f.width - 1):
+        states = [(q, u + a) for (q, u) in states for a in C.alphabet
+                  if C.read({q}, u + a)]
+    edges = [((q, u), (t, (u + a)[1:]), f.table[u + a])
+             for (q, u) in states for a in C.alphabet if C.read({q}, u + a)
+             for t in C.successors(q, (u + a)[0])]
+    return language_subset(ShiftPresentation(C.alphabet, states, edges), C)
 
 
 @dataclass
@@ -452,7 +437,7 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
     used = {}
     for n in range(1, L + 1):
         for w in language(X, n):
-            for s in sorted(set(w)):
+            for s in (a for a in X.alphabet if a in w):
                 found = None
                 for p in range(1, P + 1):
                     if s + zero * (p - 1) not in periodic_words[p]:

@@ -28,10 +28,11 @@ class Alphabet:
     """Ordered finite set of single-character symbols.
 
     The ordering is total and fixed; it is the tie-breaking order used by
-    every lexicographic search in the library.
+    every lexicographic search in the library and fixes every canonical
+    listing (words, orbits, presentation edges); :meth:`key` compares in it.
     """
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_ranks")
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -48,12 +49,18 @@ class Alphabet:
             raise ValueError("duplicate symbols in alphabet")
         self.symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}
+        self._ranks = {ord(s): i for i, s in enumerate(syms)}
 
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
+
+    def key(self, word: str) -> str:
+        """word with each symbol replaced by its rank, as a character: keys
+        compare as the words do in the alphabet's order."""
+        return word.translate(self._ranks)
 
     def check_word(self, word: str) -> str:
         for c in word:
@@ -120,7 +127,9 @@ def is_primitive(w: str) -> bool:
 
 
 def least_rotation(w: str) -> str:
-    """Lexicographically least rotation of w."""
+    """Lexicographically least rotation of w, with symbols compared as
+    characters; the library's searches rank rotations by ``Alphabet.key``
+    instead and do not call this."""
     return min(w[i:] + w[:i] for i in range(len(w)))
 
 

@@ -288,7 +288,6 @@ def distance_to_shift_detail(x: Configuration,
     index = {v: i for i, v in enumerate(nodes)}
     succ = [[] for _ in nodes]
     wsucc = [[] for _ in nodes]
-    labels = {}
     for (s, t, a) in Y.edges:
         for p in pnodes:
             for pn in psucc[p]:
@@ -298,7 +297,7 @@ def distance_to_shift_detail(x: Configuration,
                 cost = int(a != psym[p])
                 wsucc[u].append((v, cost, a))
     comps = _graph.strongly_connected_components(len(nodes), succ)
-    comp_of, reach = _graph.condensation_reach(len(nodes), succ, comps)
+    reach = _graph.condensation_reach(len(nodes), succ, comps)[1]
 
     # minimum cycle mean inside each SCC that has internal edges, split by arm
     mean_of: dict[int, tuple[Fraction, list[int]]] = {}
@@ -346,21 +345,18 @@ def distance_to_shift_detail(x: Configuration,
     lcyc = mean_of[lci][1]
     rcyc = mean_of[rci][1]
     # labels along the right cycle, anchored at its smallest R-phase
-    word = _cycle_word(nodes, wsucc, rcyc)
+    word = _cycle_word(nodes, wsucc, rcyc, Y.alphabet.key)
     return ShiftDistanceDetail(total, lm, rm, len(lcyc), len(rcyc), word)
 
 
-def _cycle_word(nodes, wsucc, cyc) -> str:
+def _cycle_word(nodes, wsucc, cyc, key) -> str:
     """Label word along a product cycle, rotated so that it starts at the
-    node whose position phase is 0 (for alignment with the configuration)."""
+    node whose position phase is 0 (for alignment with the configuration);
+    between two nodes, the cheapest parallel edge, least label by `key`."""
     start = min(range(len(cyc)), key=lambda i: (nodes[cyc[i]][1][1], i))
     order = cyc[start:] + cyc[:start]
-    out = []
-    for i, v in enumerate(order):
-        t = order[(i + 1) % len(order)]
-        lab = min(a for (tt, _w, a) in wsucc[v] if tt == t)
-        out.append(lab)
-    return "".join(out)
+    return "".join(min((w, key(a), a) for (t, w, a) in wsucc[v] if t == u)[2]
+                   for v, u in zip(order, order[1:] + order[:1]))
 
 
 def distance_to_shift(x: Configuration, Y: ShiftPresentation) -> Fraction:
@@ -384,10 +380,11 @@ class MinimizerSet:
     period_bound: int
 
 
-def _least_rotation_in(w: str, g: int, classes) -> str:
-    """The lexicographically least rotation w[i:] + w[:i] with i mod g in
+def _least_rotation_in(w: str, g: int, classes, key) -> str:
+    """The least rotation w[i:] + w[:i] by `key` with i mod g in
     `classes`."""
-    return min(w[i:] + w[:i] for i in range(len(w)) if i % g in classes)
+    return min((w[i:] + w[:i] for i in range(len(w)) if i % g in classes),
+               key=key)
 
 
 def nearest_periodic(X: ShiftPresentation, y: Configuration,
@@ -395,9 +392,10 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
     """Orbit representatives among the periodic points of X with least
     period <= P that achieve the minimum exact distance to y.
 
-    Each representative is the lexicographically least point of its orbit
-    among those achieving the minimum.  The distance from y to a rotation
-    w[i:] + w[:i] of an orbit word depends on i only through its class
+    Each representative is the least point of its orbit, lexicographically
+    in the alphabet's order, among those achieving the minimum, and they are
+    listed in that order.  The distance from y to a rotation w[i:] + w[:i]
+    of an orbit word depends on i only through its class
     i mod g, g = gcd(|y|, |w|), so one packed correlation per orbit gives
     every class's distance: the classes of greatest match count are the
     argmin, and the reported point is the least rotation i with i mod g
@@ -412,6 +410,7 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     yw = y.right_period
+    key = X.alphabet.key
     corr = _Correlator(X.alphabet.symbols, P)
     best: Fraction | None = None
     points: list[str] = []  # one per orbit achieving `best`
@@ -424,12 +423,12 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
             points = []
         if orbit_best == best:
             points.append(_least_rotation_in(
-                w, g, {k for k, c in enumerate(counts) if c == top}))
+                w, g, {k for k, c in enumerate(counts) if c == top}, key))
     if best is None:
         raise PreconditionError(
             f"shift has no periodic points with period <= {P}")
     return MinimizerSet(best, [periodic_config(pt, X.alphabet)
-                               for pt in sorted(points)], P)
+                               for pt in sorted(points, key=key)], P)
 
 
 @dataclass
@@ -475,10 +474,10 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
             mism = d_true * block  # a count only if block allows d_true
             hit = {k for k, c in enumerate(counts) if block - c == mism}
             if hit:
-                points.append(_least_rotation_in(ow, g, hit))
+                points.append(_least_rotation_in(ow, g, hit, X.alphabet.key))
         if len(points) >= 2:
             return UapVerdict(
                 True, P, witness=y, distance=d_true,
                 minimizers=[periodic_config(pt, X.alphabet)
-                            for pt in sorted(points)])
+                            for pt in sorted(points, key=X.alphabet.key)])
     return UapVerdict(False, P)

@@ -40,6 +40,11 @@ def _state_key(s):
     return (0, str(s))
 
 
+def _edge_key(alphabet: Alphabet, e) -> tuple:
+    """(source, label rank, target): the canonical order of edges."""
+    return (_state_key(e[0]), alphabet.index(e[2]), _state_key(e[1]))
+
+
 class ShiftPresentation:
     """Labeled directed graph presenting a sofic shift.
 
@@ -71,8 +76,7 @@ class ShiftPresentation:
             states, edges = _trim_essential(states, edges)
         self.states = tuple(sorted(states, key=_state_key))
         self.edges = tuple(sorted(edges,
-                                  key=lambda e: (_state_key(e[0]), e[2],
-                                                 _state_key(e[1]))))
+                                  key=lambda e: _edge_key(alphabet, e)))
         out: dict = {s: {} for s in self.states}
         inc: dict = {s: {} for s in self.states}
         for (s, t, a) in self.edges:
@@ -156,7 +160,7 @@ def _trim_essential(states, edges):
             in_deg[t] += 1
         bad = {s for s in states if out_deg[s] == 0 or in_deg[s] == 0}
         if not bad:
-            return sorted(states, key=_state_key), kept
+            return states, kept
         states -= bad
 
 
@@ -193,15 +197,12 @@ def compile_sft(spec: SftSpec) -> ShiftPresentation:
         pres = ShiftPresentation(ab, ["q0"], [("q0", "q0", a) for a in allowed])
         return pres
     clean = lambda w: not any(f in w for f in spec.forbidden)
-    states = ["".join(u) for u in itertools.product(ab.symbols, repeat=m - 1)
-              if clean("".join(u))]
-    edges = []
-    for u in states:
-        for a in ab:
-            w = u + a
-            if clean(w):
-                edges.append((u, w[1:], a))
-    pres = ShiftPresentation(ab, states, edges)
+    words = ["".join(u) for u in itertools.product(ab.symbols, repeat=m - 1)
+             if clean("".join(u))]
+    # states named by their words' keys: renamed() numbers them in order
+    edges = [(ab.key(u), ab.key(u[1:] + a), a) for u in words for a in ab
+             if clean(u + a)]
+    pres = ShiftPresentation(ab, map(ab.key, words), edges)
     if pres.is_empty:
         raise EmptyShiftError("the forbidden words rule out every point")
     return pres.renamed()
@@ -266,9 +267,9 @@ def _factors(X: ShiftPresentation, n: int):
 
 
 def language(X: ShiftPresentation, n: int) -> list[str]:
-    """All length-n factors of X, lexicographically sorted.  Raises
-    ValueError for n < 0."""
-    return sorted(_factors(X, n))
+    """All length-n factors of X, in the alphabet's lexicographic order.
+    Raises ValueError for n < 0."""
+    return list(_factors(X, n))
 
 
 def _separating_word(A: ShiftPresentation, B: ShiftPresentation):
@@ -358,11 +359,8 @@ def _merge_equivalent(X: ShiftPresentation) -> ShiftPresentation:
     for s in states:
         reps.setdefault(part[s], []).append(s)
     name = {c: frozenset(grp) for c, grp in reps.items()}
-    edges = set()
-    for (s, t, a) in X.edges:
-        edges.add((name[part[s]], name[part[t]], a))
-    return ShiftPresentation(X.alphabet, list(name.values()), sorted(
-        edges, key=lambda e: (_state_key(e[0]), e[2], _state_key(e[1]))))
+    edges = {(name[part[s]], name[part[t]], a) for (s, t, a) in X.edges}
+    return ShiftPresentation(X.alphabet, list(name.values()), edges)
 
 
 def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
@@ -388,7 +386,8 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
             Y = ShiftPresentation(
                 M.alphabet, rest,
                 [e for e in M.edges if e[0] != s and e[1] != s])
-            if not Y.is_empty and language_equal(Y, M):
+            # Y is a subgraph of M, so L(Y) is always inside L(M)
+            if not Y.is_empty and language_subset(M, Y):
                 M = _merge_equivalent(Y)
                 changed = True
                 break
@@ -435,9 +434,9 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
         edges = [e for e in C.edges if e[0] in names and e[1] in names]
         if not edges:
             continue
-        cands.append(ShiftPresentation(C.alphabet, sorted(names, key=_state_key),
-                                       edges).renamed())
-    cands.sort(key=lambda p: (len(p.states), p.edges))
+        cands.append(ShiftPresentation(C.alphabet, names, edges).renamed())
+    edges_key = lambda p: [_edge_key(p.alphabet, e) for e in p.edges]
+    cands.sort(key=lambda p: (len(p.states), edges_key(p)))
     keep: list = []
     dropped = []
     for p in cands:
@@ -448,8 +447,9 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
             keep.append(p)
         else:
             dropped.append((p, inside))
-    keep.sort(key=lambda p: (len(p.states), sorted(language(p, 1)),
-                             p.edges))
+    keep.sort(key=lambda p: (len(p.states),
+                             p.alphabet.key("".join(language(p, 1))),
+                             edges_key(p)))
     return ComponentDecomposition(keep, dropped)
 
 
@@ -584,7 +584,7 @@ def positive_entropy(X: ShiftPresentation) -> bool:
 def concatenation_closure(alphabet: Alphabet, words) -> ShiftPresentation:
     """Presentation of the closure of all bi-infinite concatenations of the
     given nonempty words (a flower of cycles through one hub state)."""
-    words = sorted(set(words))
+    words = set(words)
     if not words or any(not w for w in words):
         raise ValueError("need nonempty words")
     states: list = ["hub"]
@@ -592,7 +592,7 @@ def concatenation_closure(alphabet: Alphabet, words) -> ShiftPresentation:
     for w in words:
         prev = "hub"
         for i, a in enumerate(w[:-1]):
-            s = (w, i)
+            s = (alphabet.key(w), i)
             states.append(s)
             edges.append((prev, s, a))
             prev = s
@@ -693,24 +693,25 @@ def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
     factors of X, ordered by length and then lexicographically in the
     alphabet's order.
 
-    A Lyndon word is primitive and strictly least among its rotations, with
-    symbols compared as characters (the order of ``configs.least_rotation``).
-    The words are read off the Fredricksen-Kessler-Maiorana prenecklace
-    tree (Ruskey, Savage and Wang 1992): a prefix a[0:t] of least period p
-    extends by a[t - p], keeping p, or by any larger symbol, taking period
-    t + 1, and it is a Lyndon word exactly when p == t.  Every prefix of a
-    Lyndon word is a prenecklace, so the walk carries each prefix's state
-    set on X and drops a subtree as soon as that set is empty.
+    A Lyndon word is primitive and strictly least among its rotations in
+    the alphabet's order.  The words are read off the
+    Fredricksen-Kessler-Maiorana prenecklace tree, which works for any total
+    order on the symbols (Ruskey, Savage and Wang 1992): a prefix a[0:t] of
+    least period p extends by a[t - p], keeping p, or by any larger symbol,
+    taking period t + 1, and it is a Lyndon word exactly when p == t.  Every
+    prefix of a Lyndon word is a prenecklace, so the walk carries each
+    prefix's state set on X and drops a subtree as soon as that set is empty.
 
     The cost is one ``X.step`` per child of a visited prenecklace that is a
     factor of X (on the full shift O(|A|^P / P) prenecklaces), one join per
-    word returned, and a final sort.  The walk keeps an explicit stack and
-    one shared prefix, so memory is O(|A| P) beyond the words returned, and
-    a one-symbol alphabet (a path of depth max_period) needs no recursion.
+    word returned, and a final stable sort by length.  The walk keeps an
+    explicit stack and one shared prefix, so memory is O(|A| P) beyond the
+    words returned, and a one-symbol alphabet (a path of depth max_period)
+    needs no recursion.
     """
     if max_period <= 0 or X.is_empty:
         return []
-    order = sorted(X.alphabet)
+    order = X.alphabet.symbols
     # the symbols >= b, largest first: pushed in this order, the prefixes
     # pop in lexicographic order
     pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
@@ -733,17 +734,15 @@ def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
             T = X.step(S, b)
             if T:
                 stack.append((t + 1, b, p if b == keep else t + 1, T))
-    if order == list(X.alphabet):
-        words.sort(key=len)  # stable, so lexicographic within a length
-    else:
-        words.sort(key=lambda w: (len(w), [X.alphabet.index(b) for b in w]))
+    words.sort(key=len)  # stable, so lexicographic within a length
     return words
 
 
 def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
-    """Lex-least primitive representatives of the periodic orbits of X with
-    least period <= max_period, ordered by length and then lexicographically
-    in the alphabet's order.
+    """Primitive representatives of the periodic orbits of X with least
+    period <= max_period, each the least rotation of its orbit in the
+    alphabet's order, ordered by length and then lexicographically in that
+    order.
 
     The candidates are the :func:`lyndon_words` of X, whose prefixes are all
     factors of X; each is kept when its periodic point lies in X

@@ -8,6 +8,7 @@ words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, gcd
@@ -52,9 +53,24 @@ def profile_mismatches_oracle(pu, pv, k: int = 0) -> tuple[int, int]:
     return block - sum(map(mul, a, b[s:] + b[:s])), block
 
 
+def ranks(alphabet, w: str) -> list[int]:
+    """The ranks of w's symbols in the alphabet: comparing these lists
+    compares words lexicographically in the alphabet's order."""
+    return [alphabet.index(c) for c in w]
+
+
+def is_lyndon(alphabet, w: str) -> bool:
+    """True iff w is nonempty and strictly less than each of its proper
+    rotations in the alphabet's order (so primitive and the least
+    rotation)."""
+    r = ranks(alphabet, w)
+    return bool(w) and all(r < r[i:] + r[:i] for i in range(1, len(w)))
+
+
 def nearest_periodic_oracle(X, y, P: int):
-    """``metrics.nearest_periodic`` as a loop over every sorted rotation of
-    every orbit word, one ``cyclic_mismatch_density`` call each."""
+    """``metrics.nearest_periodic`` as a loop over every rotation of every
+    orbit word, in the alphabet's order, one ``cyclic_mismatch_density``
+    call each."""
     from shiftgeo.configs import periodic_config
     from shiftgeo.errors import EmptyShiftError, PreconditionError
     from shiftgeo.metrics import MinimizerSet, cyclic_mismatch_density
@@ -68,10 +84,11 @@ def nearest_periodic_oracle(X, y, P: int):
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     yw = y.right_period
+    rank = functools.partial(ranks, X.alphabet)
     best = None
     achievers = []  # (orbit representative, point)
     for w in periodic_orbits(X, P):
-        rots = sorted(w[i:] + w[:i] for i in range(len(w)))
+        rots = sorted((w[i:] + w[:i] for i in range(len(w))), key=rank)
         orbit_best = None
         orbit_point = None
         for r in rots:
@@ -87,7 +104,7 @@ def nearest_periodic_oracle(X, y, P: int):
         raise PreconditionError(
             f"shift has no periodic points with period <= {P}")
     mins = [periodic_config(pt, X.alphabet)
-            for _w, pt in sorted(achievers, key=lambda t: t[1])]
+            for _w, pt in sorted(achievers, key=lambda t: rank(t[1]))]
     return MinimizerSet(best, mins, P)
 
 
@@ -324,8 +341,9 @@ def _all_words(alphabet, p: int):
 
 
 def periodic_orbits_oracle(X, max_period: int) -> list[str]:
-    """Lex-least primitive representatives of the periodic orbits of X with
-    least period <= max_period."""
+    """Primitive representatives of the periodic orbits of X with least
+    period <= max_period, each the least rotation in the alphabet's
+    order."""
     from shiftgeo.configs import periodic_config
     from shiftgeo.shifts import contains_config
     out = []
@@ -334,7 +352,7 @@ def periodic_orbits_oracle(X, max_period: int) -> list[str]:
         for w in _all_words(X.alphabet, p):
             if w in seen:
                 continue
-            if not is_primitive(w) or least_rotation(w) != w:
+            if not is_lyndon(X.alphabet, w):
                 continue
             seen.add(w)
             if contains_config(X, periodic_config(w, X.alphabet)):
@@ -350,10 +368,11 @@ def unique_approximation_search_oracle(X, P: int):
     from shiftgeo.metrics import UapVerdict, cyclic_mismatch_density, \
         distance_to_shift
     from shiftgeo.shifts import contains_config
+    rank = functools.partial(ranks, X.alphabet)
     x_orbits = periodic_orbits_oracle(X, P)
     for p in range(1, P + 1):
         for w in _all_words(X.alphabet, p):
-            if not is_primitive(w) or least_rotation(w) != w:
+            if not is_lyndon(X.alphabet, w):
                 continue
             y = periodic_config(w, X.alphabet)
             if contains_config(X, y):
@@ -362,7 +381,8 @@ def unique_approximation_search_oracle(X, P: int):
             orbit_hits: list[str] = []
             points: list[str] = []
             for ow in x_orbits:
-                rots = sorted(ow[i:] + ow[:i] for i in range(len(ow)))
+                rots = sorted((ow[i:] + ow[:i] for i in range(len(ow))),
+                              key=rank)
                 hit = [r for r in rots
                        if cyclic_mismatch_density(w, r) == d_true]
                 if hit:
@@ -372,7 +392,7 @@ def unique_approximation_search_oracle(X, P: int):
                 return UapVerdict(
                     True, P, witness=y, distance=d_true,
                     minimizers=[periodic_config(pt, X.alphabet)
-                                for pt in sorted(points)])
+                                for pt in sorted(points, key=rank)])
     return UapVerdict(False, P)
 
 
@@ -391,17 +411,19 @@ def precondition_words_oracle(X, P: int) -> dict:
 
 def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
     """``automata.isometric_ca_precondition`` on the word lists of
-    :func:`precondition_words_oracle`."""
+    :func:`precondition_words_oracle`, with factors and their symbols taken
+    in the alphabet's order."""
     from shiftgeo.automata import RigidityReport
     from shiftgeo.configs import periodic_config
     from shiftgeo.shifts import contains_config, language
     if not contains_config(X, periodic_config(zero, X.alphabet)):
         return RigidityReport(False, None, {})
     periodic_words = precondition_words_oracle(X, P)
+    rank = functools.partial(ranks, X.alphabet)
     used = {}
     for n in range(1, L + 1):
-        for w in language(X, n):
-            for s in sorted(set(w)):
+        for w in sorted(language(X, n), key=rank):
+            for s in sorted(set(w), key=rank):
                 found = None
                 for p in range(1, P + 1):
                     marker = s + zero * (p - 1)
@@ -560,3 +582,43 @@ def verify_binomial_bound_oracle(n: int, m: int, p: int) -> bool:
         if lhs >= hi:
             return False
     raise RuntimeError("interval evaluation failed to separate the sides")
+
+
+# -- the image presentation that shiftgeo.automata.preserves_shift built
+# before it had one construction for every width -----------------------------
+
+
+def preserves_shift_oracle(f, X) -> bool:
+    """Exact test that f maps X into X, via an image presentation with a
+    separate branch for width 1 and a frontier expansion of the readable
+    words otherwise."""
+    from shiftgeo.shifts import ShiftPresentation, language_subset, \
+        shannon_cover
+    C = shannon_cover(X)
+    w = f.width
+    if w == 1:
+        states = list(C.states)
+        edges = [(s, t, f.table[a]) for (s, t, a) in C.edges]
+    else:
+        states = []
+        edges = []
+        for q in C.states:
+            frontier = [("", q)]
+            for _ in range(w - 1):
+                frontier = [(u + a, t)
+                            for (u, qq) in frontier
+                            for a in C.alphabet
+                            for t in C.successors(qq, a)]
+            states += [(q, u) for (u, _t) in frontier]
+        states = sorted(set(states), key=lambda s: (str(s[0]), s[1]))
+        state_set = set(states)
+        for (q, u) in states:
+            for mid in C.read({q}, u[:1]):
+                for a in C.alphabet:
+                    if not C.read({mid}, u[1:] + a):
+                        continue
+                    nxt = (mid, u[1:] + a)
+                    if nxt in state_set:
+                        edges.append(((q, u), nxt, f.table[u + a]))
+    image = ShiftPresentation(C.alphabet, states, edges)
+    return language_subset(image, C)

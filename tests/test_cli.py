@@ -342,6 +342,25 @@ def test_exit_codes(capsys, tmp_path, golden_file):
     assert rc == 2
 
 
+def test_classify_on_shift_over_another_alphabet_is_input_error(capsys,
+                                                              tmp_path):
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"alphabet": "ab", "forbidden": ["bb"]}))
+    rc, out, err = run(capsys, "classify", "eca:30", "--shift", str(ab))
+    assert (rc, out) == (2, "") and "alphabet mismatch" in err
+
+
+def test_classify_ca_over_larger_alphabet_is_input_error(capsys, tmp_path,
+                                                         golden_file):
+    # the identity over 012 maps every point of the golden mean into it,
+    # but the verdicts would be about configurations over 012
+    ca = tmp_path / "id012.json"
+    ca.write_text(json.dumps({"alphabet": "012", "offsets": [0, 0],
+                              "table": {"0": "0", "1": "1", "2": "2"}}))
+    rc, out, err = run(capsys, "classify", str(ca), "--shift", golden_file)
+    assert (rc, out) == (2, "") and "alphabet mismatch" in err
+
+
 def test_cold_start_loads_neither_numpy_nor_mpmath():
     """Only parry_measure needs numpy and no command needs mpmath, so a
     top-level import of either would slow every cold CLI call."""

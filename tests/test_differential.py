@@ -4,8 +4,13 @@ brute-force oracles and the per-class residue sum in oracle_utils, the
 nearest-point search against its loop over every rotation, the
 frontier-row Karp against the dense-table Karp it replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
-|A|^p loops they replaced, and the Machin enclosure of pi in the binomial
-bound against the mpmath interval evaluation it replaced.
+|A|^p loops they replaced, the Machin enclosure of pi in the binomial
+bound against the mpmath interval evaluation it replaced, and the image
+presentation of ``preserves_shift`` against its old per-width construction.
+
+Metamorphic tests relabel each shift onto the same symbols in character
+order, rank by rank, and check that every listing, tie-break and witness
+maps across: the alphabet's order alone decides them.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -24,7 +29,7 @@ from shiftgeo import _graph
 from shiftgeo.automata import CellularAutomaton, _periodic_words, \
     check_on_subshift, isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
-    is_primitive, least_rotation, periodic_config
+    periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.homotopy import AbstractComplex, embed_complex
 from shiftgeo.measures import _pi_less_than, verify_binomial_bound
@@ -32,15 +37,16 @@ from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     d_besicovitch, d_weyl, distance_to_shift_detail, nearest_periodic, \
     unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
-    disjoint_union, find_unbordered_synchronizing, full_shift, \
-    lyndon_words, mixing_sft_inside, periodic_orbits
+    disjoint_union, find_unbordered_synchronizing, full_shift, language, \
+    lyndon_words, mixing_sft_inside, periodic_orbits, shannon_cover, \
+    transitive_components
 from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
     cyclic_density_oracle, embed_complex_oracle, \
-    find_unbordered_synchronizing_oracle, \
+    find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
     periodic_orbits_oracle, precondition_words_oracle, \
-    profile_mismatches_oracle, residue_profile_oracle, \
+    preserves_shift_oracle, profile_mismatches_oracle, residue_profile_oracle, \
     unfolded_arm_densities, unique_approximation_search_oracle, \
     verify_binomial_bound_oracle
 
@@ -368,12 +374,12 @@ def presentation(draw, kinds=("sft", "graph", "union")):
 
 
 def _lyndon_oracle(X, P: int) -> list[str]:
-    """Lyndon words of length <= P (as the old loop picked them) whose
-    prefixes are all factors of X, by brute force."""
+    """Lyndon words in the alphabet's order, of length <= P, whose prefixes
+    are all factors of X, by brute force."""
     return [w for p in range(1, P + 1)
             for w in ("".join(t) for t in
                       itertools.product(X.alphabet.symbols, repeat=p))
-            if is_primitive(w) and least_rotation(w) == w
+            if is_lyndon(X.alphabet, w)
             and all(X.accepts_word(w[:i]) for i in range(1, p + 1))]
 
 
@@ -489,3 +495,187 @@ def test_pi_comparison_on_rationals_near_pi(num, den, below):
     """Every grid verdict above is True; these rationals on both sides of
     pi, down to 3e-10 away, cover the False branch."""
     assert _pi_less_than(num, den) is below
+
+
+# -- the right cycle word and the image presentation ------------------------
+
+
+def _config(data, ab: Alphabet) -> Configuration:
+    """A point over `ab` with arm periods up to 6 and finite parts up to 3."""
+    period = st.text(st.sampled_from(ab.symbols), min_size=1, max_size=6)
+    finite = st.text(st.sampled_from(ab.symbols), max_size=3)
+    return Configuration(ab, data.draw(period), data.draw(finite),
+                         data.draw(finite), data.draw(period))
+
+
+@deterministic(300)
+@given(presentation(), st.data())
+def test_right_cycle_word_attains_the_right_mean(X, data):
+    """The reported word is the labels of the right cycle, aligned with the
+    point's right period, so its density against that period is the
+    cycle's mean."""
+    if X.is_empty:
+        reject()
+    x = _config(data, X.alphabet)
+    d = distance_to_shift_detail(x, X)
+    assert len(d.right_cycle_word) == d.right_cycle_len
+    assert cyclic_mismatch_density(x.right_period, d.right_cycle_word) == \
+        d.right_mean
+
+
+def _near_shift_rule(data, ab: Alphabet) -> CellularAutomaton:
+    """A rule of width 1 to 3 over `ab` that copies one cell of its window
+    except on up to two patterns, so it often maps a subshift into itself
+    and often does not."""
+    width = data.draw(st.integers(1, 3))
+    lo = data.draw(st.integers(1 - width, 0))
+    copy = data.draw(st.integers(0, width - 1))
+    table = {p: p[copy] for p in ("".join(t) for t in
+                                  itertools.product(ab.symbols,
+                                                    repeat=width))}
+    for pat in data.draw(st.lists(st.sampled_from(sorted(table)),
+                                  max_size=2)):
+        table[pat] = data.draw(st.sampled_from(ab.symbols))
+    return CellularAutomaton(ab, lo, lo + width - 1, table)
+
+
+@deterministic(300)
+@given(presentation(), st.data())
+def test_preserves_shift_matches_old_image_oracle(X, data):
+    if X.is_empty:
+        reject()
+    f = _near_shift_rule(data, X.alphabet)
+    assert preserves_shift(f, X) == preserves_shift_oracle(f, X)
+
+
+# -- every listing and tie-break follows the alphabet's order ---------------
+
+
+class _Relabel:
+    """Maps the i-th symbol of an alphabet to the i-th of the same symbols
+    in character order, and words, points, rules and presentations with
+    it.  An output computed over the permuted alphabet and mapped across
+    must equal the output computed over the character-ordered one."""
+
+    def __init__(self, A: Alphabet):
+        self.B = Alphabet(sorted(A.symbols))
+        self.table = str.maketrans(dict(zip(A.symbols, self.B.symbols)))
+
+    def word(self, w: str) -> str:
+        return w.translate(self.table)
+
+    def config(self, x: Configuration) -> Configuration:
+        return Configuration(self.B, *map(self.word, (
+            x.left_period, x.left_finite, x.right_finite, x.right_period)))
+
+    def rule(self, f: CellularAutomaton) -> CellularAutomaton:
+        return CellularAutomaton(self.B, f.left, f.right, {
+            self.word(p): self.word(o) for p, o in f.table.items()})
+
+    def shift(self, X: ShiftPresentation) -> ShiftPresentation:
+        return ShiftPresentation(self.B, X.states, [
+            (s, t, self.word(a)) for (s, t, a) in X.edges])
+
+    def listing(self, X: ShiftPresentation) -> tuple:
+        """X's states and edges in X's own order, labels mapped."""
+        return X.states, [(s, t, self.word(a)) for (s, t, a) in X.edges]
+
+
+def _listing(X: ShiftPresentation) -> tuple:
+    return X.states, list(X.edges)
+
+
+@deterministic(250)
+@given(presentation(), st.data())
+def test_shift_outputs_map_across_relabelling_onto_character_order(X, data):
+    r = _Relabel(X.alphabet)
+    Y = r.shift(X)
+    n = data.draw(st.integers(0, 4))
+    P = data.draw(st.integers(1, 6 if len(X.alphabet) == 3 else 8))
+    assert [r.word(w) for w in language(X, n)] == language(Y, n)
+    assert [r.word(w) for w in lyndon_words(X, P)] == lyndon_words(Y, P)
+    assert [r.word(w) for w in periodic_orbits(X, P)] == \
+        periodic_orbits(Y, P)
+    cap = data.draw(st.integers(1, 4))
+    got = _outcome(find_unbordered_synchronizing, X, cap)
+    want = _outcome(find_unbordered_synchronizing, Y, cap)
+    assert (r.word(got) if isinstance(got, str) else got) == want
+    if X.is_empty:
+        return
+    assert r.listing(shannon_cover(X)) == _listing(shannon_cover(Y))
+    got, want = transitive_components(X), transitive_components(Y)
+    assert [r.listing(p) for p in got.components] == \
+        [_listing(p) for p in want.components]
+    assert [(r.listing(p), i) for p, i in got.dropped] == \
+        [(_listing(p), i) for p, i in want.dropped]
+    x = _config(data, X.alphabet)
+    got = distance_to_shift_detail(x, X)
+    want = distance_to_shift_detail(r.config(x), Y)
+    assert r.word(got.right_cycle_word) == want.right_cycle_word
+    for field in ("distance", "left_mean", "right_mean", "left_cycle_len",
+                  "right_cycle_len"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@deterministic(150)
+@given(presentation(), st.data())
+def test_search_outputs_map_across_relabelling_onto_character_order(X, data):
+    if X.is_empty:
+        reject()
+    r = _Relabel(X.alphabet)
+    Y = r.shift(X)
+    small = len(X.alphabet) == 3
+    P = data.draw(st.integers(1, 4 if small else 6))
+    w = data.draw(st.text(st.sampled_from(X.alphabet.symbols), min_size=1,
+                          max_size=P))
+    y = periodic_config(w, X.alphabet)
+    got = _outcome(nearest_periodic, X, y, P)
+    want = _outcome(nearest_periodic, Y, r.config(y), P)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.distance == want.distance
+        assert [r.config(z) for z in got.minimizers] == want.minimizers
+    got = unique_approximation_search(X, P)
+    want = unique_approximation_search(Y, P)
+    assert (got.violation, got.distance) == (want.violation, want.distance)
+    if got.violation:
+        assert r.config(got.witness) == want.witness
+        assert [r.config(z) for z in got.minimizers] == want.minimizers
+    zero = data.draw(st.sampled_from(X.alphabet.symbols))
+    L = data.draw(st.integers(1, 3))
+    got = isometric_ca_precondition(X, zero, L, P)
+    want = isometric_ca_precondition(Y, r.word(zero), L, P)
+    assert got.passed == want.passed
+    assert (got.failing and tuple(map(r.word, got.failing))) == want.failing
+    assert [(tuple(map(r.word, k)), p) for k, p in got.periods_used.items()] \
+        == list(want.periods_used.items())
+    f = _near_shift_rule(data, X.alphabet)
+    for Z in (X, full_shift(X.alphabet)):
+        got = _outcome(check_on_subshift, f, Z, min(P, 4))
+        want = _outcome(check_on_subshift, r.rule(f), r.shift(Z), min(P, 4))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        for prop in ("contracting", "isometric", "expanding"):
+            g, h = getattr(got, prop), getattr(want, prop)
+            assert (g is None) == (h is None), prop
+            if g is not None:
+                assert (r.config(g.x), r.config(g.y), g.d_in, g.d_out) == \
+                    (h.x, h.y, h.d_in, h.d_out), prop
+
+
+@deterministic(200)
+@given(st.permutations("012"), st.integers(1, 3), st.data())
+def test_compile_sft_maps_across_relabelling_onto_character_order(
+        perm, k, data):
+    A = Alphabet(perm[:k])
+    r = _Relabel(A)
+    words = st.text(st.sampled_from(A.symbols), min_size=1, max_size=3)
+    forbidden = tuple(data.draw(st.lists(words, max_size=3)))
+    got = _outcome(compile_sft, SftSpec(A, forbidden))
+    want = _outcome(compile_sft, SftSpec(r.B, tuple(map(r.word, forbidden))))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert r.listing(got) == _listing(want)

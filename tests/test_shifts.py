@@ -349,7 +349,7 @@ def test_lyndon_words_edge_cases():
     assert empty.is_empty
     assert lyndon_words(empty, 6) == []
     assert periodic_orbits(empty, 6) == []
-    # the order is by length, then by the alphabet's order; representatives
-    # are least rotations in the character order
+    # the order is by length, then by the alphabet's order, and each word
+    # is the least of its rotations in that order too
     assert lyndon_words(full_shift(Alphabet("10")), 3) == \
-        ["1", "0", "01", "011", "001"]
+        ["1", "0", "10", "110", "100"]
