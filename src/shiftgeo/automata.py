@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .configs import Alphabet, Configuration, periodic_config
+from .configs import Alphabet, Configuration, json_field, periodic_config
 from .errors import PreconditionError
 from .metrics import _Correlator, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
@@ -67,9 +67,10 @@ class CellularAutomaton:
 
     @staticmethod
     def from_dict(d: dict) -> "CellularAutomaton":
-        ab = Alphabet(d["alphabet"])
-        lo, hi = d["offsets"]
-        return CellularAutomaton(ab, lo, hi, dict(d["table"]))
+        ab = Alphabet(json_field(d, "alphabet", (str, list)))
+        lo, hi = json_field(d, "offsets", list, int)
+        return CellularAutomaton(ab, lo, hi,
+                                 dict(json_field(d, "table", dict, str)))
 
 
 def elementary_ca(rule: int) -> CellularAutomaton:
@@ -153,6 +154,8 @@ def minimal_neighborhood_on(f: CellularAutomaton,
     subshift than on the full shift.  Returns the lexicographically first
     minimal offset tuple.
     """
+    if f.alphabet != X.alphabet:
+        raise ValueError("alphabet mismatch")
     legal = language(X, f.width)
     offsets = list(range(f.left, f.right + 1))
     for size in range(0, f.width + 1):
@@ -211,8 +214,7 @@ def classify_full_shift(f: CellularAutomaton) -> ClassificationReport:
         decomp = None
         if info.size == 1:
             off = info.essential[0]
-            gmap = {s: f.table[_pattern_with(f, off, s)]
-                    for s in f.alphabet.symbols}
+            gmap = _restrict_table(f, off, off)
             if sorted(gmap.values()) == sorted(f.alphabet.symbols):
                 iso = True
                 decomp = (off, gmap)
@@ -221,10 +223,14 @@ def classify_full_shift(f: CellularAutomaton) -> ClassificationReport:
     return ClassificationReport(info, False, False, False, None, witness)
 
 
-def _pattern_with(f: CellularAutomaton, off: int, s: str) -> str:
-    fill = f.alphabet.symbols[0]
-    return "".join(s if o == off else fill
-                   for o in range(f.left, f.right + 1))
+def _separating_context(table: dict, syms, r: int, place):
+    """The first (u, a, b), u of length r - 1 in the alphabet's order and
+    a before b, with table[place(u, a)] != table[place(u, b)]; or None."""
+    for u in ("".join(t) for t in itertools.product(syms, repeat=r - 1)):
+        for a, b in itertools.combinations(syms, 2):
+            if table[place(u, a)] != table[place(u, b)]:
+                return u, a, b
+    return None
 
 
 def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
@@ -234,22 +240,8 @@ def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
     r = hi - lo + 1
     table = _restrict_table(f, lo, hi)
     syms = f.alphabet.symbols
-    left_ctx = None
-    for u in ("".join(t) for t in itertools.product(syms, repeat=r - 1)):
-        for a, b in itertools.combinations(syms, 2):
-            if table[u + a] != table[u + b]:
-                left_ctx = (u, a, b)
-                break
-        if left_ctx:
-            break
-    right_ctx = None
-    for v in ("".join(t) for t in itertools.product(syms, repeat=r - 1)):
-        for c, d in itertools.combinations(syms, 2):
-            if table[c + v] != table[d + v]:
-                right_ctx = (v, c, d)
-                break
-        if right_ctx:
-            break
+    left_ctx = _separating_context(table, syms, r, lambda u, s: u + s)
+    right_ctx = _separating_context(table, syms, r, lambda v, s: s + v)
     if not (left_ctx and right_ctx):
         raise AssertionError("reduced table must depend on both ends")
     u, a, b = left_ctx

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .configs import Alphabet, parse_config, format_config
+from .configs import Alphabet, format_config, json_field, parse_config
 from .errors import CapError, InputError, PreconditionError
 from . import automata, homotopy, measures, metrics, paths, shifts
 
@@ -43,8 +43,9 @@ def load_shift(path: str) -> shifts.ShiftPresentation:
     d = _load_json(path)
     try:
         if "forbidden" in d:
-            spec = shifts.SftSpec(Alphabet(d["alphabet"]),
-                                  tuple(d["forbidden"]))
+            spec = shifts.SftSpec(
+                Alphabet(json_field(d, "alphabet", (str, list))),
+                tuple(json_field(d, "forbidden", list, str)))
             return shifts.compile_sft(spec)
         return shifts.ShiftPresentation.from_dict(d)
     except KeyError as e:
@@ -104,8 +105,8 @@ class Report:
             print(text)
 
 
-def _alphabet_from(ns, fallback="01") -> Alphabet:
-    return Alphabet(ns.alphabet or fallback)
+def _alphabet_from(ns) -> Alphabet:
+    return Alphabet(ns.alphabet or "01")
 
 
 def _rational(text: str) -> Fraction:

@@ -90,6 +90,18 @@ class Alphabet:
 BINARY = Alphabet("01")
 
 
+def json_field(d: dict, key: str, kind, entries=None):
+    """d[key] as read from a JSON file, checked to be a `kind` whose items
+    (an object's values) are all `entries`; a wrongly typed field raises a
+    ValueError that names it."""
+    value = d[key]
+    if not isinstance(value, kind) or entries and not all(
+            isinstance(v, entries) for v in
+            (value.values() if isinstance(value, dict) else value)):
+        raise ValueError(f"field {key!r} has the wrong type")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # word helpers
 

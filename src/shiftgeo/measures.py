@@ -25,6 +25,10 @@ from .shifts import ShiftPresentation, language, shannon_cover, \
 STOCHASTIC_TOL = 1e-12
 POWER_TOL = 1e-15
 POWER_CAP = 200_000
+DECAY_T_CAP = 4          # longest transition path tried for a decay bound
+GROWTH_M_CAP = 1 << 16   # largest block count tried for the growth bound
+GROWTH_SPAN = 8          # verified multiples of m reach GROWTH_SPAN * n0
+BALL_N_CAP = 22          # longest word length enumerated for a ball count
 
 
 @dataclass
@@ -144,13 +148,12 @@ class BoundCertificate:
     verified_length: int
 
 
-def cylinder_decay_bound(mu: MarkovMeasure, L: int,
-                         t_cap: int = 4) -> BoundCertificate:
+def cylinder_decay_bound(mu: MarkovMeasure, L: int) -> BoundCertificate:
     """A pair (gamma, t) with mu([w]) <= gamma^n for every factor w of
     length t*n, verified exhaustively for all lengths up to L.
 
     gamma is the largest probability of any length-t transition path; the
-    smallest t <= t_cap that pushes it below 1 is chosen.  Fails for
+    smallest t <= DECAY_T_CAP that pushes it below 1 is chosen.  Fails for
     degenerate measures whose paths keep probability 1.  L must be
     positive.
     """
@@ -160,7 +163,7 @@ def cylinder_decay_bound(mu: MarkovMeasure, L: int,
     states = list(C.states)
     best = None
     path_max = {s: 1.0 for s in states}
-    for t in range(1, t_cap + 1):
+    for t in range(1, DECAY_T_CAP + 1):
         nxt = {}
         for s in states:
             vals = [mu.edge_prob[(s, q, a)] * path_max[q]
@@ -173,8 +176,8 @@ def cylinder_decay_bound(mu: MarkovMeasure, L: int,
             break
     if best is None:
         raise PreconditionError(
-            f"no decay certificate with t <= {t_cap}: some transition path "
-            f"keeps probability 1")
+            f"no decay certificate with t <= {DECAY_T_CAP}: some transition "
+            f"path keeps probability 1")
     gamma, t = best
     g = float(gamma)
     verified = (L // t) * t
@@ -252,12 +255,11 @@ def _block_condition_exact(m: int, k: Fraction, a: Fraction) -> bool:
     return lhs <= rhs
 
 
-def binomial_growth_threshold(k, a, m_cap: int = 1 << 16,
-                              span: int = 8) -> tuple[int, int]:
-    """The least block count m (up to a cap) with
+def binomial_growth_threshold(k, a) -> tuple[int, int]:
+    """The least block count m <= GROWTH_M_CAP with
     m^(1/m) * m/(m-1) <= k^(2a/3), plus the least multiple n0 of m such that
     C(n, n/m) <= k^(n a) holds, by exact evaluation, for every multiple of m
-    in [n0, span*n0].
+    in [n0, GROWTH_SPAN * n0].
 
     This witnesses the eventual binomial bound C(n, n/m) <= k^(n a) for
     k > 1, a > 0 on a concrete verified range.
@@ -268,7 +270,7 @@ def binomial_growth_threshold(k, a, m_cap: int = 1 << 16,
         raise ValueError("need k > 1 and a > 0")
     target = float(k) ** (2 * float(a) / 3)
     m = None
-    for cand in range(2, m_cap + 1):
+    for cand in range(2, GROWTH_M_CAP + 1):
         # cheap float prescreen for large candidates, exact test to commit
         if cand > 256 and cand ** (1.0 / cand) * cand / (cand - 1) \
                 > target * (1 + 1e-9):
@@ -277,7 +279,7 @@ def binomial_growth_threshold(k, a, m_cap: int = 1 << 16,
             m = cand
             break
     if m is None:
-        raise PreconditionError(f"no block count m <= {m_cap} works")
+        raise PreconditionError(f"no block count m <= {GROWTH_M_CAP} works")
 
     q = a.denominator
 
@@ -290,7 +292,7 @@ def binomial_growth_threshold(k, a, m_cap: int = 1 << 16,
     j = 1
     while n0 is None:
         cand = m * j
-        if all(holds(n) for n in range(cand, span * cand + 1)
+        if all(holds(n) for n in range(cand, GROWTH_SPAN * cand + 1)
                if n % m == 0):
             n0 = cand
         j += 1
@@ -313,8 +315,8 @@ def bernoulli_prefix(alphabet: Alphabet, seed: int, N: int) -> str:
     return "".join(syms[rng.randrange(k)] for _ in range(N))
 
 
-def hamming_ball_count(w: str, n: int, eps, alphabet: Alphabet | None = None,
-                       n_cap: int = 22):
+def hamming_ball_count(w: str, n: int, eps,
+                       alphabet: Alphabet | None = None):
     """Exact count of the length-n words within relative Hamming distance
     eps of some window of the periodic point given by w, compared against
     the bound p * C(n, floor(n eps)) * |A|^ceil(n eps).
@@ -324,15 +326,16 @@ def hamming_ball_count(w: str, n: int, eps, alphabet: Alphabet | None = None,
     if not w:
         raise PreconditionError("need a non-empty period word")
     if alphabet is None:
-        syms = tuple(sorted(set(w)))
-        if len(syms) < 2:
-            syms = tuple(sorted(set(w) | {"0", "1"}))[:2]
+        syms = set(w)
+        if len(syms) < 2:  # pad with the least of 0, 1 not in w
+            syms.add(min({"0", "1"} - syms))
+        syms = tuple(sorted(syms))
     else:
         syms = alphabet.symbols
     if n < 0:
         raise PreconditionError("word length must be non-negative")
-    if n > n_cap:
-        raise CapError(f"n = {n} exceeds the enumeration cap {n_cap}")
+    if n > BALL_N_CAP:
+        raise CapError(f"n = {n} exceeds the enumeration cap {BALL_N_CAP}")
     eps = Fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError("need 0 <= eps <= 1")

@@ -33,7 +33,9 @@ Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
 presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
 run per strongly connected component, and the best co-reachable (left cycle,
-right cycle) pair wins.  Every edge inside an arm's component goes from
+right cycle) pair wins.  The n positions are numbered left cycle, finite
+middle, right cycle, and product node (q, i) is q_index * n + i, so i = v mod
+n tells a node's arm.  Every edge inside an arm's component goes from
 position phase j to phase j + 1 mod p, so the product is phase-layered: the
 nodes a walk of k edges can reach share one phase, at most |Q| of them, and
 Karp's frontier rows stay that small (time and memory linear in p).
@@ -232,41 +234,19 @@ def weyl_estimate(xw, yw, n: int, M: int) -> Fraction:
 # exact distance to a sofic shift
 
 
-def _arm_position_nodes(x: Configuration):
-    """Position graph of x: left cycle, finite middle, right cycle.
-
-    Nodes are ("L", j), ("M", i), ("R", k); each carries the symbol of x at
-    that (class of) position(s).  The last left-cycle node has two
-    successors: continue around the cycle, or exit into the finite part
-    (the exit happens exactly once on any bi-infinite traversal).
-    """
-    lf, rf = x.left_finite, x.right_finite
+def _position_graph(x: Configuration):
+    """(word, succ, nl, r0): position i carries word[i], with word = left
+    period + finite parts + right period, so the left cycle is [0, nl) and
+    the right cycle [r0, n); succ[i] lists i's successors.  The last left
+    position also exits into the finite part, which happens exactly once on
+    any bi-infinite traversal."""
     lp, rp = x.left_period, x.right_period
-    nodes = []
-    sym = {}
-    succ = {}
-    for j in range(len(lp)):
-        nodes.append(("L", j))
-        sym[("L", j)] = lp[j]
-    mids = list(range(-len(lf), len(rf)))
-    for i in mids:
-        nodes.append(("M", i))
-        sym[("M", i)] = x.symbol_at(i)
-    for k in range(len(rp)):
-        nodes.append(("R", k))
-        sym[("R", k)] = rp[k]
-    first_after_left = ("M", mids[0]) if mids else ("R", 0)
-    for j in range(len(lp)):
-        nxt = [("L", (j + 1) % len(lp))]
-        if j == len(lp) - 1:
-            nxt.append(first_after_left)
-        succ[("L", j)] = tuple(nxt)
-    for pos, i in enumerate(mids):
-        succ[("M", i)] = (("M", mids[pos + 1]),) if pos + 1 < len(mids) \
-            else (("R", 0),)
-    for k in range(len(rp)):
-        succ[("R", k)] = (("R", (k + 1) % len(rp)),)
-    return nodes, sym, succ
+    word = lp + x.left_finite + x.right_finite + rp
+    nl, r0 = len(lp), len(word) - len(rp)
+    succ = [(i + 1,) for i in range(len(word))]
+    succ[nl - 1] = (0, nl)
+    succ[-1] = (r0,)
+    return word, succ, nl, r0
 
 
 @dataclass
@@ -283,77 +263,74 @@ def distance_to_shift_detail(x: Configuration,
                              Y: ShiftPresentation) -> ShiftDistanceDetail:
     if Y.is_empty:
         raise EmptyShiftError("distance to the empty shift is undefined")
-    pnodes, psym, psucc = _arm_position_nodes(x)
-    nodes = [(q, p) for q in Y.states for p in pnodes]
-    index = {v: i for i, v in enumerate(nodes)}
-    succ = [[] for _ in nodes]
-    wsucc = [[] for _ in nodes]
+    word, psucc, nl, r0 = _position_graph(x)
+    n = len(word)
+    q_index = {q: i for i, q in enumerate(Y.states)}
+    size = len(Y.states) * n
+    wsucc = [[] for _ in range(size)]
     for (s, t, a) in Y.edges:
-        for p in pnodes:
-            for pn in psucc[p]:
-                u = index[(s, p)]
-                v = index[(t, pn)]
-                succ[u].append(v)
-                cost = int(a != psym[p])
-                wsucc[u].append((v, cost, a))
-    comps = _graph.strongly_connected_components(len(nodes), succ)
-    reach = _graph.condensation_reach(len(nodes), succ, comps)[1]
+        s0, t0 = q_index[s] * n, q_index[t] * n
+        for i, c in enumerate(word):
+            cost = int(a != c)
+            for j in psucc[i]:
+                wsucc[s0 + i].append((t0 + j, cost, a))
+    succ = [[t for (t, _w, _a) in row] for row in wsucc]
+    comps = _graph.strongly_connected_components(size, succ)
+    reach = _graph.condensation_reach(size, succ, comps)[1]
 
-    # minimum cycle mean inside each SCC that has internal edges, split by arm
-    mean_of: dict[int, tuple[Fraction, list[int]]] = {}
-    side_of: dict[int, str] = {}
+    # (minimum cycle mean, cycle) inside each SCC that has internal edges,
+    # by arm and component index
+    left: dict[int, tuple[Fraction, list[int]]] = {}
+    right: dict[int, tuple[Fraction, list[int]]] = {}
     for ci, comp in enumerate(comps):
         members = set(comp)
         internal = {v: [(t, w) for (t, w, _a) in wsucc[v] if t in members]
                     for v in comp}
         if not any(internal.values()):
             continue
-        sides = {nodes[v][1][0] for v in comp}
-        if not (sides <= {"L"} or sides <= {"R"}):
+        sides = {"L" if v % n < nl else "R" if v % n >= r0 else "M"
+                 for v in comp}
+        if sides != {"L"} and sides != {"R"}:
             raise AssertionError("cycle mixes position arms")
-        mean, cyc = _graph.karp_min_mean(comp, internal)
-        mean_of[ci] = (mean, cyc)
-        side_of[ci] = "L" if sides == {"L"} else "R"
+        arm = left if sides == {"L"} else right
+        arm[ci] = _graph.karp_min_mean(comp, internal)
 
     # best right-arm value reachable from each component
     k = len(comps)
     best_right: list[tuple[Fraction, int] | None] = [None] * k
     for ci in range(k):  # reverse topological order (Tarjan emission order)
         cand = []
-        if ci in mean_of and side_of[ci] == "R":
-            cand.append((mean_of[ci][0], ci))
+        if ci in right:
+            cand.append((right[ci][0], ci))
         for cj in reach[ci]:
             if cj != ci and best_right[cj] is not None:
                 cand.append(best_right[cj])
         best_right[ci] = min(cand) if cand else None
 
     best = None
-    for ci in range(k):
-        if ci not in mean_of or side_of[ci] != "L":
+    for ci, (lm, _cyc) in left.items():  # ascending ci
+        if best_right[ci] is None:
             continue
-        rb = best_right[ci]
-        if rb is None:
-            continue
-        lm = mean_of[ci][0]
-        rm, rci = rb[0], rb[1]
+        rm, rci = best_right[ci]
         total = (lm + rm) / 2
         if best is None or total < best[0]:
             best = (total, lm, rm, ci, rci)
     if best is None:
         raise AssertionError("no bi-infinite path pairs the arms")
     total, lm, rm, lci, rci = best
-    lcyc = mean_of[lci][1]
-    rcyc = mean_of[rci][1]
+    lcyc = left[lci][1]
+    rcyc = right[rci][1]
     # labels along the right cycle, anchored at its smallest R-phase
-    word = _cycle_word(nodes, wsucc, rcyc, Y.alphabet.key)
-    return ShiftDistanceDetail(total, lm, rm, len(lcyc), len(rcyc), word)
+    labels = _cycle_word(n, wsucc, rcyc, Y.alphabet.key)
+    return ShiftDistanceDetail(total, lm, rm, len(lcyc), len(rcyc), labels)
 
 
-def _cycle_word(nodes, wsucc, cyc, key) -> str:
-    """Label word along a product cycle, rotated so that it starts at the
-    node whose position phase is 0 (for alignment with the configuration);
-    between two nodes, the cheapest parallel edge, least label by `key`."""
-    start = min(range(len(cyc)), key=lambda i: (nodes[cyc[i]][1][1], i))
+def _cycle_word(n, wsucc, cyc, key) -> str:
+    """Label word along a product cycle on n positions, rotated so that it
+    starts at the node of least position (phase 0 on an arm cycle, for
+    alignment with the configuration); between two nodes, the cheapest
+    parallel edge, least label by `key`."""
+    start = min(range(len(cyc)), key=lambda i: (cyc[i] % n, i))
     order = cyc[start:] + cyc[:start]
     return "".join(min((w, key(a), a) for (t, w, a) in wsucc[v] if t == u)[2]
                    for v, u in zip(order, order[1:] + order[:1]))

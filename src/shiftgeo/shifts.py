@@ -22,12 +22,15 @@ All operations are pure; presentations are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import or_
 
 from . import _graph
-from .configs import Alphabet, Configuration, is_unbordered, periodic_config
+from .configs import Alphabet, Configuration, is_unbordered, json_field, \
+    periodic_config
 from .errors import CapError, EmptyShiftError, PreconditionError
 
 
@@ -56,7 +59,7 @@ class ShiftPresentation:
 
     __slots__ = ("alphabet", "states", "edges", "_out", "_in")
 
-    def __init__(self, alphabet: Alphabet, states, edges, _trim=True):
+    def __init__(self, alphabet: Alphabet, states, edges):
         self.alphabet = alphabet
         states = list(states)
         seen = set()
@@ -72,8 +75,7 @@ class ShiftPresentation:
                 raise ValueError(f"edge label {a!r} not in alphabet")
         if len(set(edges)) != len(edges):
             edges = list(dict.fromkeys(edges))
-        if _trim:
-            states, edges = _trim_essential(states, edges)
+        states, edges = _trim_essential(states, edges)
         self.states = tuple(sorted(states, key=_state_key))
         self.edges = tuple(sorted(edges,
                                   key=lambda e: _edge_key(alphabet, e)))
@@ -127,7 +129,7 @@ class ShiftPresentation:
         name = {s: f"q{i}" for i, s in enumerate(self.states)}
         return ShiftPresentation(
             self.alphabet, [name[s] for s in self.states],
-            [(name[s], name[t], a) for (s, t, a) in self.edges], _trim=False)
+            [(name[s], name[t], a) for (s, t, a) in self.edges])
 
     def to_dict(self) -> dict:
         return {"alphabet": "".join(self.alphabet.symbols),
@@ -137,10 +139,13 @@ class ShiftPresentation:
 
     @staticmethod
     def from_dict(d: dict) -> "ShiftPresentation":
-        ab = Alphabet(d["alphabet"])
-        return ShiftPresentation(
-            ab, list(d["states"]),
-            [(e["from"], e["to"], e["label"]) for e in d["edges"]])
+        ab = Alphabet(json_field(d, "alphabet", (str, list)))
+        name = (str, int, float)  # the JSON values that can name a state
+        edges = [(json_field(e, "from", name), json_field(e, "to", name),
+                  json_field(e, "label", name))
+                 for e in json_field(d, "edges", list, dict)]
+        return ShiftPresentation(ab, json_field(d, "states", list, name),
+                                 edges)
 
     def __repr__(self) -> str:
         return (f"ShiftPresentation(|Q|={len(self.states)}, "
@@ -491,40 +496,29 @@ def mixing_distance(X: ShiftPresentation) -> int:
     g = _cover_period(succ)
     if g > 1:
         raise PreconditionError(f"shift is not mixing (period {g})")
-    n_states = len(C.states)
-    adj = [[False] * n_states for _ in range(n_states)]
-    for i, row in enumerate(succ):
-        for j in row:
-            adj[i][j] = True
-    ends = _minimal_sets(_subset_graph(C, C.step)[0])
-    starts = _minimal_sets(_subset_graph(C, C.step_back)[0])
-    end_sets = [sorted(idx[s] for s in S) for S in ends]
-    start_sets = [frozenset(idx[s] for s in S) for S in starts]
-
-    def condition(power) -> bool:
-        # every reachable end-of-word state set can reach every
-        # start-of-word state set with a path of this exact length
-        for E in end_sets:
-            for S in start_sets:
-                if not any(power[p][q] for p in E for q in S):
-                    return False
-        return True
-
-    powers = [[[i == j for j in range(n_states)] for i in range(n_states)]]
-    cap = (n_states - 1) ** 2 + n_states + 2
-    N = None
-    for n in range(1, cap + 1):
-        prev = powers[-1]
-        cur = [[any(prev[i][k] and adj[k][j] for k in range(n_states))
-                for j in range(n_states)] for i in range(n_states)]
-        powers.append(cur)
-        if all(all(row) for row in cur):
-            N = n
+    # rows[i]: bitmask of the states that paths of exactly k edges from
+    # state i reach, for k = 0, 1, ...; joins[k]: every end-of-word state
+    # set reaches every start-of-word state set in exactly k steps.  Rows
+    # are joined by OR, so parallel edges (repeats in succ) count once.
+    mask = lambda S: sum(1 << idx[s] for s in S)
+    ends = [mask(S) for S in _minimal_sets(_subset_graph(C, C.step)[0])]
+    starts = [mask(S)
+              for S in _minimal_sets(_subset_graph(C, C.step_back)[0])]
+    n = len(C.states)
+    rows = [1 << i for i in range(n)]
+    joins = []
+    for _ in range((n - 1) ** 2 + n + 2):
+        reach = [functools.reduce(or_, (r for i, r in enumerate(rows)
+                                        if E >> i & 1)) for E in ends]
+        joins.append(all(r & S for r in reach for S in starts))
+        rows = [functools.reduce(or_, (rows[j] for j in row))
+                for row in succ]
+        if all(r == (1 << n) - 1 for r in rows):
             break
-    if N is None:
+    else:
         raise PreconditionError("shift is not mixing (no positive power)")
-    m = N
-    while m > 0 and condition(powers[m - 1]):
+    m = len(joins)
+    while m > 0 and joins[m - 1]:
         m -= 1
     return m
 

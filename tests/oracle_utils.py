@@ -622,3 +622,186 @@ def preserves_shift_oracle(f, X) -> bool:
                         edges.append(((q, u), nxt, f.table[u + a]))
     image = ShiftPresentation(C.alphabet, states, edges)
     return language_subset(image, C)
+
+
+# -- the product graph on named nodes that
+# shiftgeo.metrics.distance_to_shift_detail built before it numbered them -----
+
+
+def _arm_position_nodes(x: Configuration):
+    """Position graph of x: left cycle, finite middle, right cycle.
+
+    Nodes are ("L", j), ("M", i), ("R", k); each carries the symbol of x at
+    that (class of) position(s).  The last left-cycle node has two
+    successors: continue around the cycle, or exit into the finite part
+    (the exit happens exactly once on any bi-infinite traversal).
+    """
+    lf, rf = x.left_finite, x.right_finite
+    lp, rp = x.left_period, x.right_period
+    nodes = []
+    sym = {}
+    succ = {}
+    for j in range(len(lp)):
+        nodes.append(("L", j))
+        sym[("L", j)] = lp[j]
+    mids = list(range(-len(lf), len(rf)))
+    for i in mids:
+        nodes.append(("M", i))
+        sym[("M", i)] = x.symbol_at(i)
+    for k in range(len(rp)):
+        nodes.append(("R", k))
+        sym[("R", k)] = rp[k]
+    first_after_left = ("M", mids[0]) if mids else ("R", 0)
+    for j in range(len(lp)):
+        nxt = [("L", (j + 1) % len(lp))]
+        if j == len(lp) - 1:
+            nxt.append(first_after_left)
+        succ[("L", j)] = tuple(nxt)
+    for pos, i in enumerate(mids):
+        succ[("M", i)] = (("M", mids[pos + 1]),) if pos + 1 < len(mids) \
+            else (("R", 0),)
+    for k in range(len(rp)):
+        succ[("R", k)] = (("R", (k + 1) % len(rp)),)
+    return nodes, sym, succ
+
+
+def distance_to_shift_detail_oracle(x: Configuration, Y):
+    """``metrics.distance_to_shift_detail`` on product nodes named
+    (state, ("L"|"M"|"R", i)) and looked up through an index dict."""
+    from shiftgeo import _graph
+    from shiftgeo.errors import EmptyShiftError
+    from shiftgeo.metrics import ShiftDistanceDetail
+    if Y.is_empty:
+        raise EmptyShiftError("distance to the empty shift is undefined")
+    pnodes, psym, psucc = _arm_position_nodes(x)
+    nodes = [(q, p) for q in Y.states for p in pnodes]
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [[] for _ in nodes]
+    wsucc = [[] for _ in nodes]
+    for (s, t, a) in Y.edges:
+        for p in pnodes:
+            for pn in psucc[p]:
+                u = index[(s, p)]
+                v = index[(t, pn)]
+                succ[u].append(v)
+                cost = int(a != psym[p])
+                wsucc[u].append((v, cost, a))
+    comps = _graph.strongly_connected_components(len(nodes), succ)
+    reach = _graph.condensation_reach(len(nodes), succ, comps)[1]
+
+    # minimum cycle mean inside each SCC that has internal edges, split by arm
+    mean_of: dict[int, tuple[Fraction, list[int]]] = {}
+    side_of: dict[int, str] = {}
+    for ci, comp in enumerate(comps):
+        members = set(comp)
+        internal = {v: [(t, w) for (t, w, _a) in wsucc[v] if t in members]
+                    for v in comp}
+        if not any(internal.values()):
+            continue
+        sides = {nodes[v][1][0] for v in comp}
+        if not (sides <= {"L"} or sides <= {"R"}):
+            raise AssertionError("cycle mixes position arms")
+        mean, cyc = _graph.karp_min_mean(comp, internal)
+        mean_of[ci] = (mean, cyc)
+        side_of[ci] = "L" if sides == {"L"} else "R"
+
+    # best right-arm value reachable from each component
+    k = len(comps)
+    best_right: list[tuple[Fraction, int] | None] = [None] * k
+    for ci in range(k):  # reverse topological order (Tarjan emission order)
+        cand = []
+        if ci in mean_of and side_of[ci] == "R":
+            cand.append((mean_of[ci][0], ci))
+        for cj in reach[ci]:
+            if cj != ci and best_right[cj] is not None:
+                cand.append(best_right[cj])
+        best_right[ci] = min(cand) if cand else None
+
+    best = None
+    for ci in range(k):
+        if ci not in mean_of or side_of[ci] != "L":
+            continue
+        rb = best_right[ci]
+        if rb is None:
+            continue
+        lm = mean_of[ci][0]
+        rm, rci = rb[0], rb[1]
+        total = (lm + rm) / 2
+        if best is None or total < best[0]:
+            best = (total, lm, rm, ci, rci)
+    if best is None:
+        raise AssertionError("no bi-infinite path pairs the arms")
+    total, lm, rm, lci, rci = best
+    lcyc = mean_of[lci][1]
+    rcyc = mean_of[rci][1]
+    # labels along the right cycle, anchored at its smallest R-phase
+    word = _cycle_word(nodes, wsucc, rcyc, Y.alphabet.key)
+    return ShiftDistanceDetail(total, lm, rm, len(lcyc), len(rcyc), word)
+
+
+def _cycle_word(nodes, wsucc, cyc, key) -> str:
+    """Label word along a product cycle, rotated so that it starts at the
+    node whose position phase is 0 (for alignment with the configuration);
+    between two nodes, the cheapest parallel edge, least label by `key`."""
+    start = min(range(len(cyc)), key=lambda i: (nodes[cyc[i]][1][1], i))
+    order = cyc[start:] + cyc[:start]
+    return "".join(min((w, key(a), a) for (t, w, a) in wsucc[v] if t == u)[2]
+                   for v, u in zip(order, order[1:] + order[:1]))
+
+
+# -- the boolean matrix powers that shiftgeo.shifts.mixing_distance stored
+# before it walked them as bitmask rows --------------------------------------
+
+
+def mixing_distance_oracle(X) -> int:
+    """``shifts.mixing_distance`` with every power of the cover's adjacency
+    kept as a list of boolean lists, multiplied by an O(n^3) ``any``."""
+    from shiftgeo import _graph
+    from shiftgeo.errors import EmptyShiftError, PreconditionError
+    from shiftgeo.shifts import _cover_period, _indexed, _minimal_sets, \
+        _subset_graph, shannon_cover
+    if X.is_empty:
+        raise EmptyShiftError("empty shift")
+    C = shannon_cover(X)
+    idx, succ = _indexed(C)
+    if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
+        raise PreconditionError("shift is not irreducible")
+    g = _cover_period(succ)
+    if g > 1:
+        raise PreconditionError(f"shift is not mixing (period {g})")
+    n_states = len(C.states)
+    adj = [[False] * n_states for _ in range(n_states)]
+    for i, row in enumerate(succ):
+        for j in row:
+            adj[i][j] = True
+    ends = _minimal_sets(_subset_graph(C, C.step)[0])
+    starts = _minimal_sets(_subset_graph(C, C.step_back)[0])
+    end_sets = [sorted(idx[s] for s in S) for S in ends]
+    start_sets = [frozenset(idx[s] for s in S) for S in starts]
+
+    def condition(power) -> bool:
+        # every reachable end-of-word state set can reach every
+        # start-of-word state set with a path of this exact length
+        for E in end_sets:
+            for S in start_sets:
+                if not any(power[p][q] for p in E for q in S):
+                    return False
+        return True
+
+    powers = [[[i == j for j in range(n_states)] for i in range(n_states)]]
+    cap = (n_states - 1) ** 2 + n_states + 2
+    N = None
+    for n in range(1, cap + 1):
+        prev = powers[-1]
+        cur = [[any(prev[i][k] and adj[k][j] for k in range(n_states))
+                for j in range(n_states)] for i in range(n_states)]
+        powers.append(cur)
+        if all(all(row) for row in cur):
+            N = n
+            break
+    if N is None:
+        raise PreconditionError("shift is not mixing (no positive power)")
+    m = N
+    while m > 0 and condition(powers[m - 1]):
+        m -= 1
+    return m

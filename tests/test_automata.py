@@ -118,6 +118,12 @@ def test_minimal_neighborhood_on_subshift():
     assert minimal_neighborhood_on(elementary_ca(0), golden_mean()) == ()
 
 
+def test_minimal_neighborhood_on_rejects_another_alphabet():
+    ab_shift = compile_sft(SftSpec(Alphabet("ab"), ("bb",)))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        minimal_neighborhood_on(elementary_ca(30), ab_shift)
+
+
 def test_preserves_shift():
     g111 = compile_sft(SftSpec(BINARY, ("111",)))
     assert preserves_shift(and_rule(), g111)

@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftgeo
 from shiftgeo.cli import main
@@ -122,6 +124,88 @@ def test_non_object_json_is_an_input_error(capsys, tmp_path, golden_file):
     rc, _, err = run(capsys, "classify", str(listed), "--shift",
                      golden_file, "--period", "3")
     assert rc == 2 and "expected a JSON object, got list" in err
+    edge = {"from": "a", "to": "a", "label": "0"}
+    for command, field, bad in [
+            ("shift compile", "forbidden", {"alphabet": "01",
+                                            "forbidden": "11"}),
+            ("shift compile", "alphabet", {"alphabet": 5,
+                                           "forbidden": ["11"]}),
+            ("shift compile", "forbidden", {"alphabet": "01",
+                                            "forbidden": [11]}),
+            ("shift compile", "states", {"alphabet": "01", "states": 5,
+                                         "edges": [edge]}),
+            ("shift compile", "states", {"alphabet": "01",
+                                         "states": [["a"]], "edges": []}),
+            ("shift compile", "edges", {"alphabet": "01", "states": ["a"],
+                                        "edges": [5]}),
+            ("shift compile", "from", {"alphabet": "01", "states": ["a"],
+                                       "edges": [{**edge, "from": ["a"]}]}),
+            ("shift compile", "label", {"alphabet": "01", "states": ["a"],
+                                        "edges": [{**edge, "label": [0]}]}),
+            ("classify", "table", {"alphabet": "01", "offsets": [0, 0],
+                                   "table": [1]}),
+            ("classify", "table", {"alphabet": "01", "offsets": [0, 0],
+                                   "table": {"0": 1, "1": "0"}}),
+            ("classify", "offsets", {"alphabet": "01", "offsets": 0,
+                                     "table": {"0": "1", "1": "0"}})]:
+        listed.write_text(json.dumps(bad))
+        rc, out, err = run(capsys, *command.split(), str(listed))
+        assert (rc, out) == (2, "") and \
+            f"field {field!r} has the wrong type" in err, bad
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+              st.text("01a", max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["from", "to", "label", "0", "1"]),
+                        inner, max_size=3)), max_leaves=6)
+
+
+@st.composite
+def shift_or_rule_file(draw):
+    """A small JSON object shaped like an SFT, presentation or rule file,
+    each field well typed (often still invalid), of any JSON type, or
+    missing.  Alphabets have at most three symbols and forbidden words at
+    most four, so compiled SFTs stay small."""
+    ab = draw(st.sampled_from(["01", "0", "a10", ["0", "1"], ""]))
+    syms = st.sampled_from([*ab, "x"])  # x is outside every alphabet
+    names = st.sampled_from(["a", "b", 0])
+    lo = draw(st.integers(-1, 1))
+    hi = draw(st.integers(lo, 1))
+    good = {
+        "alphabet": st.just(ab),
+        "forbidden": st.lists(st.text(syms, min_size=1, max_size=4),
+                              max_size=3),
+        "states": st.lists(names, max_size=3),
+        "edges": st.lists(st.fixed_dictionaries(
+            {"from": names, "to": names, "label": syms}), max_size=4),
+        "offsets": st.just([lo, hi]),
+        "table": st.fixed_dictionaries(
+            {"".join(p): st.sampled_from([*ab])
+             for p in itertools.product(ab, repeat=hi - lo + 1)}),
+    }
+    fields = draw(st.sampled_from([("alphabet", "forbidden"),
+                                   ("alphabet", "states", "edges"),
+                                   ("alphabet", "offsets", "table")]))
+    d = {}
+    for key in fields:
+        how = draw(st.sampled_from(["good", "good", "good", "any", "none"]))
+        if how != "none":
+            d[key] = draw(good[key] if how == "good" else _JSON_VALUES)
+    return d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(shift_or_rule_file())
+def test_malformed_shift_and_rule_files_never_end_in_a_traceback(
+        tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("fuzz") / "file.json"
+    path.write_text(json.dumps(d))
+    for argv in (["shift", "compile", str(path)],
+                 ["classify", str(path), "--period", "2"]):
+        assert main(argv) in (0, 2, 3), (argv, d)
 
 
 def test_dist_needs_two_configurations(capsys):
@@ -187,7 +271,9 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
     (["measure", "ball-count", "", "3", "1/4"], 3,
      "need a non-empty period word"),
     (["measure", "ball-count", "01", "30", "1/4"], 4,
-     "n = 30 exceeds the enumeration cap 22")])
+     "n = 30 exceeds the enumeration cap 22"),
+    (["measure", "ball-count", "0", "23", "1/4"], 4,
+     "n = 23 exceeds the enumeration cap 22")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]
@@ -259,6 +345,10 @@ def test_measure_commands(capsys, golden_file):
     assert rc == 0 and len(out.strip()) == 16
     rc, out, _ = run(capsys, "measure", "ball-count", "01", "8", "1/4")
     assert rc == 0 and "True" in out
+    for w in ("2", "22"):  # counted over {0, 2}: only 222 is within 0
+        rc, out, _ = run(capsys, "measure", "ball-count", w, "3", "1/4")
+        assert rc == 0 and \
+            out.strip() == f"count 1 <= bound {2 * len(w)}: True"
 
 
 def test_complex_commands(capsys, tmp_path, golden_file):

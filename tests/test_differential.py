@@ -5,8 +5,11 @@ nearest-point search against its loop over every rotation, the
 frontier-row Karp against the dense-table Karp it replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
 |A|^p loops they replaced, the Machin enclosure of pi in the binomial
-bound against the mpmath interval evaluation it replaced, and the image
-presentation of ``preserves_shift`` against its old per-width construction.
+bound against the mpmath interval evaluation it replaced, the image
+presentation of ``preserves_shift`` against its old per-width construction,
+the distance product on integer node ids against the product on named
+nodes, and the bitmask powers of ``mixing_distance`` against the boolean
+matrix powers.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -38,15 +41,16 @@ from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     disjoint_union, find_unbordered_synchronizing, full_shift, language, \
-    lyndon_words, mixing_sft_inside, periodic_orbits, shannon_cover, \
-    transitive_components
+    lyndon_words, mixing_distance, mixing_sft_inside, periodic_orbits, \
+    shannon_cover, transitive_components
 from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
-    cyclic_density_oracle, embed_complex_oracle, \
-    find_unbordered_synchronizing_oracle, is_lyndon, \
+    cyclic_density_oracle, distance_to_shift_detail_oracle, \
+    embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
-    mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
-    periodic_orbits_oracle, precondition_words_oracle, \
-    preserves_shift_oracle, profile_mismatches_oracle, residue_profile_oracle, \
+    mixing_distance_oracle, mixing_sft_inside_oracle, \
+    nearest_periodic_oracle, necklaces, periodic_orbits_oracle, \
+    precondition_words_oracle, preserves_shift_oracle, \
+    profile_mismatches_oracle, residue_profile_oracle, \
     unfolded_arm_densities, unique_approximation_search_oracle, \
     verify_binomial_bound_oracle
 
@@ -521,6 +525,23 @@ def test_right_cycle_word_attains_the_right_mean(X, data):
     assert len(d.right_cycle_word) == d.right_cycle_len
     assert cyclic_mismatch_density(x.right_period, d.right_cycle_word) == \
         d.right_mean
+
+
+@deterministic(300)
+@given(presentation(), st.data())
+def test_distance_product_on_integer_ids_matches_named_node_oracle(X, data):
+    """Every field of the detail, and the error on an empty shift."""
+    x = _config(data, X.alphabet)
+    got = _outcome(distance_to_shift_detail, x, X)
+    want = _outcome(distance_to_shift_detail_oracle, x, X)
+    assert got == want
+
+
+@deterministic(400)
+@given(presentation())
+def test_mixing_distance_bitmask_rows_match_boolean_powers_oracle(X):
+    """The distance, or the type and message of the error."""
+    assert _outcome(mixing_distance, X) == _outcome(mixing_distance_oracle, X)
 
 
 def _near_shift_rule(data, ab: Alphabet) -> CellularAutomaton:

@@ -187,3 +187,18 @@ def test_hamming_ball_count_examples():
         if any(sum(a != b for a, b in zip(t, c)) <= 1
                for c in ("012", "120", "201")))
     assert count == brute and ok
+
+
+@pytest.mark.parametrize("w, pad", [("2", "0"), ("22", "0"), ("a", "0"),
+                                    ("0", "1"), ("11", "0")])
+def test_hamming_ball_count_pads_a_one_symbol_word(w, pad):
+    """A word of one symbol is counted over that symbol and the least of
+    0, 1 that it lacks; words over 0/1 keep their counts."""
+    for n, eps in ((3, F(1, 4)), (4, F(1, 2)), (5, F(1)), (0, F(0))):
+        count, bound, ok = hamming_ball_count(w, n, eps)
+        radius = int(n * eps)
+        brute = sum(1 for t in itertools.product(w[0] + pad, repeat=n)
+                    if t.count(pad) <= radius)
+        assert count == brute
+        assert (count, bound, ok) == hamming_ball_count(
+            w, n, eps, alphabet=Alphabet(sorted(w[0] + pad)))
