@@ -68,7 +68,10 @@ class CellularAutomaton:
     @staticmethod
     def from_dict(d: dict) -> "CellularAutomaton":
         ab = Alphabet(json_field(d, "alphabet", (str, list)))
-        lo, hi = json_field(d, "offsets", list, int)
+        offsets = json_field(d, "offsets", list, int)
+        if len(offsets) != 2:
+            raise ValueError("field 'offsets' must hold two offsets [lo, hi]")
+        lo, hi = offsets
         return CellularAutomaton(ab, lo, hi,
                                  dict(json_field(d, "table", dict, str)))
 
@@ -296,7 +299,7 @@ def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
                   if C.read({q}, u + a)]
     edges = [((q, u), (t, (u + a)[1:]), f.table[u + a])
              for (q, u) in states for a in C.alphabet if C.read({q}, u + a)
-             for t in C.successors(q, (u + a)[0])]
+             for t in C.step({q}, (u + a)[0])]
     return language_subset(ShiftPresentation(C.alphabet, states, edges), C)
 
 

@@ -26,7 +26,9 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, from_dict):
+    """from_dict of the JSON object in the file at path; an unreadable file,
+    another JSON value or a missing field is an InputError."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -35,21 +37,23 @@ def _load_json(path: str) -> dict:
     if not isinstance(d, dict):
         raise InputError(f"{path}: expected a JSON object, got "
                          f"{type(d).__name__}")
-    return d
+    try:
+        return from_dict(d)
+    except KeyError as e:
+        raise InputError(f"{path}: missing field {e}") from e
+
+
+def _shift_from_dict(d: dict) -> shifts.ShiftPresentation:
+    """Accepts both presentation files and SFT spec files."""
+    if "forbidden" not in d:
+        return shifts.ShiftPresentation.from_dict(d)
+    return shifts.compile_sft(shifts.SftSpec(
+        Alphabet(json_field(d, "alphabet", (str, list))),
+        tuple(json_field(d, "forbidden", list, str))))
 
 
 def load_shift(path: str) -> shifts.ShiftPresentation:
-    """Accepts both presentation files and SFT spec files."""
-    d = _load_json(path)
-    try:
-        if "forbidden" in d:
-            spec = shifts.SftSpec(
-                Alphabet(json_field(d, "alphabet", (str, list))),
-                tuple(json_field(d, "forbidden", list, str)))
-            return shifts.compile_sft(spec)
-        return shifts.ShiftPresentation.from_dict(d)
-    except KeyError as e:
-        raise InputError(f"{path}: missing field {e}") from e
+    return _load_json(path, _shift_from_dict)
 
 
 def load_ca(spec: str) -> automata.CellularAutomaton:
@@ -58,11 +62,7 @@ def load_ca(spec: str) -> automata.CellularAutomaton:
             return automata.elementary_ca(int(spec[4:]))
         except ValueError as e:
             raise InputError(str(e)) from e
-    d = _load_json(spec)
-    try:
-        return automata.CellularAutomaton.from_dict(d)
-    except KeyError as e:
-        raise InputError(f"{spec}: missing field {e}") from e
+    return _load_json(spec, automata.CellularAutomaton.from_dict)
 
 
 def _frac(x: Fraction) -> str:
@@ -106,7 +106,7 @@ class Report:
 
 
 def _alphabet_from(ns) -> Alphabet:
-    return Alphabet(ns.alphabet or "01")
+    return Alphabet("01" if ns.alphabet is None else ns.alphabet)
 
 
 def _rational(text: str) -> Fraction:
@@ -239,7 +239,7 @@ def cmd_complex(ns, rep: Report) -> None:
             f"{len(k.faces_of_size(3))} triangles; "
             f"dimension {k.dimension()}")
     elif ns.mode == "embed":
-        K = homotopy.AbstractComplex.from_dict(_load_json(ns.args[0]))
+        K = _load_json(ns.args[0], homotopy.AbstractComplex.from_dict)
         X = load_shift(ns.args[1])
         emb = homotopy.embed_complex(K, X)
         rep.put("marker", emb.marker)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .configs import Configuration
+from .configs import Configuration, json_field
 from .errors import CapError, PreconditionError
 from .metrics import distance_to_shift
 from .paths import block_bounds
@@ -70,7 +70,12 @@ class AbstractComplex:
 
     @staticmethod
     def from_dict(d: dict) -> "AbstractComplex":
-        return AbstractComplex.make(d["vertices"], d["faces"])
+        name = (str, int, float)  # the JSON values that can name a vertex
+        vertices = json_field(d, "vertices", list, name)
+        faces = json_field(d, "faces", list, list)
+        if not all(isinstance(v, name) for f in faces for v in f):
+            raise ValueError("field 'faces' has the wrong type")
+        return AbstractComplex.make(vertices, faces)
 
 
 @dataclass(frozen=True)
@@ -137,16 +142,11 @@ def lex_least_completion(X: ShiftPresentation, constraints) -> str:
     for pos in range(n - 1, -1, -1):
         allowed = ([constraints[pos]] if constraints[pos] is not None
                    else list(X.alphabet))
-        good = set()
-        for q in X.states:
-            for a in allowed:
-                if X.successors(q, a) & viable[pos + 1]:
-                    good.add(q)
-                    break
-        if not good:
+        viable[pos] = frozenset().union(
+            *(X.step_back(viable[pos + 1], a) for a in allowed))
+        if not viable[pos]:
             raise PreconditionError(
                 f"constraints are not completable in the shift (cell {pos})")
-        viable[pos] = frozenset(good)
     out = []
     cur = viable[0]
     for pos in range(n):

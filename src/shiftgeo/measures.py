@@ -123,16 +123,14 @@ def cylinder(mu: MarkovMeasure, w: str) -> float:
     for s in C.states:
         p = mu.stationary[s]
         cur = s
-        ok = True
         for a in w:
-            nxt = C.successors(cur, a)
+            nxt = C.step({cur}, a)
             if not nxt:
-                ok = False
                 break
             (t,) = nxt
             p *= mu.edge_prob[(cur, t, a)]
             cur = t
-        if ok:
+        else:
             total += p
     return total
 
@@ -167,7 +165,7 @@ def cylinder_decay_bound(mu: MarkovMeasure, L: int) -> BoundCertificate:
         nxt = {}
         for s in states:
             vals = [mu.edge_prob[(s, q, a)] * path_max[q]
-                    for (s2, q, a) in C.edges if s2 == s]
+                    for a in C.alphabet for q in C.step({s}, a)]
             nxt[s] = max(vals) if vals else 0.0
         path_max = nxt
         beta = max(path_max.values())

@@ -83,6 +83,8 @@ def intersperse_path_prefix(r: Fraction, n: int) -> str:
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("need 0 <= r <= 1")
+    if n < 0:
+        raise ValueError(f"prefix length must be non-negative, got {n}")
     if n == 0:
         return ""
     if r == 1:
@@ -115,6 +117,8 @@ def block_path_prefix(r: Fraction, n: int) -> str:
     r = Fraction(r)
     if not 0 <= r <= 1:
         raise ValueError("need 0 <= r <= 1")
+    if n < 0:
+        raise ValueError(f"prefix length must be non-negative, got {n}")
     out = []
     i = 0
     while i < n:
@@ -181,6 +185,8 @@ def embed_point(v, n: int) -> str:
     v = [Fraction(t) for t in v]
     if not v:
         raise ValueError("need at least one coordinate")
+    if n < 0:
+        raise ValueError(f"prefix length must be non-negative, got {n}")
     d = len(v)
     if n > 0 and (1 << (d - 1)) > n:
         warnings.warn(f"window of length {n} contains no positions of "

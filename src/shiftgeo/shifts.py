@@ -10,12 +10,15 @@ search, an exact entropy-positivity test, intersections, membership of
 eventually periodic configurations, and periodic orbits, enumerated as the
 Lyndon words of the presented language.
 
-Each search has one private implementation that its callers share: the
-factor walk ``_factors``, the subset construction ``_subset_graph``, the
-index adjacency and SCCs ``_indexed``/``_components``, and the search for
-an unbordered synchronizing marker w and padding words u with w u w a
-factor, ``_synchronizing_words``/``_pads`` (also used by
-``homotopy.embed_complex``).
+Every walk on a presentation reads words through its one forward step
+``step`` (and ``read``, a fold of it) or its one backward step
+``step_back``; a symbol outside the alphabet steps to the empty set.  Each
+search has one private implementation that its callers share: the factor
+walk ``_factors``, the subset construction ``_subset_graph``, the index
+adjacency ``_indexed``, the SCCs ``_components`` (each as its state names
+and its internal edges), and the search for an unbordered synchronizing
+marker w and padding words u with w u w a factor,
+``_synchronizing_words``/``_pads`` (also used by ``homotopy.embed_complex``).
 
 All operations are pure; presentations are immutable after construction.
 """
@@ -97,9 +100,6 @@ class ShiftPresentation:
         return all(len(ts) == 1 for m in self._out.values()
                    for ts in m.values())
 
-    def successors(self, state, symbol) -> frozenset:
-        return frozenset(self._out[state].get(symbol, ()))
-
     def step(self, state_set, symbol) -> frozenset:
         out = set()
         for s in state_set:
@@ -156,14 +156,10 @@ def _trim_essential(states, edges):
     """Drop states not lying on a bi-infinite path."""
     states = set(states)
     while True:
-        out_deg = {s: 0 for s in states}
-        in_deg = {s: 0 for s in states}
         kept = [(s, t, a) for (s, t, a) in edges
                 if s in states and t in states]
-        for (s, t, _a) in kept:
-            out_deg[s] += 1
-            in_deg[t] += 1
-        bad = {s for s in states if out_deg[s] == 0 or in_deg[s] == 0}
+        live = {s for (s, _t, _a) in kept} & {t for (_s, t, _a) in kept}
+        bad = states - live
         if not bad:
             return states, kept
         states -= bad
@@ -292,7 +288,7 @@ def _separating_word(A: ShiftPresentation, B: ShiftPresentation):
             TA = A.step(SA, a)
             if not TA:
                 continue
-            TB = B.step(SB, a) if a in B.alphabet else frozenset()
+            TB = B.step(SB, a)
             if not TB:
                 return w + a
             key = (TA, TB)
@@ -338,30 +334,22 @@ def _subset_graph(X: ShiftPresentation, step):
 def _merge_equivalent(X: ShiftPresentation) -> ShiftPresentation:
     """Merge states of a deterministic presentation with equal follower sets
     (Moore partition refinement on the partial transition function)."""
-    states = list(X.states)
-    sig0 = {s: frozenset(X._out[s]) for s in states}
-    classes = {}
-    for s in states:
-        classes.setdefault(sig0[s], []).append(s)
-    part = {s: i for i, (_k, grp) in enumerate(sorted(
-        classes.items(), key=lambda kv: _state_key(kv[1][0]))) for s in grp}
+    out = X._out
+    part = {s: frozenset(out[s]) for s in X.states}
+    count = len(set(part.values()))
     while True:
-        sig = {}
-        for s in states:
-            sig[s] = (part[s], tuple(
-                (a, part[next(iter(X._out[s][a]))] if a in X._out[s] else -1)
-                for a in X.alphabet))
-        groups: dict = {}
-        for s in states:
-            groups.setdefault(sig[s], []).append(s)
-        new_part = {s: i for i, (_k, grp) in enumerate(sorted(
-            groups.items(), key=lambda kv: _state_key(kv[1][0])))
-            for s in grp}
-        if len(set(new_part.values())) == len(set(part.values())):
+        # signatures are numbered as they come: the numbers need to agree
+        # within a round only, as merged states are named by their member
+        # sets; each round refines the last, so an equal count is a fixpoint
+        ids: dict = {}
+        part = {s: ids.setdefault((part[s], tuple(
+            part[next(iter(out[s][a]))] if a in out[s] else -1
+            for a in X.alphabet)), len(ids)) for s in X.states}
+        if len(ids) == count:
             break
-        part = new_part
+        count = len(ids)
     reps: dict[int, list] = {}
-    for s in states:
+    for s in X.states:
         reps.setdefault(part[s], []).append(s)
     name = {c: frozenset(grp) for c, grp in reps.items()}
     edges = {(name[part[s]], name[part[t]], a) for (s, t, a) in X.edges}
@@ -410,8 +398,11 @@ def _indexed(C: ShiftPresentation):
 
 
 def _components(C: ShiftPresentation) -> list:
-    """Strongly connected components of C, as lists of state indices."""
-    return _graph.strongly_connected_components(len(C.states), _indexed(C)[1])
+    """Strongly connected components of C, each as (the set of its state
+    names, the edges of C inside it in C's edge order)."""
+    comps = _graph.strongly_connected_components(len(C.states), _indexed(C)[1])
+    return [(names, [e for e in C.edges if e[0] in names and e[1] in names])
+            for names in ({C.states[i] for i in comp} for comp in comps)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +425,7 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
         return ComponentDecomposition([])
     C = shannon_cover(X)
     cands = []
-    for comp in _components(C):
-        names = {C.states[i] for i in comp}
-        edges = [e for e in C.edges if e[0] in names and e[1] in names]
+    for names, edges in _components(C):
         if not edges:
             continue
         cands.append(ShiftPresentation(C.alphabet, names, edges).renamed())
@@ -566,13 +555,7 @@ def positive_entropy(X: ShiftPresentation) -> bool:
     if X.is_empty:
         return False
     C = shannon_cover(X)
-    for comp in _components(C):
-        names = {C.states[i] for i in comp}
-        internal = sum(1 for (s, t, _a) in C.edges
-                       if s in names and t in names)
-        if internal > len(comp):
-            return True
-    return False
+    return any(len(edges) > len(names) for names, edges in _components(C))
 
 
 def concatenation_closure(alphabet: Alphabet, words) -> ShiftPresentation:
@@ -640,25 +623,20 @@ def intersect(X: ShiftPresentation, Y: ShiftPresentation) -> ShiftPresentation:
     if X.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
     states = [(s, t) for s in X.states for t in Y.states]
-    edges = []
-    for (s1, t1, a) in X.edges:
-        for s2 in Y.states:
-            for t2 in Y._out[s2].get(a, ()):
-                edges.append(((s1, s2), (t1, t2), a))
+    edges = [((s1, s2), (t1, t2), a) for (s1, t1, a) in X.edges
+             for s2 in Y.states for t2 in Y.step({s2}, a)]
     return ShiftPresentation(X.alphabet, states, edges).renamed()
 
 
 def _stable_block_set(X: ShiftPresentation, word: str,
                       outgoing: bool) -> frozenset:
     """States carrying an infinite aligned run of `word`-blocks: leaving the
-    state when ``outgoing``, arriving into it otherwise."""
+    state when ``outgoing``, arriving into it otherwise.  The fixpoint of
+    reading `word` forward from the set, or backward into it."""
+    step, word = (X.step_back, word[::-1]) if outgoing else (X.step, word)
     cur = frozenset(X.states)
     while True:
-        if outgoing:
-            nxt = frozenset(s for s in X.states
-                            if X.read({s}, word) & cur)
-        else:
-            nxt = X.read(cur, word)
+        nxt = functools.reduce(step, word, cur)
         if nxt == cur:
             return cur
         cur = nxt
@@ -668,12 +646,6 @@ def contains_config(X: ShiftPresentation, x: Configuration) -> bool:
     """Exact membership of an eventually periodic configuration."""
     if X.is_empty:
         return False
-    if x.alphabet != X.alphabet:
-        # symbols outside the presentation alphabet can still be compared
-        for part in (x.left_period, x.left_finite, x.right_finite,
-                     x.right_period):
-            if any(a not in X.alphabet for a in part):
-                return False
     left_stable = _stable_block_set(X, x.left_period, outgoing=False)
     mid = X.read(left_stable, x.left_finite + x.right_finite)
     if not mid:

@@ -608,7 +608,7 @@ def preserves_shift_oracle(f, X) -> bool:
                 frontier = [(u + a, t)
                             for (u, qq) in frontier
                             for a in C.alphabet
-                            for t in C.successors(qq, a)]
+                            for t in C.step({qq}, a)]
             states += [(q, u) for (u, _t) in frontier]
         states = sorted(set(states), key=lambda s: (str(s[0]), s[1]))
         state_set = set(states)
@@ -805,3 +805,110 @@ def mixing_distance_oracle(X) -> int:
     while m > 0 and condition(powers[m - 1]):
         m -= 1
     return m
+
+
+# -- the per-state walks that shiftgeo.shifts and shiftgeo.homotopy ran before
+# every walk went through step / step_back -----------------------------------
+
+
+def stable_block_set_oracle(X, word: str, outgoing: bool) -> frozenset:
+    """States carrying an infinite aligned run of `word`-blocks: leaving the
+    state when ``outgoing``, arriving into it otherwise."""
+    cur = frozenset(X.states)
+    while True:
+        if outgoing:
+            nxt = frozenset(s for s in X.states
+                            if X.read({s}, word) & cur)
+        else:
+            nxt = X.read(cur, word)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def contains_config_oracle(X, x: Configuration) -> bool:
+    """Exact membership of an eventually periodic configuration."""
+    if X.is_empty:
+        return False
+    if x.alphabet != X.alphabet:
+        # symbols outside the presentation alphabet can still be compared
+        for part in (x.left_period, x.left_finite, x.right_finite,
+                     x.right_period):
+            if any(a not in X.alphabet for a in part):
+                return False
+    left_stable = stable_block_set_oracle(X, x.left_period, outgoing=False)
+    mid = X.read(left_stable, x.left_finite + x.right_finite)
+    if not mid:
+        return False
+    right_stable = stable_block_set_oracle(X, x.right_period, outgoing=True)
+    return bool(mid & right_stable)
+
+
+def merge_equivalent_oracle(X):
+    """Merge states of a deterministic presentation with equal follower sets
+    (Moore partition refinement on the partial transition function)."""
+    from shiftgeo.shifts import ShiftPresentation, _state_key
+    states = list(X.states)
+    sig0 = {s: frozenset(X._out[s]) for s in states}
+    classes = {}
+    for s in states:
+        classes.setdefault(sig0[s], []).append(s)
+    part = {s: i for i, (_k, grp) in enumerate(sorted(
+        classes.items(), key=lambda kv: _state_key(kv[1][0]))) for s in grp}
+    while True:
+        sig = {}
+        for s in states:
+            sig[s] = (part[s], tuple(
+                (a, part[next(iter(X._out[s][a]))] if a in X._out[s] else -1)
+                for a in X.alphabet))
+        groups: dict = {}
+        for s in states:
+            groups.setdefault(sig[s], []).append(s)
+        new_part = {s: i for i, (_k, grp) in enumerate(sorted(
+            groups.items(), key=lambda kv: _state_key(kv[1][0])))
+            for s in grp}
+        if len(set(new_part.values())) == len(set(part.values())):
+            break
+        part = new_part
+    reps: dict[int, list] = {}
+    for s in states:
+        reps.setdefault(part[s], []).append(s)
+    name = {c: frozenset(grp) for c, grp in reps.items()}
+    edges = {(name[part[s]], name[part[t]], a) for (s, t, a) in X.edges}
+    return ShiftPresentation(X.alphabet, list(name.values()), edges)
+
+
+def lex_least_completion_oracle(X, constraints) -> str:
+    """Lexicographically least word of X's language matching the constraint
+    list (each cell a symbol or None)."""
+    from shiftgeo.errors import PreconditionError
+    n = len(constraints)
+    viable = [None] * (n + 1)
+    viable[n] = frozenset(X.states)
+    for pos in range(n - 1, -1, -1):
+        allowed = ([constraints[pos]] if constraints[pos] is not None
+                   else list(X.alphabet))
+        good = set()
+        for q in X.states:
+            for a in allowed:
+                if X.step({q}, a) & viable[pos + 1]:
+                    good.add(q)
+                    break
+        if not good:
+            raise PreconditionError(
+                f"constraints are not completable in the shift (cell {pos})")
+        viable[pos] = frozenset(good)
+    out = []
+    cur = viable[0]
+    for pos in range(n):
+        allowed = ([constraints[pos]] if constraints[pos] is not None
+                   else list(X.alphabet))
+        for a in allowed:
+            nxt = X.step(cur, a) & viable[pos + 1]
+            if nxt:
+                out.append(a)
+                cur = nxt
+                break
+        else:
+            raise AssertionError("viability sweep is inconsistent")
+    return "".join(out)

@@ -465,3 +465,53 @@ def test_cold_start_loads_neither_numpy_nor_mpmath():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "bound holds: True", "0 False"]
+
+
+@pytest.mark.parametrize("complex_, message", [
+    ({"vertices": "ab", "faces": 5}, "field 'vertices' has the wrong type"),
+    ({"vertices": ["a", "b"], "faces": 5}, "field 'faces' has the wrong type"),
+    ({"vertices": ["p", "q"], "faces": "pq"},
+     "field 'faces' has the wrong type"),
+    ({"vertices": ["p"], "faces": [5]}, "field 'faces' has the wrong type"),
+    ({"vertices": ["p"], "faces": [["p", ["p"]]]},
+     "field 'faces' has the wrong type"),
+    ({"vertices": [["p"]], "faces": []},
+     "field 'vertices' has the wrong type"),
+    ({"vertices": ["p", "q"]}, "missing field 'faces'"),
+    ({"faces": []}, "missing field 'vertices'")])
+def test_malformed_complex_files_are_input_errors(capsys, tmp_path,
+                                                  golden_file, complex_,
+                                                  message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_))
+    rc, out, err = run(capsys, "complex", "embed", str(path), golden_file)
+    assert (rc, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("offsets", [[0, 0, 1], [0], []])
+def test_rule_offsets_must_be_a_pair(capsys, tmp_path, golden_file, offsets):
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"alphabet": "01", "offsets": offsets,
+                                "table": {"0": "1", "1": "0"}}))
+    rc, out, err = run(capsys, "classify", str(rule), "--shift", golden_file)
+    assert (rc, out) == (2, "") and \
+        "field 'offsets' must hold two offsets [lo, hi]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "prefix", "-r", "1/3", "--window", "-3"],
+    ["path", "prefix", "-r", "1/3", "--window", "-3", "--construction",
+     "intersperse"],
+    ["path", "embed", "1/2", "--window", "-5"]])
+def test_path_prefixes_reject_negative_length(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and \
+        "prefix length must be non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "generic", "--alphabet", ""],
+    ["dist", "--db", "inf(0).inf(0)", "inf(1).inf(1)", "--alphabet", ""]])
+def test_empty_alphabet_flag_is_an_input_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and "alphabet must be nonempty" in err

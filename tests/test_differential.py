@@ -34,25 +34,28 @@ from shiftgeo.automata import CellularAutomaton, _periodic_words, \
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
-from shiftgeo.homotopy import AbstractComplex, embed_complex
+from shiftgeo.homotopy import AbstractComplex, embed_complex, \
+    lex_least_completion
 from shiftgeo.measures import _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     d_besicovitch, d_weyl, distance_to_shift_detail, nearest_periodic, \
     unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
-    disjoint_union, find_unbordered_synchronizing, full_shift, language, \
-    lyndon_words, mixing_distance, mixing_sft_inside, periodic_orbits, \
-    shannon_cover, transitive_components
-from oracle_utils import check_on_subshift_oracle, cyclic_avoids, \
-    cyclic_density_oracle, distance_to_shift_detail_oracle, \
+    contains_config, disjoint_union, find_unbordered_synchronizing, \
+    full_shift, language, lyndon_words, mixing_distance, mixing_sft_inside, \
+    periodic_orbits, shannon_cover, transitive_components, \
+    _merge_equivalent, _stable_block_set, _subset_graph
+from oracle_utils import check_on_subshift_oracle, contains_config_oracle, \
+    cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
+    lex_least_completion_oracle, merge_equivalent_oracle, \
     mixing_distance_oracle, mixing_sft_inside_oracle, \
     nearest_periodic_oracle, necklaces, periodic_orbits_oracle, \
     precondition_words_oracle, preserves_shift_oracle, \
     profile_mismatches_oracle, residue_profile_oracle, \
-    unfolded_arm_densities, unique_approximation_search_oracle, \
-    verify_binomial_bound_oracle
+    stable_block_set_oracle, unfolded_arm_densities, \
+    unique_approximation_search_oracle, verify_binomial_bound_oracle
 
 
 def deterministic(examples: int):
@@ -542,6 +545,75 @@ def test_distance_product_on_integer_ids_matches_named_node_oracle(X, data):
 def test_mixing_distance_bitmask_rows_match_boolean_powers_oracle(X):
     """The distance, or the type and message of the error."""
     assert _outcome(mixing_distance, X) == _outcome(mixing_distance_oracle, X)
+
+
+# -- walks through step / step_back against the per-state loops ------------
+
+
+def _foreign_symbol(ab: Alphabet) -> str:
+    """A symbol outside `ab` (whose symbols are among 0, 1, 2)."""
+    return next(c for c in "0123" if c not in ab)
+
+
+@deterministic(400)
+@given(presentation(), st.data())
+def test_stable_block_fold_matches_per_state_read_oracle(X, data):
+    """Both directions, on words over the alphabet and on words with one
+    symbol outside it; and membership of points over a larger alphabet,
+    which the fold decides without an alphabet pre-check."""
+    syms = st.sampled_from(X.alphabet.symbols)
+    word = data.draw(st.text(syms, min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(word)))
+        word = word[:i] + _foreign_symbol(X.alphabet) + word[i:]
+    for outgoing in (False, True):
+        assert _stable_block_set(X, word, outgoing) == \
+            stable_block_set_oracle(X, word, outgoing), outgoing
+    big = Alphabet(X.alphabet.symbols + (_foreign_symbol(X.alphabet),))
+    x = _config(data, data.draw(st.sampled_from([X.alphabet, big])))
+    assert contains_config(X, x) == contains_config_oracle(X, x)
+
+
+@st.composite
+def deterministic_presentation(draw):
+    """A random deterministic labeled graph on up to seven states over one
+    to three of the symbols 0, 1, 2 in any order: each state has at most
+    one edge per symbol, so merging may take several refinement rounds."""
+    ab = Alphabet(draw(st.permutations("012"))[:draw(st.integers(1, 3))])
+    n = draw(st.integers(1, 7))
+    targets = st.one_of(st.none(), st.integers(0, n - 1))
+    return ShiftPresentation(ab, range(n), [
+        (q, t, a) for q in range(n) for a in ab
+        if (t := draw(targets)) is not None])
+
+
+@deterministic(300)
+@given(presentation(), deterministic_presentation())
+def test_merge_equivalent_interned_rounds_match_sorted_round_oracle(X, G):
+    """On the subset graph that shannon_cover merges, under its frozenset
+    state names and renamed to q0, q1, ...; on the covers themselves; and
+    on a random deterministic graph."""
+    if X.is_empty:
+        reject()
+    D = ShiftPresentation(X.alphabet, *_subset_graph(X, X.step))
+    for M in (D, D.renamed(), shannon_cover(X), G):
+        got, want = _merge_equivalent(M), merge_equivalent_oracle(M)
+        assert (got.states, got.edges) == (want.states, want.edges)
+        assert got.to_dict() == want.to_dict()
+
+
+@deterministic(400)
+@given(presentation(), st.data())
+def test_lex_least_completion_fold_matches_per_state_oracle(X, data):
+    """The completion, or the type and message of the error, for
+    constraint lists that may name one symbol outside the alphabet."""
+    cell = st.one_of(st.none(), st.sampled_from(X.alphabet.symbols))
+    constraints = data.draw(st.lists(cell, max_size=8))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(constraints)))
+        constraints.insert(i, _foreign_symbol(X.alphabet))
+    assert _outcome(lex_least_completion, X, constraints) == \
+        _outcome(lex_least_completion_oracle, X, constraints)
 
 
 def _near_shift_rule(data, ab: Alphabet) -> CellularAutomaton:

@@ -139,3 +139,16 @@ def test_path_source_window():
     assert src.window(-3, 3) == "0100101"[:7]
     assert src.window(0, 3) == "0101"
     assert src.window(-2, -1) == "10"
+
+
+@pytest.mark.parametrize("prefix", [
+    lambda n: block_path_prefix(F(1, 3), n),
+    lambda n: intersperse_path_prefix(F(1, 3), n),
+    lambda n: embed_point([F(1, 2)], n)])
+def test_prefixes_reject_negative_length(prefix):
+    assert prefix(0) == ""
+    for n in (-1, -5):
+        with pytest.raises(ValueError,
+                           match=f"prefix length must be non-negative, "
+                                 f"got {n}"):
+            prefix(n)
