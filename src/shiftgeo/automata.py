@@ -7,7 +7,9 @@ increasing distances must depend on at most one cell, a distance-preserving
 map is a shift composed with a symbol permutation, and a map never
 decreasing distances is already an isometry.  Non-contracting rules carry an
 explicit periodic witness pair with exact distances.  On general subshifts a
-bounded exhaustive check over periodic orbit pairs is provided.
+bounded exhaustive check over periodic orbit pairs is provided, and a
+bounded check of the rigidity precondition, which tests its periodic points
+by their block cycles on the presentation (see ``shifts``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .configs import Alphabet, Configuration, json_field, periodic_config
 from .errors import PreconditionError
 from .metrics import _Correlator, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
-                     shannon_cover, contains_config, language)
+                     shannon_cover, language, _stable_block_set)
 
 MAX_WIDTH = 12
 
@@ -397,19 +399,6 @@ class RigidityReport:
         return self.passed
 
 
-def _periodic_words(X: ShiftPresentation, P: int) -> dict[int, set[str]]:
-    """For p = 1..P, the set of words w of length p with inf(w) in X: every
-    rotation of an orbit word whose length divides p, repeated p/|u|
-    times."""
-    words: dict[int, set[str]] = {p: set() for p in range(1, P + 1)}
-    for u in periodic_orbits(X, P):
-        n = len(u)
-        rots = [u[i:] + u[:i] for i in range(n)]
-        for p in range(n, P + 1, n):
-            words[p].update(r * (p // n) for r in rots)
-    return words
-
-
 def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
                               P: int) -> RigidityReport:
     """Bounded check of the periodic-richness condition under which every
@@ -419,6 +408,11 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
     most L and every symbol s occurring in w, one shared period p <= P with
     a p-periodic point of X containing w and the point (s zero^(p-1))^inf
     in X.
+
+    The zero point and the |A| P markers are tested once each by their
+    block cycles (``_stable_block_set``).  The p-periodic points of X are
+    the orbits u with |u| dividing p, and inf(u) contains w exactly when w
+    is a factor of u^(|w| // |u| + 2), which holds every rotation's prefix.
     """
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
@@ -426,22 +420,19 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
         raise PreconditionError("factor length bound must be positive")
     if P <= 0:
         raise PreconditionError("period bound must be positive")
-    if not contains_config(X, periodic_config(zero, X.alphabet)):
+    if not _stable_block_set(X, zero, outgoing=True):
         return RigidityReport(False, None, {})
-    periodic_words = _periodic_words(X, P)
+    marked = {s: [p for p in range(1, P + 1)
+                  if _stable_block_set(X, s + zero * (p - 1), outgoing=True)]
+              for s in X.alphabet}
+    orbits = periodic_orbits(X, P)
     used = {}
     for n in range(1, L + 1):
         for w in language(X, n):
             for s in (a for a in X.alphabet if a in w):
-                found = None
-                for p in range(1, P + 1):
-                    if s + zero * (p - 1) not in periodic_words[p]:
-                        continue
-                    horizon = len(w) + p
-                    if any(w in (c * (horizon // p + 2))
-                           for c in periodic_words[p]):
-                        found = p
-                        break
+                found = next((p for p in marked[s] if any(
+                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
+                    for u in orbits)), None)
                 if found is None:
                     return RigidityReport(False, (w, s), used)
                 used[(w, s)] = found

@@ -27,7 +27,9 @@ Digit 2N - 1 - k |A| of their product is then the match count of inf(u)
 against inf(v[k:] + v[:k]) over one lcm block, for every k < g at once
 (Kronecker substitution; Harvey 2009); the other digits are never read.
 Every digit of the product is at most |u| |v| / g = lcm, so 2^D > lcm rules
-out carries and the digits are exact.
+out carries and the digits are exact.  ``nearest_periodic`` and
+``unique_approximation_search`` share one such scan over the orbits of X,
+``_nearest_orbits``.
 
 Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
@@ -357,11 +359,25 @@ class MinimizerSet:
     period_bound: int
 
 
-def _least_rotation_in(w: str, g: int, classes, key) -> str:
-    """The least rotation w[i:] + w[:i] by `key` with i mod g in
-    `classes`."""
-    return min((w[i:] + w[:i] for i in range(len(w)) if i % g in classes),
-               key=key)
+def _nearest_orbits(orbits, yw: str, corr: _Correlator, key):
+    """(distance, points): the least mismatch density of inf(yw) against the
+    points in the orbits of the words `orbits` (None without orbits), and
+    for each orbit that reaches it the least such rotation by `key`, in the
+    order of `orbits`.  The density against w[i:] + w[:i] depends on i only
+    through i mod g, g = gcd(|yw|, |w|), so one packed correlation per orbit
+    gives every rotation's.  Densities are compared as integer mismatch
+    counts, cross-multiplied."""
+    best, points = None, []  # best: (mismatches, block)
+    for w in orbits:
+        g, block, counts = corr.class_matches(yw, w)
+        top = max(counts)
+        m = block - top
+        if best is None or m * best[1] < best[0] * block:
+            best, points = (m, block), []
+        if m * best[1] == best[0] * block:
+            points.append(min((w[i:] + w[:i] for i in range(len(w))
+                               if counts[i % g] == top), key=key))
+    return (Fraction(*best) if best else None), points
 
 
 def nearest_periodic(X: ShiftPresentation, y: Configuration,
@@ -371,12 +387,7 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
 
     Each representative is the least point of its orbit, lexicographically
     in the alphabet's order, among those achieving the minimum, and they are
-    listed in that order.  The distance from y to a rotation w[i:] + w[:i]
-    of an orbit word depends on i only through its class
-    i mod g, g = gcd(|y|, |w|), so one packed correlation per orbit gives
-    every class's distance: the classes of greatest match count are the
-    argmin, and the reported point is the least rotation i with i mod g
-    among them.
+    listed in that order.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
@@ -386,21 +397,10 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
         raise PreconditionError("period of y exceeds the bound")
     if X.is_empty:
         raise EmptyShiftError("empty shift")
-    yw = y.right_period
     key = X.alphabet.key
-    corr = _Correlator(X.alphabet.symbols, P)
-    best: Fraction | None = None
-    points: list[str] = []  # one per orbit achieving `best`
-    for w in periodic_orbits(X, P):
-        g, block, counts = corr.class_matches(yw, w)
-        top = max(counts)
-        orbit_best = Fraction(block - top, block)
-        if best is None or orbit_best < best:
-            best = orbit_best
-            points = []
-        if orbit_best == best:
-            points.append(_least_rotation_in(
-                w, g, {k for k, c in enumerate(counts) if c == top}, key))
+    best, points = _nearest_orbits(
+        periodic_orbits(X, P), y.right_period,
+        _Correlator(X.alphabet.symbols, P), key)
     if best is None:
         raise PreconditionError(
             f"shift has no periodic points with period <= {P}")
@@ -445,14 +445,10 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
             continue
         y = periodic_config(w, X.alphabet)
         d_true = distance_to_shift(y, X)
-        points: list[str] = []
-        for ow in x_orbits:
-            g, block, counts = corr.class_matches(w, ow)
-            mism = d_true * block  # a count only if block allows d_true
-            hit = {k for k, c in enumerate(counts) if block - c == mism}
-            if hit:
-                points.append(_least_rotation_in(ow, g, hit, X.alphabet.key))
-        if len(points) >= 2:
+        # every point of X is at least d_true away, so the orbits at
+        # d_true are the nearest ones when the nearest reach it
+        best, points = _nearest_orbits(x_orbits, w, corr, X.alphabet.key)
+        if best == d_true and len(points) >= 2:
             return UapVerdict(
                 True, P, witness=y, distance=d_true,
                 minimizers=[periodic_config(pt, X.alphabet)

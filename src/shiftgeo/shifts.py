@@ -10,6 +10,12 @@ search, an exact entropy-positivity test, intersections, membership of
 eventually periodic configurations, and periodic orbits, enumerated as the
 Lyndon words of the presented language.
 
+A periodic point inf(w) lies in X exactly when a cycle of X reads a power
+of w (Lind and Marcus): an infinite run of w-blocks revisits a state.  So
+the one test of periodic points is that the states starting such a run,
+``_stable_block_set(X, w, outgoing=True)``, are nonempty; ``contains_config``
+adds the left fixpoint and middle read for points whose arms differ.
+
 Every walk on a presentation reads words through its one forward step
 ``step`` (and ``read``, a fold of it) or its one backward step
 ``step_back``; a symbol outside the alphabet steps to the empty set.  Each
@@ -32,8 +38,7 @@ from math import gcd
 from operator import or_
 
 from . import _graph
-from .configs import Alphabet, Configuration, is_unbordered, json_field, \
-    periodic_config
+from .configs import Alphabet, Configuration, is_unbordered, json_field
 from .errors import CapError, EmptyShiftError, PreconditionError
 
 
@@ -140,12 +145,14 @@ class ShiftPresentation:
     @staticmethod
     def from_dict(d: dict) -> "ShiftPresentation":
         ab = Alphabet(json_field(d, "alphabet", (str, list)))
-        name = (str, int, float)  # the JSON values that can name a state
-        edges = [(json_field(e, "from", name), json_field(e, "to", name),
-                  json_field(e, "label", name))
+        # states are named by strings, as to_dict writes them: 0 and "0" are
+        # one name, so a file naming both has a duplicate state
+        name = (str, int, float)
+        end = lambda e, key: str(json_field(e, key, name))
+        edges = [(end(e, "from"), end(e, "to"), json_field(e, "label", name))
                  for e in json_field(d, "edges", list, dict)]
-        return ShiftPresentation(ab, json_field(d, "states", list, name),
-                                 edges)
+        return ShiftPresentation(
+            ab, map(str, json_field(d, "states", list, name)), edges)
 
     def __repr__(self) -> str:
         return (f"ShiftPresentation(|Q|={len(self.states)}, "
@@ -632,7 +639,8 @@ def _stable_block_set(X: ShiftPresentation, word: str,
                       outgoing: bool) -> frozenset:
     """States carrying an infinite aligned run of `word`-blocks: leaving the
     state when ``outgoing``, arriving into it otherwise.  The fixpoint of
-    reading `word` forward from the set, or backward into it."""
+    reading `word` forward from the set, or backward into it.  Either set is
+    nonempty exactly when the periodic point inf(word) lies in X."""
     step, word = (X.step_back, word[::-1]) if outgoing else (X.step, word)
     cur = frozenset(X.states)
     while True:
@@ -711,9 +719,9 @@ def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
     order.
 
     The candidates are the :func:`lyndon_words` of X, whose prefixes are all
-    factors of X; each is kept when its periodic point lies in X
-    (``contains_config``).  The cost is that walk plus one membership test
-    per candidate.
+    factors of X; each is kept when X has a cycle of its blocks (a nonempty
+    ``_stable_block_set``).  The cost is that walk plus one fixpoint per
+    candidate.
     """
     return [w for w in lyndon_words(X, max_period)
-            if contains_config(X, periodic_config(w, X.alphabet))]
+            if _stable_block_set(X, w, outgoing=True)]

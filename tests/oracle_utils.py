@@ -345,7 +345,6 @@ def periodic_orbits_oracle(X, max_period: int) -> list[str]:
     period <= max_period, each the least rotation in the alphabet's
     order."""
     from shiftgeo.configs import periodic_config
-    from shiftgeo.shifts import contains_config
     out = []
     seen = set()
     for p in range(1, max_period + 1):
@@ -355,7 +354,7 @@ def periodic_orbits_oracle(X, max_period: int) -> list[str]:
             if not is_lyndon(X.alphabet, w):
                 continue
             seen.add(w)
-            if contains_config(X, periodic_config(w, X.alphabet)):
+            if contains_config_oracle(X, periodic_config(w, X.alphabet)):
                 out.append(w)
     return out
 
@@ -367,7 +366,6 @@ def unique_approximation_search_oracle(X, P: int):
     from shiftgeo.configs import periodic_config
     from shiftgeo.metrics import UapVerdict, cyclic_mismatch_density, \
         distance_to_shift
-    from shiftgeo.shifts import contains_config
     rank = functools.partial(ranks, X.alphabet)
     x_orbits = periodic_orbits_oracle(X, P)
     for p in range(1, P + 1):
@@ -375,7 +373,7 @@ def unique_approximation_search_oracle(X, P: int):
             if not is_lyndon(X.alphabet, w):
                 continue
             y = periodic_config(w, X.alphabet)
-            if contains_config(X, y):
+            if contains_config_oracle(X, y):
                 continue
             d_true = distance_to_shift(y, X)
             orbit_hits: list[str] = []
@@ -400,11 +398,10 @@ def precondition_words_oracle(X, P: int) -> dict:
     """For p = 1..P, every word w of length p, in the alphabet's order,
     with inf(w) in X."""
     from shiftgeo.configs import periodic_config
-    from shiftgeo.shifts import contains_config
     periodic_words: dict[int, list[str]] = {}
     for p in range(1, P + 1):
         periodic_words[p] = [w for w in _all_words(X.alphabet, p)
-                             if contains_config(
+                             if contains_config_oracle(
                                  X, periodic_config(w, X.alphabet))]
     return periodic_words
 
@@ -415,8 +412,8 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
     in the alphabet's order."""
     from shiftgeo.automata import RigidityReport
     from shiftgeo.configs import periodic_config
-    from shiftgeo.shifts import contains_config, language
-    if not contains_config(X, periodic_config(zero, X.alphabet)):
+    from shiftgeo.shifts import language
+    if not contains_config_oracle(X, periodic_config(zero, X.alphabet)):
         return RigidityReport(False, None, {})
     periodic_words = precondition_words_oracle(X, P)
     rank = functools.partial(ranks, X.alphabet)
@@ -427,7 +424,7 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
                 found = None
                 for p in range(1, P + 1):
                     marker = s + zero * (p - 1)
-                    if not contains_config(
+                    if not contains_config_oracle(
                             X, periodic_config(marker, X.alphabet)):
                         continue
                     horizon = len(w) + p

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shiftgeo import automata, shifts
 from shiftgeo.configs import Alphabet, BINARY, parse_config, periodic_config, \
     shift
 from shiftgeo.errors import PreconditionError
@@ -201,6 +202,21 @@ def test_rigidity_precondition():
     orbit = ShiftPresentation(BINARY, ["a", "b"],
                               [("a", "b", "0"), ("b", "a", "1")])
     assert not isometric_ca_precondition(orbit, "0", 1, 4).passed
+
+
+def test_periodic_points_make_no_contains_config_call(monkeypatch):
+    """Periodic points are tested by their block cycles alone."""
+    calls = []
+    real = shifts.contains_config
+    for module in (shifts, automata):
+        monkeypatch.setattr(module, "contains_config",
+                            lambda X, x: calls.append(x) or real(X, x),
+                            raising=False)
+    assert shifts.periodic_orbits(golden_mean(), 4) == \
+        ["0", "01", "001", "0001"]
+    assert isometric_ca_precondition(golden_mean(), "0", 3, 6).passed
+    assert not isometric_ca_precondition(even_shift(), "1", 2, 4).passed
+    assert calls == []
 
 
 def test_ca_dict_roundtrip():

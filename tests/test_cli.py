@@ -154,6 +154,31 @@ def test_non_object_json_is_an_input_error(capsys, tmp_path, golden_file):
             f"field {field!r} has the wrong type" in err, bad
 
 
+def test_state_names_load_as_strings(capsys, tmp_path):
+    """A compiled presentation names its states by strings, so 0 and "0"
+    are one name: a file naming both has a duplicate state, and numeric
+    names load as their strings, which read back unchanged."""
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps({
+        "alphabet": "01", "states": ["0", 0],
+        "edges": [{"from": "0", "to": 0, "label": "0"},
+                  {"from": 0, "to": "0", "label": "1"}]}))
+    rc, out, err = run(capsys, "shift", "compile", str(path))
+    assert (rc, out) == (2, "") and "duplicate state '0'" in err
+    edges = [(0, 1, "0"), (1, 0, "1"), (1, 2.5, "0"), (2.5, 0, "0")]
+    compiled = []
+    for name in (lambda s: s, str):
+        path.write_text(json.dumps({
+            "alphabet": "01", "states": [name(s) for s in (0, 1, 2.5)],
+            "edges": [{"from": name(s), "to": name(t), "label": a}
+                      for (s, t, a) in edges]}))
+        rc, out, _ = run(capsys, "--json", "shift", "compile", str(path))
+        assert rc == 0
+        compiled.append(json.loads(out)["result"]["presentation"])
+    assert compiled[0] == compiled[1]
+    assert compiled[0]["states"] == ["0", "1", "2.5"]
+
+
 _JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
               st.text("01a", max_size=4)),

@@ -29,8 +29,8 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from shiftgeo import _graph
-from shiftgeo.automata import CellularAutomaton, _periodic_words, \
-    check_on_subshift, isometric_ca_precondition, preserves_shift
+from shiftgeo.automata import CellularAutomaton, check_on_subshift, \
+    isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
@@ -52,9 +52,8 @@ from oracle_utils import check_on_subshift_oracle, contains_config_oracle, \
     lex_least_completion_oracle, merge_equivalent_oracle, \
     mixing_distance_oracle, mixing_sft_inside_oracle, \
     nearest_periodic_oracle, necklaces, periodic_orbits_oracle, \
-    precondition_words_oracle, preserves_shift_oracle, \
-    profile_mismatches_oracle, residue_profile_oracle, \
-    stable_block_set_oracle, unfolded_arm_densities, \
+    preserves_shift_oracle, profile_mismatches_oracle, \
+    residue_profile_oracle, stable_block_set_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle
 
 
@@ -445,10 +444,6 @@ def test_rigidity_precondition_matches_word_list_oracle(X, data):
     L = data.draw(st.integers(1, 3))
     P = data.draw(st.sampled_from(range(1, 7 if len(X.alphabet) == 3
                                          else 9)))
-    old = precondition_words_oracle(X, P)
-    new = _periodic_words(X, P)
-    assert {p: sorted(ws) for p, ws in new.items()} == \
-        {p: sorted(ws) for p, ws in old.items()}
     got = isometric_ca_precondition(X, zero, L, P)
     want = isometric_ca_precondition_oracle(X, zero, L, P)
     assert got.passed == want.passed
@@ -558,18 +553,27 @@ def _foreign_symbol(ab: Alphabet) -> str:
 @deterministic(400)
 @given(presentation(), st.data())
 def test_stable_block_fold_matches_per_state_read_oracle(X, data):
-    """Both directions, on words over the alphabet and on words with one
-    symbol outside it; and membership of points over a larger alphabet,
-    which the fold decides without an alphabet pre-check."""
+    """Both directions, on words over the alphabet, on the markers
+    s zero^(p-1) of the rigidity precondition (zero^p among them, which is
+    not primitive) and on words with one symbol outside it.  The outgoing
+    set, the one test for periodic points, is nonempty exactly when the
+    periodic point of the word is in X.  And membership of points over a
+    larger alphabet, which the fold decides without an alphabet
+    pre-check."""
     syms = st.sampled_from(X.alphabet.symbols)
-    word = data.draw(st.text(syms, min_size=1, max_size=5))
+    word = data.draw(st.one_of(
+        st.text(syms, min_size=1, max_size=5),
+        st.builds(lambda s, zero, p: s + zero * (p - 1), syms, syms,
+                  st.integers(1, 5))))
+    big = Alphabet(X.alphabet.symbols + (_foreign_symbol(X.alphabet),))
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(word)))
         word = word[:i] + _foreign_symbol(X.alphabet) + word[i:]
     for outgoing in (False, True):
         assert _stable_block_set(X, word, outgoing) == \
             stable_block_set_oracle(X, word, outgoing), outgoing
-    big = Alphabet(X.alphabet.symbols + (_foreign_symbol(X.alphabet),))
+    assert bool(_stable_block_set(X, word, True)) == \
+        contains_config_oracle(X, periodic_config(word, big))
     x = _config(data, data.draw(st.sampled_from([X.alphabet, big])))
     assert contains_config(X, x) == contains_config_oracle(X, x)
 
