@@ -357,9 +357,10 @@ def cmd_measure(ns, rep: Report) -> None:
         X = load_shift(ns.args[0])
         mu = measures.parry_measure(X)
         if mode == "parry":
-            rep.put("measure", mu.report(),
+            report = mu.report()
+            rep.put("measure", report,
                     f"eigenvalue {mu.eigenvalue:.12g}; residuals "
-                    f"{mu.report()['stationarity_residual']:.2e}")
+                    f"{report['stationarity_residual']:.2e}")
         elif mode == "cylinder":
             w = ns.args[1]
             p = measures.cylinder(mu, w)

@@ -6,7 +6,7 @@ barycentric coordinates).
 Where a construction leaves cells undefined ("fill using mixing"), the fill
 is always the lexicographically least completion legal in the target shift,
 computed by a viability sweep over the presentation, so all outputs are
-deterministic.
+deterministic.  The embedding is the first hit of ``shifts._marker_search``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .metrics import distance_to_shift
 from .paths import block_bounds
 from .shifts import (ShiftPresentation, concatenation_closure,
                      contains_config, intersect, language_equal,
-                     language_subset, mixing_distance, positive_entropy,
-                     shannon_cover, transitive_components, _pads,
-                     _synchronizing_words)
+                     language_subset, mixing_distance, transitive_components,
+                     _marker_search)
 
 # ---------------------------------------------------------------------------
 # abstract complexes and barycentric points
@@ -265,33 +264,20 @@ def embed_complex(K: AbstractComplex, X: ShiftPresentation,
     extendable as w.u.w inside X; the shift of a face is the closure of
     concatenations of w+v and the w+u of its vertices.
     """
-    if not positive_entropy(X):
-        raise PreconditionError("shift does not have positive entropy")
-    mixing_distance(X)  # raises unless mixing
-    C = shannon_cover(X)
-    n = len(K.vertices)
-    if n == 0:
+    found = _marker_search(X, len(K.vertices), word_cap, pad_cap)
+    if not K.vertices:
         raise PreconditionError("complex has no vertices")
-    for w in _synchronizing_words(C, word_cap):
-        for k in range(0, pad_cap + 1):
-            us = _pads(C, w, k)
-            if len(us) < n:
-                continue
-            vs = _pads(C, w, k + 1)
-            if not vs:
-                continue
-            v = vs[0]
-            vertex_words = dict(zip(sorted(K.vertices, key=str), us))
-            face_shifts = {}
-            for face in sorted(K.faces, key=lambda f: (len(f), sorted(f))):
-                words = [w + v] + [w + vertex_words[t] for t in face]
-                Y = concatenation_closure(C.alphabet, words)
-                if not language_subset(Y, C):
-                    break
-                face_shifts[face] = Y
-            else:
-                return ComplexEmbedding(w, v, vertex_words, face_shifts)
-    raise CapError("no embedding data found within the search caps")
+    if found is None:
+        raise CapError("no embedding data found within the search caps")
+    C, w, us, v = found
+    vertex_words = dict(zip(sorted(K.vertices, key=str), us))
+    face_shifts = {
+        face: concatenation_closure(
+            C.alphabet, [w + v] + [w + vertex_words[t] for t in face])
+        for face in sorted(K.faces, key=lambda f: (len(f), sorted(f)))}
+    if not all(language_subset(Y, C) for Y in face_shifts.values()):
+        raise AssertionError("a face shift is not a subshift of X")
+    return ComplexEmbedding(w, v, vertex_words, face_shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,8 @@ def density_estimate(xw, yw, N: int) -> Fraction:
 
 def weyl_estimate(xw, yw, n: int, M: int) -> Fraction:
     """max over m in [-M, M] of the density of windows [m-n, m+n]."""
+    if min(n, M) < 0:
+        raise ValueError(f"{'n' if n < 0 else 'M'} must be non-negative")
     a = xw.window(-M - n, M + n)
     b = yw.window(-M - n, M + n)
     width = 2 * n + 1

@@ -22,9 +22,9 @@ Every walk on a presentation reads words through its one forward step
 search has one private implementation that its callers share: the factor
 walk ``_factors``, the subset construction ``_subset_graph``, the index
 adjacency ``_indexed``, the SCCs ``_components`` (each as its state names
-and its internal edges), and the search for an unbordered synchronizing
-marker w and padding words u with w u w a factor,
-``_synchronizing_words``/``_pads`` (also used by ``homotopy.embed_complex``).
+and its internal edges), and the marker search ``_marker_search`` (a
+synchronizing w with pads u, w u w a factor) whose first hit both
+``mixing_sft_inside`` and ``homotopy.embed_complex`` take.
 
 All operations are pure; presentations are immutable after construction.
 """
@@ -198,17 +198,11 @@ def compile_sft(spec: SftSpec) -> ShiftPresentation:
     """Deterministic essential presentation of an SFT (higher-block graph)."""
     ab = spec.alphabet
     m = max((len(w) for w in spec.forbidden), default=1)
-    if m == 1:
-        allowed = [a for a in ab if a not in spec.forbidden]
-        if not allowed:
-            raise EmptyShiftError("every symbol is forbidden")
-        pres = ShiftPresentation(ab, ["q0"], [("q0", "q0", a) for a in allowed])
-        return pres
     clean = lambda w: not any(f in w for f in spec.forbidden)
     words = ["".join(u) for u in itertools.product(ab.symbols, repeat=m - 1)
              if clean("".join(u))]
     # states named by their words' keys: renamed() numbers them in order
-    edges = [(ab.key(u), ab.key(u[1:] + a), a) for u in words for a in ab
+    edges = [(ab.key(u), ab.key((u + a)[1:]), a) for u in words for a in ab
              if clean(u + a)]
     pres = ShiftPresentation(ab, map(ab.key, words), edges)
     if pres.is_empty:
@@ -592,25 +586,40 @@ class SftInside:
     v: str
 
 
-def mixing_sft_inside(X: ShiftPresentation, word_cap: int = 16,
-                      pad_cap: int = 8) -> SftInside:
-    """A mixing positive-entropy SFT inside X, presented as the closure of
-    concatenations of w*u and w*v with w unbordered synchronizing, u and v
-    avoiding w, w u w and w v w factors of X, and |v| = |u| + 1."""
+def _marker_search(X: ShiftPresentation, n: int, word_cap: int,
+                   pad_cap: int):
+    """(C, w, us, v): the Shannon cover C of X, its first marker w with some
+    k <= pad_cap that has at least n pads us of length k and a least pad v of
+    length k + 1; None when the caps run out.  Raises unless X is mixing with
+    positive entropy.  Every hit is good: w synchronizes C, so each w u and
+    w v is a cycle at w's state, and two of coprime lengths close up into a
+    mixing positive-entropy subshift of X (Lind and Marcus)."""
     if not positive_entropy(X):
         raise PreconditionError("shift does not have positive entropy")
     mixing_distance(X)  # raises unless X is mixing
     C = shannon_cover(X)
     for w in _synchronizing_words(C, word_cap):
-        for k in range(0, pad_cap + 1):
-            us, vs = _pads(C, w, k), _pads(C, w, k + 1)
-            if us and vs:
-                u, v = us[0], vs[0]
-                Y = concatenation_closure(C.alphabet, [w + u, w + v])
-                if (language_subset(Y, C) and positive_entropy(Y)
-                        and _is_mixing(Y)):
-                    return SftInside(Y, w, u, v)
-    raise CapError("no (w, u, v) triple found within the search caps")
+        vs = _pads(C, w, 0)
+        for k in range(pad_cap + 1):
+            us, vs = vs, _pads(C, w, k + 1)
+            if len(us) >= n and vs:
+                return C, w, us, vs[0]
+    return None
+
+
+def mixing_sft_inside(X: ShiftPresentation, word_cap: int = 16,
+                      pad_cap: int = 8) -> SftInside:
+    """A mixing positive-entropy SFT inside X, presented as the closure of
+    concatenations of w*u and w*v with w unbordered synchronizing, u and v
+    avoiding w, w u w and w v w factors of X, and |v| = |u| + 1."""
+    found = _marker_search(X, 1, word_cap, pad_cap)
+    if found is None:
+        raise CapError("no (w, u, v) triple found within the search caps")
+    C, w, us, v = found
+    Y = concatenation_closure(C.alphabet, [w + us[0], w + v])
+    if not (language_subset(Y, C) and positive_entropy(Y) and _is_mixing(Y)):
+        raise AssertionError(f"bad closure of {w + us[0]} and {w + v}")
+    return SftInside(Y, w, us[0], v)
 
 
 def _is_mixing(X: ShiftPresentation) -> bool:

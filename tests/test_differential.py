@@ -13,7 +13,9 @@ matrix powers.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
-maps across: the alphabet's order alone decides them.
+maps across: the alphabet's order alone decides them.  One invariant test
+walks the marker search past its first hit: every candidate closure it
+could return lies in the cover.
 
 Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
@@ -41,10 +43,12 @@ from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     d_besicovitch, d_weyl, distance_to_shift_detail, nearest_periodic, \
     unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
-    contains_config, disjoint_union, find_unbordered_synchronizing, \
-    full_shift, language, lyndon_words, mixing_distance, mixing_sft_inside, \
-    periodic_orbits, shannon_cover, transitive_components, \
-    _merge_equivalent, _stable_block_set, _subset_graph
+    concatenation_closure, contains_config, disjoint_union, \
+    find_unbordered_synchronizing, full_shift, language, language_subset, \
+    lyndon_words, mixing_distance, mixing_sft_inside, periodic_orbits, \
+    positive_entropy, shannon_cover, transitive_components, _is_mixing, \
+    _merge_equivalent, _pads, _stable_block_set, _subset_graph, \
+    _synchronizing_words
 from oracle_utils import check_on_subshift_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
@@ -479,6 +483,30 @@ def test_triple_search_matches_word_loop_oracle(X, word_cap, pad_cap, data):
             (want.marker, want.filler, want.vertex_words)
         assert {f: Y.to_dict() for f, Y in got.face_shifts.items()} == \
             {f: Y.to_dict() for f, Y in want.face_shifts.items()}
+
+
+@deterministic(200)
+@given(presentation())
+def test_every_marker_candidate_closes_inside_the_cover(X):
+    """The invariants that mixing_sft_inside and embed_complex raise on, past
+    their first hit: for the first three markers w, k <= 3, up to three pads
+    u and two fillers v, the closure of w u and w v lies in the cover, has
+    positive entropy and is mixing, and the closure of w v with the first j
+    of the w u (j <= 3) lies in the cover."""
+    if not (positive_entropy(X) and _is_mixing(X)):
+        return
+    C = shannon_cover(X)
+    for w in itertools.islice(_synchronizing_words(C, 4), 3):
+        for k in range(4):
+            us, vs = _pads(C, w, k)[:3], _pads(C, w, k + 1)[:2]
+            for u, v in itertools.product(us, vs):
+                Y = concatenation_closure(C.alphabet, [w + u, w + v])
+                assert language_subset(Y, C), (w, u, v)
+                assert positive_entropy(Y) and _is_mixing(Y), (w, u, v)
+            for v, j in itertools.product(vs, range(len(us) + 1)):
+                Y = concatenation_closure(
+                    C.alphabet, [w + v] + [w + u for u in us[:j]])
+                assert language_subset(Y, C), (w, us[:j], v)
 
 
 def test_binomial_bound_matches_interval_oracle():

@@ -224,6 +224,16 @@ def test_embed_requires_entropy():
     K = AbstractComplex.make(["p"], [["p"]])
     with pytest.raises(PreconditionError):
         embed_complex(K, orbit)
+    # entropy, then mixing, then the empty complex, then the search caps
+    empty = AbstractComplex.make([], [])
+    with pytest.raises(PreconditionError, match="positive entropy"):
+        embed_complex(empty, orbit)
+    with pytest.raises(PreconditionError, match="not mixing"):
+        embed_complex(empty, ShiftPresentation(
+            BINARY, ["a", "b"],
+            [("a", "b", "0"), ("a", "b", "1"), ("b", "a", "0")]))
+    with pytest.raises(PreconditionError, match="no vertices"):
+        embed_complex(empty, full_shift(BINARY), word_cap=0)
 
 
 def test_extract_component_cap():

@@ -101,6 +101,11 @@ def test_weyl_estimate_examples():
     for M1, M2 in ((2, 5), (5, 9)):
         assert weyl_estimate(halfline, ZERO, 2, M1) <= \
             weyl_estimate(halfline, ZERO, 2, M2)
+    assert weyl_estimate(halfline, ZERO, 0, 0) == 1
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        weyl_estimate(halfline, ZERO, -1, 2)
+    with pytest.raises(ValueError, match="M must be non-negative"):
+        weyl_estimate(halfline, ZERO, 1, -3)
 
 
 def test_distance_to_empty_shift():

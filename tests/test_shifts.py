@@ -32,7 +32,12 @@ def test_compile_sft_examples():
     assert len(g.states) == 2
     assert g.is_deterministic()
     assert compile_sft(SftSpec(BINARY, ())).to_dict()["states"] == ["q0"]
-    with pytest.raises(EmptyShiftError):
+    # one-symbol forbidden words take the higher-block path with m = 1
+    assert compile_sft(SftSpec(A012, ("1",))).to_dict() == {
+        "alphabet": "012", "states": ["q0"],
+        "edges": [{"from": "q0", "to": "q0", "label": "0"},
+                  {"from": "q0", "to": "q0", "label": "2"}]}
+    with pytest.raises(EmptyShiftError, match="rule out every point"):
         compile_sft(SftSpec(BINARY, ("0", "1")))
 
 
