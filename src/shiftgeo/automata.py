@@ -23,7 +23,7 @@ from .configs import Alphabet, Configuration, json_field, periodic_config
 from .errors import PreconditionError
 from .metrics import _Correlator, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
-                     shannon_cover, language, _stable_block_set)
+                     shannon_cover, language, _RelationMonoid)
 
 MAX_WIDTH = 12
 
@@ -409,10 +409,12 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
     a p-periodic point of X containing w and the point (s zero^(p-1))^inf
     in X.
 
-    The zero point and the |A| P markers are tested once each by their
-    block cycles (``_stable_block_set``).  The p-periodic points of X are
-    the orbits u with |u| dividing p, and inf(u) contains w exactly when w
-    is a factor of u^(|w| // |u| + 2), which holds every rotation's prefix.
+    The zero point and the |A| P markers are tested by the cycle flags of
+    their elements of the transition monoid of X (see ``shifts``): the
+    marker of period p + 1 is the one of period p stepped once by `zero`.
+    The p-periodic points of X are the orbits u with |u| dividing p, and
+    inf(u) contains w exactly when w is a factor of u^(|w| // |u| + 2),
+    which holds every rotation's prefix.
     """
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
@@ -420,11 +422,16 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
         raise PreconditionError("factor length bound must be positive")
     if P <= 0:
         raise PreconditionError("period bound must be positive")
-    if not _stable_block_set(X, zero, outgoing=True):
+    M = _RelationMonoid(X)
+    if not M.cycles(M.step(M.identity, zero)):
         return RigidityReport(False, None, {})
-    marked = {s: [p for p in range(1, P + 1)
-                  if _stable_block_set(X, s + zero * (p - 1), outgoing=True)]
-              for s in X.alphabet}
+    marked = {}
+    for s in X.alphabet:
+        e, marked[s] = M.step(M.identity, s), []
+        for p in range(1, P + 1):
+            if M.cycles(e):
+                marked[s].append(p)
+            e = M.step(e, zero)
     orbits = periodic_orbits(X, P)
     used = {}
     for n in range(1, L + 1):

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, log
 
 from .configs import Alphabet
 from .errors import CapError, PreconditionError
@@ -28,6 +28,7 @@ POWER_CAP = 200_000
 DECAY_T_CAP = 4          # longest transition path tried for a decay bound
 GROWTH_M_CAP = 1 << 16   # largest block count tried for the growth bound
 GROWTH_SPAN = 8          # verified multiples of m reach GROWTH_SPAN * n0
+GROWTH_BITS_CAP = 1 << 22  # largest exact power raised for the growth bound
 BALL_N_CAP = 22          # longest word length enumerated for a ball count
 
 
@@ -253,6 +254,12 @@ def _block_condition_exact(m: int, k: Fraction, a: Fraction) -> bool:
     return lhs <= rhs
 
 
+def _power_within_cap(bits: int, covered: str) -> None:
+    if bits > GROWTH_BITS_CAP:
+        raise CapError(f"an exact power of about {bits} bits exceeds the cap "
+                       f"of {GROWTH_BITS_CAP} bits; {covered}")
+
+
 def binomial_growth_threshold(k, a) -> tuple[int, int]:
     """The least block count m <= GROWTH_M_CAP with
     m^(1/m) * m/(m-1) <= k^(2a/3), plus the least multiple n0 of m such that
@@ -260,31 +267,47 @@ def binomial_growth_threshold(k, a) -> tuple[int, int]:
     in [n0, GROWTH_SPAN * n0].
 
     This witnesses the eventual binomial bound C(n, n/m) <= k^(n a) for
-    k > 1, a > 0 on a concrete verified range.
+    k > 1, a > 0 on a concrete verified range.  A float prescreen in logs,
+    its margin far above rounding error, leaves the exact test to block
+    counts near the threshold; one whose power would exceed GROWTH_BITS_CAP
+    bits raises CapError, naming what was covered.
     """
     k = Fraction(k)
     a = Fraction(a)
     if k <= 1 or a <= 0:
         raise ValueError("need k > 1 and a > 0")
-    target = float(k) ** (2 * float(a) / 3)
+    q = a.denominator
+    k_bits = max(k.numerator, k.denominator).bit_length()
+    # log k^(2a/3): k may pass the float range, so its log is taken from
+    # its integer parts; an a past it makes the target infinite
+    try:
+        log_target = 2 * float(a) / 3 * (log(k.numerator)
+                                          - log(k.denominator))
+    except OverflowError:
+        log_target = inf
     m = None
     for cand in range(2, GROWTH_M_CAP + 1):
-        # cheap float prescreen for large candidates, exact test to commit
-        if cand > 256 and cand ** (1.0 / cand) * cand / (cand - 1) \
-                > target * (1 + 1e-9):
+        # cheap float prescreen in logs, exact test to commit
+        if log(cand) / cand + log(cand / (cand - 1)) > log_target + 1e-9:
             continue
+        _power_within_cap(
+            max(3 * q * (cand + 1) * cand.bit_length(),
+                2 * a.numerator * cand * k_bits),
+            f"no block count m < {cand} meets the condition")
         if _block_condition_exact(cand, k, a):
             m = cand
             break
     if m is None:
         raise PreconditionError(f"no block count m <= {GROWTH_M_CAP} works")
 
-    q = a.denominator
-
     def holds(n: int) -> bool:
         # C(n, n/m)^q <= k^(n * a_num)  exactly
-        return (Fraction(comb(n, n // m)) ** q
-                <= Fraction(k) ** (n * a.numerator))
+        c = comb(n, n // m)
+        _power_within_cap(
+            max(q * c.bit_length(), n * a.numerator * k_bits),
+            f"m = {m}, no start n0 < {m * j} verified, and the bound holds "
+            f"at the multiples of m from {m * j} below {n}")
+        return Fraction(c) ** q <= Fraction(k) ** (n * a.numerator)
 
     n0 = None
     j = 1

@@ -12,9 +12,10 @@ Lyndon words of the presented language.
 
 A periodic point inf(w) lies in X exactly when a cycle of X reads a power
 of w (Lind and Marcus): an infinite run of w-blocks revisits a state.  So
-the one test of periodic points is that the states starting such a run,
-``_stable_block_set(X, w, outgoing=True)``, are nonempty; ``contains_config``
-adds the left fixpoint and middle read for points whose arms differ.
+the one test of periodic points is the cycle flag of w's element of the
+transition monoid ``_RelationMonoid``, interned once per distinct relation
+and carried along the Lyndon walk; ``contains_config`` keeps the fixpoint
+``_stable_block_set`` for eventually periodic points, whose arms differ.
 
 Every walk on a presentation reads words through its one forward step
 ``step`` (and ``read``, a fold of it) or its one backward step
@@ -671,6 +672,106 @@ def contains_config(X: ShiftPresentation, x: Configuration) -> bool:
     return bool(mid & right_stable)
 
 
+class _RelationMonoid:
+    """The transition monoid of X, interned as the walks reach it.
+
+    The relation R_w of a word w (s to t when a path from s to t reads w)
+    is one bitmask row per source state, in X's state order.  Each distinct
+    nonempty R_w is an element id with ``succ``, its images under the
+    symbols stepped so far (-1: the empty relation, also for symbols
+    outside the alphabet), and ``flags``, its cycle flag: the greatest
+    fixpoint S -> {s in S : R_w[s] meets S} is nonempty exactly when a
+    cycle of X reads a power of w, so when inf(w) lies in X (Lind and
+    Marcus).  An image costs O(|Q|^2) once; a later step is one lookup.
+    """
+
+    __slots__ = ("rows", "ids", "relations", "succ", "flags", "identity")
+
+    def __init__(self, X: ShiftPresentation):
+        idx = {s: i for i, s in enumerate(X.states)}
+        self.rows = {a: [0] * len(idx) for a in X.alphabet}
+        for (s, t, a) in X.edges:
+            self.rows[a][idx[s]] |= 1 << idx[t]
+        self.ids, self.relations, self.succ, self.flags = {}, [], [], []
+        self.identity = self._element(tuple(1 << i for i in range(len(idx))))
+
+    def _element(self, rel: tuple) -> int:
+        if not any(rel):
+            return -1
+        e = self.ids.get(rel)
+        if e is None:
+            e = self.ids[rel] = len(self.relations)
+            self.relations.append(rel)
+            self.succ.append({})
+            live = -1  # every state
+            while True:
+                nxt = sum(1 << s for s, r in enumerate(rel)
+                          if live >> s & 1 and r & live)
+                if nxt == live:
+                    break
+                live = nxt
+            self.flags.append(bool(live))
+        return e
+
+    def image(self, e: int, b) -> int:
+        """Compute and record the step of element e >= 0 by b."""
+        row = self.rows.get(b)
+        self.succ[e][b] = f = self._element(tuple(
+            functools.reduce(or_, (row[j] for j in range(len(row))
+                                   if r >> j & 1), 0)
+            for r in self.relations[e]) if row else ())
+        return f
+
+    def step(self, e: int, b) -> int:
+        """The element of w b, where e is the element of w (-1 stays)."""
+        if e < 0:
+            return -1
+        f = self.succ[e].get(b)
+        return self.image(e, b) if f is None else f
+
+    def cycles(self, e: int) -> bool:
+        """True iff inf(w) lies in X, where e is the element of w."""
+        return e >= 0 and self.flags[e]
+
+
+def _lyndon_walk(X: ShiftPresentation, max_period: int,
+                 periodic: bool) -> list[str]:
+    """The Lyndon words of :func:`lyndon_words`, only those with a cycle
+    flag when ``periodic``; one walk carries each prefix's element of the
+    transition monoid."""
+    if max_period <= 0 or X.is_empty:
+        return []
+    M = _RelationMonoid(X)
+    succ, flags = M.succ, M.flags
+    order = X.alphabet.symbols
+    # the symbols >= b, largest first: pushed in this order, the prefixes
+    # pop in lexicographic order
+    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
+    words: list[str] = []
+    a: list[str] = []  # the current prefix
+    # (length t, last symbol a[t - 1], least period p, element of a)
+    stack = [(1, b, 1, e) for b in pushes[order[0]]
+             if (e := M.step(M.identity, b)) >= 0]
+    while stack:
+        t, b, p, e = stack.pop()
+        del a[t - 1:]
+        a.append(b)
+        if p == t and (flags[e] or not periodic):
+            words.append("".join(a))
+        if t == max_period:
+            continue
+        keep = a[t - p]
+        nxt = succ[e]
+        for b in pushes[keep]:
+            f = nxt.get(b)
+            if f is None:
+                f = M.image(e, b)
+            if f >= 0:
+                stack.append((t + 1, b, p if b == keep else t + 1, f))
+    words.sort(key=len)  # stable, so lexicographic within a length
+    return words
+
+
 def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
     """Lyndon words of length <= max_period all of whose prefixes are
     factors of X, ordered by length and then lexicographically in the
@@ -683,42 +784,18 @@ def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
     least period p extends by a[t - p], keeping p, or by any larger symbol,
     taking period t + 1, and it is a Lyndon word exactly when p == t.  Every
     prefix of a Lyndon word is a prenecklace, so the walk carries each
-    prefix's state set on X and drops a subtree as soon as that set is empty.
+    prefix's element of the transition monoid of X and drops a subtree as
+    soon as that element is empty (the prefix is not a factor).
 
-    The cost is one ``X.step`` per child of a visited prenecklace that is a
-    factor of X (on the full shift O(|A|^P / P) prenecklaces), one join per
-    word returned, and a final stable sort by length.  The walk keeps an
-    explicit stack and one shared prefix, so memory is O(|A| P) beyond the
-    words returned, and a one-symbol alphabet (a path of depth max_period)
-    needs no recursion.
+    The cost is one table lookup per child of a visited prenecklace (on the
+    full shift O(|A|^P / P) prenecklaces), plus O(|Q|^2) per element of the
+    monoid the walk reaches (one on a full shift, never more than the
+    nodes), one join per word returned, and a final stable sort by length.
+    The walk keeps an explicit stack and one shared prefix, so memory is
+    O(|A| P) beyond the words and elements, and a one-symbol alphabet (a
+    path of depth max_period) needs no recursion.
     """
-    if max_period <= 0 or X.is_empty:
-        return []
-    order = X.alphabet.symbols
-    # the symbols >= b, largest first: pushed in this order, the prefixes
-    # pop in lexicographic order
-    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
-    start = frozenset(X.states)
-    words: list[str] = []
-    a: list[str] = []  # the current prefix
-    # (length t, last symbol a[t - 1], least period p, state set)
-    stack = [(1, b, 1, S) for b in pushes[order[0]]
-             if (S := X.step(start, b))]
-    while stack:
-        t, b, p, S = stack.pop()
-        del a[t - 1:]
-        a.append(b)
-        if p == t:
-            words.append("".join(a))
-        if t == max_period:
-            continue
-        keep = a[t - p]
-        for b in pushes[keep]:
-            T = X.step(S, b)
-            if T:
-                stack.append((t + 1, b, p if b == keep else t + 1, T))
-    words.sort(key=len)  # stable, so lexicographic within a length
-    return words
+    return _lyndon_walk(X, max_period, periodic=False)
 
 
 def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
@@ -727,10 +804,8 @@ def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
     alphabet's order, ordered by length and then lexicographically in that
     order.
 
-    The candidates are the :func:`lyndon_words` of X, whose prefixes are all
-    factors of X; each is kept when X has a cycle of its blocks (a nonempty
-    ``_stable_block_set``).  The cost is that walk plus one fixpoint per
-    candidate.
+    These are the :func:`lyndon_words` of X whose element of the transition
+    monoid has its cycle flag set, filtered inside the same walk: one table
+    lookup per walk node, plus O(|Q|^2) per element of the monoid reached.
     """
-    return [w for w in lyndon_words(X, max_period)
-            if _stable_block_set(X, w, outgoing=True)]
+    return _lyndon_walk(X, max_period, periodic=True)

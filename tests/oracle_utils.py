@@ -438,6 +438,82 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
     return RigidityReport(True, None, used)
 
 
+# -- the state-set walk and per-word fixpoints that the transition monoid of
+# shiftgeo.shifts._RelationMonoid replaced -----------------------------------
+
+
+def lyndon_words_state_set_oracle(X, max_period: int) -> list[str]:
+    """``shifts.lyndon_words`` on the prenecklace walk that carries each
+    prefix's state set, stepped by ``X.step``."""
+    if max_period <= 0 or X.is_empty:
+        return []
+    order = X.alphabet.symbols
+    # the symbols >= b, largest first: pushed in this order, the prefixes
+    # pop in lexicographic order
+    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
+    start = frozenset(X.states)
+    words: list[str] = []
+    a: list[str] = []  # the current prefix
+    # (length t, last symbol a[t - 1], least period p, state set)
+    stack = [(1, b, 1, S) for b in pushes[order[0]]
+             if (S := X.step(start, b))]
+    while stack:
+        t, b, p, S = stack.pop()
+        del a[t - 1:]
+        a.append(b)
+        if p == t:
+            words.append("".join(a))
+        if t == max_period:
+            continue
+        keep = a[t - p]
+        for b in pushes[keep]:
+            T = X.step(S, b)
+            if T:
+                stack.append((t + 1, b, p if b == keep else t + 1, T))
+    words.sort(key=len)  # stable, so lexicographic within a length
+    return words
+
+
+def periodic_orbits_fixpoint_oracle(X, max_period: int) -> list[str]:
+    """``shifts.periodic_orbits`` as the state-set walk plus one
+    ``_stable_block_set`` fixpoint per Lyndon word."""
+    from shiftgeo.shifts import _stable_block_set
+    return [w for w in lyndon_words_state_set_oracle(X, max_period)
+            if _stable_block_set(X, w, outgoing=True)]
+
+
+def isometric_ca_precondition_fixpoint_oracle(X, zero: str, L: int, P: int):
+    """``automata.isometric_ca_precondition`` with its zero point and every
+    marker s zero^(p-1) tested by its own ``_stable_block_set`` fixpoint,
+    and its orbits from :func:`periodic_orbits_fixpoint_oracle`."""
+    from shiftgeo.automata import RigidityReport
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.shifts import language, _stable_block_set
+    if zero not in X.alphabet:
+        raise ValueError(f"symbol {zero!r} not in alphabet")
+    if L <= 0:
+        raise PreconditionError("factor length bound must be positive")
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
+    if not _stable_block_set(X, zero, outgoing=True):
+        return RigidityReport(False, None, {})
+    marked = {s: [p for p in range(1, P + 1)
+                  if _stable_block_set(X, s + zero * (p - 1), outgoing=True)]
+              for s in X.alphabet}
+    orbits = periodic_orbits_fixpoint_oracle(X, P)
+    used = {}
+    for n in range(1, L + 1):
+        for w in language(X, n):
+            for s in (a for a in X.alphabet if a in w):
+                found = next((p for p in marked[s] if any(
+                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
+                    for u in orbits)), None)
+                if found is None:
+                    return RigidityReport(False, (w, s), used)
+                used[(w, s)] = found
+    return RigidityReport(True, None, used)
+
+
 # -- the |A|^k (w, u, v) loops that shiftgeo.shifts._synchronizing_words and
 # shiftgeo.shifts._pads replaced ---------------------------------------------
 
@@ -545,6 +621,16 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
     sign, man, exp, _bc = raw
     val = Fraction(int(man)) * Fraction(2) ** exp
     return -val if sign else val
+
+
+def binomial_growth_threshold_oracle(k, a):
+    """The block count m of ``measures.binomial_growth_threshold`` by the
+    exact test of every candidate m <= 256, which the search ran before its
+    float prescreen covered them too; None when none of them passes."""
+    from shiftgeo.measures import _block_condition_exact
+    return next((m for m in range(2, 257)
+                 if _block_condition_exact(m, Fraction(k), Fraction(a))),
+                None)
 
 
 def verify_binomial_bound_oracle(n: int, m: int, p: int) -> bool:

@@ -205,13 +205,33 @@ def test_rigidity_precondition():
 
 
 def test_periodic_points_make_no_contains_config_call(monkeypatch):
-    """Periodic points are tested by their block cycles alone."""
+    """Periodic points are tested by the cycle flags of the transition
+    monoid alone: no contains_config and no _stable_block_set fixpoint.  On
+    the full 2-shift every word has the one relation of the one state, so
+    the walk to P = 20 interns one element and computes at most |A| images;
+    every other node is a table lookup."""
     calls = []
     real = shifts.contains_config
     for module in (shifts, automata):
         monkeypatch.setattr(module, "contains_config",
                             lambda X, x: calls.append(x) or real(X, x),
                             raising=False)
+
+    def fixpoint(*args, **kwargs):
+        raise AssertionError("a periodic point ran a block-set fixpoint")
+
+    monkeypatch.setattr(shifts, "_stable_block_set", fixpoint)
+    monoids, images = [], []
+    init, image = shifts._RelationMonoid.__init__, \
+        shifts._RelationMonoid.image
+    monkeypatch.setattr(shifts._RelationMonoid, "__init__",
+                        lambda M, X: init(M, X) or monoids.append(M))
+    monkeypatch.setattr(shifts._RelationMonoid, "image",
+                        lambda M, e, b: images.append(b) or image(M, e, b))
+    # 111013 binary Lyndon words of length <= 20 (Moebius count)
+    assert len(shifts.periodic_orbits(full_shift(BINARY), 20)) == 111013
+    assert [len(M.relations) for M in monoids] == [1]
+    assert len(images) <= len(BINARY)
     assert shifts.periodic_orbits(golden_mean(), 4) == \
         ["0", "01", "001", "0001"]
     assert isometric_ca_precondition(golden_mean(), "0", 3, 6).passed

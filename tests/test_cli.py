@@ -298,7 +298,10 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
     (["measure", "ball-count", "01", "30", "1/4"], 4,
      "n = 30 exceeds the enumeration cap 22"),
     (["measure", "ball-count", "0", "23", "1/4"], 4,
-     "n = 23 exceeds the enumeration cap 22")])
+     "n = 23 exceeds the enumeration cap 22"),
+    (["measure", "growth-threshold", "2", "1/1000"], 4,
+     "exceeds the cap of 4194304 bits; no block count m < 23990 meets the "
+     "condition")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]
@@ -366,6 +369,8 @@ def test_measure_commands(capsys, golden_file):
     assert rc == 0 and "True" in out
     rc, out, _ = run(capsys, "measure", "growth-threshold", "2", "1")
     assert rc == 0 and "m = 7" in out
+    rc, out, _ = run(capsys, "measure", "growth-threshold", "2", "2000")
+    assert rc == 0 and "m = 2, verified from n0 = 2" in out
     rc, out, _ = run(capsys, "measure", "generic", "--length", "16")
     assert rc == 0 and len(out.strip()) == 16
     rc, out, _ = run(capsys, "measure", "ball-count", "01", "8", "1/4")

@@ -8,8 +8,10 @@ Lyndon-word orbit enumerator and the (w, u, v) triple search against the
 bound against the mpmath interval evaluation it replaced, the image
 presentation of ``preserves_shift`` against its old per-width construction,
 the distance product on integer node ids against the product on named
-nodes, and the bitmask powers of ``mixing_distance`` against the boolean
-matrix powers.
+nodes, the bitmask powers of ``mixing_distance`` against the boolean
+matrix powers, and the orbit walk and rigidity markers on the transition
+monoid against the state-set walk and per-word block-set fixpoints they
+replaced.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -47,15 +49,17 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     find_unbordered_synchronizing, full_shift, language, language_subset, \
     lyndon_words, mixing_distance, mixing_sft_inside, periodic_orbits, \
     positive_entropy, shannon_cover, transitive_components, _is_mixing, \
-    _merge_equivalent, _pads, _stable_block_set, _subset_graph, \
-    _synchronizing_words
+    _merge_equivalent, _pads, _RelationMonoid, _stable_block_set, \
+    _subset_graph, _synchronizing_words
 from oracle_utils import check_on_subshift_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
+    isometric_ca_precondition_fixpoint_oracle, \
     isometric_ca_precondition_oracle, karp_min_mean_oracle, \
-    lex_least_completion_oracle, merge_equivalent_oracle, \
-    mixing_distance_oracle, mixing_sft_inside_oracle, \
-    nearest_periodic_oracle, necklaces, periodic_orbits_oracle, \
+    lex_least_completion_oracle, lyndon_words_state_set_oracle, \
+    merge_equivalent_oracle, mixing_distance_oracle, \
+    mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
+    periodic_orbits_fixpoint_oracle, periodic_orbits_oracle, \
     preserves_shift_oracle, profile_mismatches_oracle, \
     residue_profile_oracle, stable_block_set_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle
@@ -393,6 +397,13 @@ def _lyndon_oracle(X, P: int) -> list[str]:
             and all(X.accepts_word(w[:i]) for i in range(1, p + 1))]
 
 
+def _walks_match_fixpoint_oracle(X, P: int):
+    """The monoid walk against the state-set walk and per-word fixpoints
+    it replaced."""
+    assert lyndon_words(X, P) == lyndon_words_state_set_oracle(X, P)
+    assert periodic_orbits(X, P) == periodic_orbits_fixpoint_oracle(X, P)
+
+
 @deterministic(300)
 @given(presentation(), st.sampled_from(range(9)))
 def test_periodic_orbits_match_word_loop_oracle(X, P):
@@ -400,6 +411,7 @@ def test_periodic_orbits_match_word_loop_oracle(X, P):
         P = min(P, 6)  # the oracle walks all 3^p words
     assert lyndon_words(X, P) == _lyndon_oracle(X, P)
     assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
+    _walks_match_fixpoint_oracle(X, P)
 
 
 @deterministic(300)
@@ -604,6 +616,68 @@ def test_stable_block_fold_matches_per_state_read_oracle(X, data):
         contains_config_oracle(X, periodic_config(word, big))
     x = _config(data, data.draw(st.sampled_from([X.alphabet, big])))
     assert contains_config(X, x) == contains_config_oracle(X, x)
+
+
+# -- the transition monoid against the state-set walk and the per-word
+# fixpoints it replaced ------------------------------------------------------
+
+
+@st.composite
+def long_word_sft(draw):
+    """A compiled SFT with one to four forbidden words of length 4 or 5 over
+    two of the symbols 0, 1, 2, or of length 4 over all three, in any order:
+    8 to 16 or 27 states, and monoids of dozens of elements."""
+    k = draw(st.sampled_from((2, 3)))
+    ab = Alphabet(draw(st.permutations("012"))[:k])
+    words = st.text(st.sampled_from(ab.symbols),
+                    min_size=4, max_size=5 if k == 2 else 4)
+    try:
+        return compile_sft(SftSpec(ab, tuple(draw(
+            st.lists(words, min_size=1, max_size=4)))))
+    except EmptyShiftError:
+        reject()
+
+
+@deterministic(60)
+@given(long_word_sft(), st.integers(3, 12))
+def test_monoid_walk_matches_fixpoint_oracle_on_long_word_sfts(X, P):
+    _walks_match_fixpoint_oracle(X, min(P, 8) if len(X.alphabet) == 3 else P)
+
+
+@deterministic(400)
+@given(st.one_of(presentation(), long_word_sft()), st.data())
+def test_monoid_element_matches_per_state_read_oracle(X, data):
+    """The element of a random word (a marker s zero^(p-1) among them, and
+    sometimes with one symbol outside the alphabet) relates each state to
+    the states its paths reach, and its cycle flag is set exactly when the
+    outgoing stable block set is nonempty."""
+    syms = st.sampled_from(X.alphabet.symbols)
+    word = data.draw(st.one_of(
+        st.text(syms, min_size=1, max_size=8),
+        st.builds(lambda s, zero, p: s + zero * (p - 1), syms, syms,
+                  st.integers(1, 8))))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(word)))
+        word = word[:i] + _foreign_symbol(X.alphabet) + word[i:]
+    M = _RelationMonoid(X)
+    e = functools.reduce(M.step, word, M.identity)
+    reach = [frozenset(X.read({s}, word)) for s in X.states]
+    if e < 0:
+        assert not any(reach)
+    else:
+        assert [frozenset(X.states[j] for j in range(len(X.states))
+                          if r >> j & 1) for r in M.relations[e]] == reach
+    assert M.cycles(e) == bool(stable_block_set_oracle(X, word, True))
+
+
+@deterministic(200)
+@given(st.one_of(presentation(), long_word_sft()), st.data())
+def test_rigidity_precondition_matches_fixpoint_oracle(X, data):
+    zero = data.draw(st.sampled_from(X.alphabet.symbols))
+    L = data.draw(st.integers(1, 3))
+    P = data.draw(st.integers(1, 6 if len(X.alphabet) == 3 else 9))
+    assert isometric_ca_precondition(X, zero, L, P) == \
+        isometric_ca_precondition_fixpoint_oracle(X, zero, L, P)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from shiftgeo.measures import (bernoulli_prefix, binomial_growth_threshold,
                                verify_binomial_bound)
 from shiftgeo.shifts import (ShiftPresentation, full_shift, golden_mean,
                              even_shift, language)
+from oracle_utils import binomial_growth_threshold_oracle
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -143,6 +144,49 @@ def test_growth_threshold():
     assert ms == sorted(ms, reverse=True)
     with pytest.raises(ValueError):
         binomial_growth_threshold(1, 1)
+
+
+@pytest.mark.parametrize("k, a, want", [
+    (2, 1, (7, 7)), (2, 2, (3, 3)), (2, F(1, 10), (127, 127)),
+    (2, F(1, 40), (647, 647)), (2, F(3, 40), (179, 179))])
+def test_growth_threshold_pins(k, a, want):
+    assert binomial_growth_threshold(k, a) == want
+
+
+def test_growth_threshold_prescreen_keeps_the_exact_least_block_count():
+    """Every block count the float prescreen skips fails the exact test:
+    the least m agrees with the exact test of every m <= 256."""
+    for k, a in itertools.product((2, 3, F(3, 2), 5),
+                                  (F(n, d) for d in range(1, 13)
+                                   for n in range(1, 2 * d + 1))):
+        m = binomial_growth_threshold_oracle(k, a)
+        if m is not None:
+            assert binomial_growth_threshold(k, a)[0] == m, (k, a)
+
+
+def test_growth_threshold_beyond_the_float_range():
+    """k^(2a/3) past the largest float screens out no block count, and a
+    k past it is read through its logarithm: no OverflowError."""
+    assert binomial_growth_threshold(2, 2000) == (2, 2)
+    assert binomial_growth_threshold(10 ** 400, 1) == (2, 2)
+    assert binomial_growth_threshold(10 ** 400, F(1, 1000)) == (5, 5)
+
+
+def test_growth_threshold_caps_the_exact_powers(monkeypatch):
+    """Denominators of a that need exact powers over GROWTH_BITS_CAP bits
+    stop at once, and say which block counts were ruled out."""
+    with pytest.raises(CapError, match="no block count m < 23990 meets"):
+        binomial_growth_threshold(2, F(1, 1000))
+    with pytest.raises(CapError, match="no block count m < 1844 meets"):
+        binomial_growth_threshold(2, F(1, 100))
+    assert binomial_growth_threshold(2, F(1, 80)) == (1432, 1432)
+    # the second stage: the exact test of m = 7 raises powers of about 72
+    # bits and passes; then 2^56 is estimated at 112 bits
+    monkeypatch.setattr(measures, "GROWTH_BITS_CAP", 100)
+    with pytest.raises(CapError, match="m = 7, no start n0 < 7 verified, "
+                       "and the bound holds at the multiples of m from 7 "
+                       "below 56"):
+        binomial_growth_threshold(2, 1)
 
 
 def test_bernoulli_prefix():
