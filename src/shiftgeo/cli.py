@@ -515,6 +515,9 @@ def main(argv=None) -> int:
     except CapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 4
+    except (AssertionError, RuntimeError) as e:  # a broken invariant
+        print(f"internal error: {e}", file=sys.stderr)
+        return 5
     except PreconditionError as e:
         print(f"precondition violation: {e}", file=sys.stderr)
         return 3

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: input problems exit 2, precondition
-violations exit 3, resource caps exit 4.
+violations exit 3, resource caps exit 4.  An ``AssertionError`` or other
+``RuntimeError`` is a broken internal invariant and exits 5.
 """
 
 

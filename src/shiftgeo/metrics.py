@@ -29,7 +29,8 @@ against inf(v[k:] + v[:k]) over one lcm block, for every k < g at once
 Every digit of the product is at most |u| |v| / g = lcm, so 2^D > lcm rules
 out carries and the digits are exact.  ``nearest_periodic`` and
 ``unique_approximation_search`` share one such scan over the orbits of X,
-``_nearest_orbits``.
+``_nearest_orbits``; the search runs the exact distance below only to
+certify a tie of two or more nearest orbits.
 
 Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
@@ -432,8 +433,9 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
 
     Orbit classes, not raw points, are compared: distinct periodic points at
     distance zero coincide, so the orbit quotient is the meaningful one.
-    The search is sound: the exact distance to X is computed first and only
-    periodic points achieving exactly that distance count as minimizers.
+    The search is sound: the scanned orbits lie in X, so a tie of two or
+    more nearest orbits counts only when the exact distance to X, computed
+    for such candidates alone, reaches their distance.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
@@ -445,12 +447,12 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
     for w in lyndon_words(full_shift(X.alphabet), P):
         if w in in_x:  # inf(w) is in X: its distance is 0
             continue
+        best, points = _nearest_orbits(x_orbits, w, corr, X.alphabet.key)
+        if len(points) < 2:
+            continue
         y = periodic_config(w, X.alphabet)
         d_true = distance_to_shift(y, X)
-        # every point of X is at least d_true away, so the orbits at
-        # d_true are the nearest ones when the nearest reach it
-        best, points = _nearest_orbits(x_orbits, w, corr, X.alphabet.key)
-        if best == d_true and len(points) >= 2:
+        if best == d_true:
             return UapVerdict(
                 True, P, witness=y, distance=d_true,
                 minimizers=[periodic_config(pt, X.alphabet)

@@ -361,8 +361,9 @@ def periodic_orbits_oracle(X, max_period: int) -> list[str]:
 
 def unique_approximation_search_oracle(X, P: int):
     """``metrics.unique_approximation_search`` with its candidate words
-    drawn from the old |A|^p loop and its orbits from
-    :func:`periodic_orbits_oracle`."""
+    drawn from the old |A|^p loop, its orbits from
+    :func:`periodic_orbits_oracle`, and the exact distance computed first
+    for every candidate, before any orbit is compared."""
     from shiftgeo.configs import periodic_config
     from shiftgeo.metrics import UapVerdict, cyclic_mismatch_density, \
         distance_to_shift

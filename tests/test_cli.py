@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftgeo
+from shiftgeo import cli
 from shiftgeo.cli import main
 
 
@@ -545,3 +546,42 @@ def test_path_prefixes_reject_negative_length(capsys, argv):
 def test_empty_alphabet_flag_is_an_input_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "") and "alphabet must be nonempty" in err
+
+
+@pytest.mark.parametrize("error", [AssertionError("closure broke"),
+                                   RuntimeError("no convergence")])
+def test_internal_errors_exit_5_without_a_traceback(capsys, monkeypatch,
+                                                    error):
+    def broken(ns, rep):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "dist", broken)
+    rc, out, err = run(capsys, "dist", "--db", "inf(0).inf(0)",
+                       "inf(1).inf(1)")
+    assert (rc, out) == (5, "")
+    assert err == f"internal error: {error}\n"
+    assert "Traceback" not in err
+
+
+def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
+    """The exact distance that certifies a UAP tie keeps its invariants as
+    raises, which `python -O` does not strip."""
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps({
+        "alphabet": "01", "states": ["s0", "s1"],
+        "edges": [{"from": "s0", "to": "s1", "label": "0"},
+                  {"from": "s1", "to": "s0", "label": "0"},
+                  {"from": "s1", "to": "s0", "label": "1"}]}))
+    argv = ["uap", "search", str(block), "--period", "8", "--json"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "shiftgeo.cli",
+                           *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)["result"]
+    assert got == json.loads(out)["result"]
+    assert got["violation"] and got["witness"] == \
+        "inf(00011011).inf(00011011)"

@@ -42,8 +42,8 @@ from shiftgeo.homotopy import AbstractComplex, embed_complex, \
     lex_least_completion
 from shiftgeo.measures import _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
-    d_besicovitch, d_weyl, distance_to_shift_detail, nearest_periodic, \
-    unique_approximation_search
+    d_besicovitch, d_weyl, distance_to_shift, distance_to_shift_detail, \
+    nearest_periodic, unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     concatenation_closure, contains_config, disjoint_union, \
     find_unbordered_synchronizing, full_shift, language, language_subset, \
@@ -420,12 +420,28 @@ def test_uap_search_matches_word_loop_oracle(X, P):
     if X.is_empty:
         reject()
     if len(X.alphabet) == 3:
-        P = min(P, 5)  # each candidate runs distance_to_shift twice
+        P = min(P, 5)  # the oracle runs distance_to_shift per candidate
     got = unique_approximation_search(X, P)
     want = unique_approximation_search_oracle(X, P)
     for field in ("violation", "period_bound", "witness", "distance",
                   "minimizers"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+@deterministic(200)
+@given(presentation(), st.data())
+def test_nearest_periodic_distance_bounds_the_exact_distance(X, data):
+    # unique_approximation_search skips the exact distance unless the scan
+    # ties; that is sound because the scanned points lie in X
+    top = 6 if len(X.alphabet) == 3 else 8
+    n = data.draw(st.integers(1, top))
+    w = data.draw(st.text(st.sampled_from(X.alphabet.symbols), min_size=n,
+                          max_size=n))
+    P = data.draw(st.integers(n, top))
+    if X.is_empty or not periodic_orbits(X, P):
+        reject()
+    y = periodic_config(w, X.alphabet)
+    assert nearest_periodic(X, y, P).distance >= distance_to_shift(y, X)
 
 
 def _outcome(fn, *args):

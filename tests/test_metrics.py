@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shiftgeo import metrics
 from shiftgeo.configs import Alphabet, BINARY, least_rotation, parse_config, \
     periodic_config, shift
 from shiftgeo.errors import PreconditionError
@@ -242,6 +243,23 @@ def test_uap_full_shift_and_golden():
     for z in v.minimizers:
         assert contains_config(golden_mean(), z)
         assert cyclic_density_oracle("011011", z.right_period * 2) == F(1, 3)
+
+
+@pytest.mark.parametrize("X, P, calls", [(block_shift(), 7, 0),
+                                          (block_shift(), 8, 1),
+                                          (golden_mean(), 10, 1)])
+def test_uap_search_runs_the_exact_distance_only_on_ties(monkeypatch, X, P,
+                                                         calls):
+    # the orbit scan decides each candidate; the exact distance runs only
+    # where two orbits tie, and at P = 8 the block shift's one tie is its
+    # witness inf(00011011)
+    seen = []
+    exact = metrics.distance_to_shift
+    monkeypatch.setattr(metrics, "distance_to_shift",
+                        lambda y, Y: seen.append(y) or exact(y, Y))
+    v = unique_approximation_search(X, P)
+    assert len(seen) == calls
+    assert seen == ([v.witness] if v.violation else [])
 
 
 def test_uap_block_shift_boundary():
