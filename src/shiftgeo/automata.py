@@ -14,6 +14,7 @@ by their block cycles on the presentation (see ``shifts``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -342,14 +343,33 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     rotation k >= g repeats the verdicts of k mod g < k, and the first
     witness of each property is the one a scan of every rotation finds.
 
-    Each pair costs two packed correlations (see ``metrics``): cin =
-    A(w1) B(w2) and cout = A(f w1) B(f w2), whose digit 2N - 1 - k |A|
-    (N = g |A|) is the match count at class k before and after the rule.
-    Every digit is at most lcm(|w1|, |w2|) <= P^2 < 2^D with D =
-    (P * P).bit_length(), so no digit carries, and when the class digits of
-    cin and cout agree, so do d_in and d_out at every k: one comparison
-    settles the pair.  Otherwise the classes are read in ascending k, as a
-    per-k scan would, so each property keeps the same first witness.
+    A pair's match counts come from two packed correlations (see
+    ``metrics``): A(w1) B(w2) and A(f w1) B(f w2), whose digit
+    2N - 1 - k |A| (N = g |A|) is the match count at class k before and
+    after the rule.  Every digit is at most lcm(|w1|, |w2|) <= P^2 < 2^D
+    with D = (P * P).bit_length(), so no digit carries.  The orbits are
+    listed by length, and every w2 of one length q shares g with w1, so the
+    B(w2) of the group are packed into one integer at a stride of 3 N
+    D-bit digits (one product has fewer), as are the B(f w2): one product
+    before the rule and one after hold every pair (w1, w2) of the group,
+    each in its own slot.  With I and O their class digits, the group is
+    tested for the properties still open:
+
+    - while ``isometric`` is open, a pair is unsettled iff its class digits
+      differ, I ^ O;
+    - once it has a witness, so has ``contracting`` or ``expanding`` (the
+      same pair fired it), and |A| >= 2 (one symbol gives one point).  So
+      the digit above each class digit is a non-class digit, and a guard
+      bit G at its lowest bit takes the borrow of the class below:
+      G & ~((O | G) - I) marks the classes with O < I, where the rule
+      raises the distance (``contracting`` fires), and the same with I and
+      O swapped marks ``expanding``.
+
+    The lowest marked bit names the first unsettled w2 of the group; its
+    digits are read from its slot, in ascending k, as a per-pair scan would
+    read them, and the test runs again from the next slot.  A skipped pair
+    could fire only properties that already have a witness, so every first
+    witness is the one a per-pair scan finds.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
@@ -358,19 +378,54 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     orbits = periodic_orbits(X, P)
     images = {w: apply_cyclic(f, w) for w in orbits}
     corr = _Correlator(f.alphabet.symbols, P)
-    pack, mask, digits = corr.pack, corr.mask, corr.digits
+    D, S, pack, digits = corr.D, corr.S, corr.pack, corr.digits
+    groups = [list(ws) for _q, ws in itertools.groupby(orbits, len)]
+
+    @functools.cache
+    def batch(i: int, g: int) -> tuple:
+        """(stride, B of group i, B of its images, class mask, guards)."""
+        stride = 3 * g * S * D
+        b_in = b_out = rep = 0
+        for w in reversed(groups[i]):
+            b_in = b_in << stride | pack(w, g)[1]
+            b_out = b_out << stride | pack(images[w], g)[1]
+            rep = rep << stride | 1
+        mask = corr.mask(g) * rep
+        return stride, b_in, b_out, mask, mask // ((1 << D) - 1) << D
 
     first = {"contracting": None, "isometric": None, "expanding": None}
     for w1 in orbits:
-        for w2 in orbits:
-            g = gcd(len(w1), len(w2))
-            cin = pack(w1, g)[0] * pack(w2, g)[1]
-            cout = pack(images[w1], g)[0] * pack(images[w2], g)[1]
-            if (cin ^ cout) & mask(g):
+        for i, group in enumerate(groups):
+            g = gcd(len(w1), len(group[0]))
+            stride, b_in, b_out, M, G = batch(i, g)
+            cin = pack(w1, g)[0] * b_in
+            cout = pack(images[w1], g)[0] * b_out
+            I, O = cin & M, cout & M
+            start = 0
+            while True:
+                if first["isometric"] is None:
+                    marks = I ^ O
+                elif S < 2:
+                    raise RuntimeError("isometry violated on one symbol")
+                elif first["contracting"] is None:
+                    marks = G & ~((O | G) - I)
+                elif first["expanding"] is None:
+                    marks = G & ~((I | G) - O)
+                else:
+                    return SubshiftCheck(P, first["contracting"],
+                                         first["isometric"],
+                                         first["expanding"])
+                marks >>= start
+                if not marks:
+                    break
+                slot = (start + (marks & -marks).bit_length() - 1) // stride
+                start = (slot + 1) * stride
+                w2 = group[slot]
                 # d_in and d_out share the denominator lcm(|w1|, |w2|)
                 block = len(w1) // g * len(w2)
-                for k, (a, b) in enumerate(zip(digits(cin, g),
-                                               digits(cout, g))):
+                shift = slot * stride
+                for k, (a, b) in enumerate(zip(digits(cin >> shift, g),
+                                               digits(cout >> shift, g))):
                     if a == b:
                         continue
                     m_in, m_out = block - a, block - b
@@ -381,10 +436,6 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
                                 periodic_config(w1, f.alphabet),
                                 periodic_config(w2[k:] + w2[:k], f.alphabet),
                                 Fraction(m_in, block), Fraction(m_out, block))
-            if all(first.values()):
-                break
-        if all(first.values()):
-            break
     return SubshiftCheck(P, first["contracting"], first["isometric"],
                          first["expanding"])
 

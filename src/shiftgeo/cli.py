@@ -97,8 +97,12 @@ class Report:
         text = "\n".join(self.lines)
         payload = json.dumps(self.data, indent=2, sort_keys=True)
         if ns.out:
-            with open(ns.out, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(ns.out, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as e:
+                raise InputError(
+                    f"cannot write {ns.out}: {e.strerror or e}") from e
         if ns.json:
             print(payload)
         elif text:
@@ -512,6 +516,7 @@ def main(argv=None) -> int:
     try:
         _check_arg_count(ns)
         _HANDLERS[ns.cmd](ns, rep)
+        rep.emit(ns)
     except CapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 4
@@ -524,7 +529,6 @@ def main(argv=None) -> int:
     except (InputError, ValueError, IndexError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    rep.emit(ns)
     return 0
 
 

@@ -40,6 +40,10 @@ class AbstractComplex:
         vs = tuple(vertices)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertices")
+        try:
+            sorted(vs)
+        except TypeError as e:  # faces are listed in sorted order
+            raise ValueError("vertex names of mixed types") from e
         vset = set(vs)
         closed = set()
         for f in faces:

@@ -66,7 +66,7 @@ class ShiftPresentation:
     presentation (no states) is valid and presents the empty shift.
     """
 
-    __slots__ = ("alphabet", "states", "edges", "_out", "_in")
+    __slots__ = ("alphabet", "states", "edges", "_out", "_in", "_cover")
 
     def __init__(self, alphabet: Alphabet, states, edges):
         self.alphabet = alphabet
@@ -95,6 +95,7 @@ class ShiftPresentation:
             inc[t].setdefault(a, set()).add(s)
         self._out = out
         self._in = inc
+        self._cover = None   # filled by the first shannon_cover(self)
 
     # -- basic queries -------------------------------------------------
 
@@ -366,7 +367,14 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
     (this strips subset-construction artifacts whose factors are covered
     elsewhere).  The result is language-equal to X and is a fixed point of
     the procedure.
+
+    A presentation is immutable, so its cover is built once, on the first
+    call, and kept in its ``_cover`` slot: later calls on the same object
+    return that object.  A cover's own slot starts empty, so the cover of a
+    cover is built from it.
     """
+    if X._cover is not None:
+        return X._cover
     if X.is_empty:
         raise EmptyShiftError("empty shift has no cover")
     M = _merge_equivalent(ShiftPresentation(X.alphabet,
@@ -386,7 +394,8 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
                 M = _merge_equivalent(Y)
                 changed = True
                 break
-    return M.renamed()
+    X._cover = M.renamed()
+    return X._cover
 
 
 def _indexed(C: ShiftPresentation):

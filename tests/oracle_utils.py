@@ -227,6 +227,54 @@ def check_on_subshift_oracle(table: dict, lo: int, hi: int,
     return first
 
 
+def check_on_subshift_pairwise_oracle(f, X, P: int):
+    """``automata.check_on_subshift`` as a per-pair loop: two packed
+    correlations for each (w1, w2), settled when their class digits agree
+    under the class mask, and the classes of an unsettled pair read in
+    ascending k.  Returns the same ``SubshiftCheck``."""
+    from shiftgeo.automata import PropertyWitness, SubshiftCheck, \
+        apply_cyclic, preserves_shift
+    from shiftgeo.configs import periodic_config
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.metrics import _Correlator
+    from shiftgeo.shifts import periodic_orbits
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
+    if not preserves_shift(f, X):
+        raise PreconditionError("rule does not map the shift into itself")
+    orbits = periodic_orbits(X, P)
+    images = {w: apply_cyclic(f, w) for w in orbits}
+    corr = _Correlator(f.alphabet.symbols, P)
+    pack, mask, digits = corr.pack, corr.mask, corr.digits
+
+    first = {"contracting": None, "isometric": None, "expanding": None}
+    for w1 in orbits:
+        for w2 in orbits:
+            g = gcd(len(w1), len(w2))
+            cin = pack(w1, g)[0] * pack(w2, g)[1]
+            cout = pack(images[w1], g)[0] * pack(images[w2], g)[1]
+            if (cin ^ cout) & mask(g):
+                block = len(w1) // g * len(w2)
+                for k, (a, b) in enumerate(zip(digits(cin, g),
+                                               digits(cout, g))):
+                    if a == b:
+                        continue
+                    m_in, m_out = block - a, block - b
+                    for prop in ("isometric", "contracting" if m_out > m_in
+                                 else "expanding"):
+                        if first[prop] is None:
+                            first[prop] = PropertyWitness(
+                                periodic_config(w1, f.alphabet),
+                                periodic_config(w2[k:] + w2[:k], f.alphabet),
+                                Fraction(m_in, block), Fraction(m_out, block))
+            if all(first.values()):
+                break
+        if all(first.values()):
+            break
+    return SubshiftCheck(P, first["contracting"], first["isometric"],
+                         first["expanding"])
+
+
 def unfolded_arm_densities(x: Configuration,
                            y: Configuration) -> tuple[Fraction, Fraction]:
     """(left, right) mismatch densities of the arms of x and y, counted

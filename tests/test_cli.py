@@ -430,6 +430,27 @@ def test_report_out_file(capsys, tmp_path, golden_file):
     assert rep["result"]["mixing_distance"] == 1
 
 
+def test_report_out_to_unwritable_path_is_an_input_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    rc, out, err = run(capsys, "--out", str(missing), "dist",
+                       "inf(0).inf(0)", "inf(1).inf(1)")
+    assert (rc, out) == (2, "")
+    assert err == f"input error: cannot write {missing}: " \
+        "No such file or directory\n"
+    assert "Traceback" not in err and not missing.exists()
+
+
+def test_complex_with_mixed_vertex_name_types_is_an_input_error(capsys,
+                                                              tmp_path):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"vertices": ["a", 1], "faces": [["a", 1]]}))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"alphabet": "01", "forbidden": []}))
+    rc, out, err = run(capsys, "complex", "embed", str(mixed), str(full))
+    assert (rc, out) == (2, "")
+    assert err == "input error: vertex names of mixed types\n"
+
+
 def test_exit_codes(capsys, tmp_path, golden_file):
     rc, _, err = run(capsys, "dist", "--db", "inf(2).inf(2)",
                      "inf(0).inf(0)")
@@ -564,24 +585,43 @@ def test_internal_errors_exit_5_without_a_traceback(capsys, monkeypatch,
 
 
 def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
-    """The exact distance that certifies a UAP tie keeps its invariants as
-    raises, which `python -O` does not strip."""
+    """The exact distance that certifies a UAP tie, and the batched CA
+    check on a subshift (its guard-bit test included: the and rule leaves
+    only ``contracting`` open), keep their invariants as raises, which
+    `python -O` does not strip."""
     block = tmp_path / "block.json"
     block.write_text(json.dumps({
         "alphabet": "01", "states": ["s0", "s1"],
         "edges": [{"from": "s0", "to": "s1", "label": "0"},
                   {"from": "s1", "to": "s0", "label": "0"},
                   {"from": "s1", "to": "s0", "label": "1"}]}))
-    argv = ["uap", "search", str(block), "--period", "8", "--json"]
-    rc, out, _ = run(capsys, *argv)
-    assert rc == 0
+    no111 = tmp_path / "no111.json"
+    no111.write_text(json.dumps({"alphabet": "01", "forbidden": ["111"]}))
+    and2 = tmp_path / "and.json"
+    and2.write_text(json.dumps({
+        "alphabet": "01", "offsets": [-1, 0],
+        "table": {"00": "0", "01": "0", "10": "0", "11": "1"}}))
     src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-m", "shiftgeo.cli",
-                           *argv], capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)["result"]
-    assert got == json.loads(out)["result"]
-    assert got["violation"] and got["witness"] == \
+    results = []
+    for argv in (["uap", "search", str(block), "--period", "8"],
+                 ["classify", "eca:204", "--shift", str(no111),
+                  "--period", "6"],
+                 ["classify", str(and2), "--shift", str(no111),
+                  "--period", "6"]):
+        rc, out, _ = run(capsys, *argv, "--json")
+        assert rc == 0
+        proc = subprocess.run([sys.executable, "-O", "-m", "shiftgeo.cli",
+                               *argv, "--json"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)["result"]
+        assert got == json.loads(out)["result"]
+        results.append(got)
+    assert results[0]["violation"] and results[0]["witness"] == \
         "inf(00011011).inf(00011011)"
+    assert results[1] == {"contracting": True, "isometric": True,
+                          "expanding": True}
+    assert (results[2]["contracting"], results[2]["isometric"],
+            results[2]["expanding"]) == (True, False, False)
+    assert results[2]["expanding_witness"]["y"] == "inf(01).inf(01)"

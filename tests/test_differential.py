@@ -1,6 +1,7 @@
 """Differential tests: the residue-class mismatch kernel, the packed
 rotation-class correlation and the gcd-class CA scan against the unfolded
 brute-force oracles and the per-class residue sum in oracle_utils, the
+batched CA scan against the per-pair loop it replaced, the
 nearest-point search against its loop over every rotation, the
 frontier-row Karp against the dense-table Karp it replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
@@ -51,7 +52,8 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     positive_entropy, shannon_cover, transitive_components, _is_mixing, \
     _merge_equivalent, _pads, _RelationMonoid, _stable_block_set, \
     _subset_graph, _synchronizing_words
-from oracle_utils import check_on_subshift_oracle, contains_config_oracle, \
+from oracle_utils import check_on_subshift_oracle, \
+    check_on_subshift_pairwise_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
@@ -97,7 +99,7 @@ def _rules(symbols: str):
 def _preserving_rules(name: str) -> list:
     """Every binary rule of width 1 to 3 that maps the SFT `name` into
     itself, as (lo, hi, table)."""
-    symbols, forbidden, _p = SHIFTS[name]
+    symbols, forbidden, _p = BATCH_SHIFTS[name]
     X = compile_sft(SftSpec(BINARY, forbidden))
     found = []
     for lo, hi, pats in _rules(symbols):
@@ -109,9 +111,9 @@ def _preserving_rules(name: str) -> list:
 
 
 @st.composite
-def rule_on_shift(draw):
-    name = draw(st.sampled_from(sorted(SHIFTS)))
-    symbols, forbidden, max_p = SHIFTS[name]
+def rule_on_shift(draw, shifts):
+    name = draw(st.sampled_from(sorted(shifts)))
+    symbols, forbidden, max_p = shifts[name]
     if forbidden:
         lo, hi, table = draw(st.sampled_from(_preserving_rules(name)))
     else:
@@ -124,7 +126,7 @@ def rule_on_shift(draw):
 
 
 @deterministic(150)
-@given(rule_on_shift())
+@given(rule_on_shift(SHIFTS))
 def test_check_on_subshift_matches_full_rotation_oracle(case):
     name, lo, hi, table, P = case
     symbols, forbidden, _p = SHIFTS[name]
@@ -144,6 +146,98 @@ def test_check_on_subshift_matches_full_rotation_oracle(case):
         assert got.x == Configuration(ab, w1, "", "", w1), prop
         assert got.y == Configuration(ab, rot, "", "", rot), prop
         assert (got.d_in, got.d_out) == (din, dout), prop
+
+
+# The batched scan against the per-pair loop it replaced: the shifts above,
+# the SFT with forbidden words 11 and 000, and the one-symbol full shift, at
+# longer periods than the unfolded oracle reaches.
+BATCH_SHIFTS = {name: (symbols, forbidden, {"full3": 5}.get(name, 9))
+                for name, (symbols, forbidden, _p) in SHIFTS.items()}
+BATCH_SHIFTS.update({"golden000": ("01", ("11", "000"), 9),
+                     "one": ("a", (), 9)})
+
+
+def _assert_scans_agree(f, X, P: int):
+    """check_on_subshift equals the per-pair loop field for field, and, at
+    periods the unfolded oracle reaches, the full-rotation scan."""
+    chk = check_on_subshift(f, X, P)
+    assert chk == check_on_subshift_pairwise_oracle(f, X, P)
+    if P > (4 if len(X.alphabet) > 2 else 6):
+        return chk
+    orbits = periodic_orbits_oracle(X, P)
+    want = check_on_subshift_oracle(f.table, f.left, f.right, orbits)
+    for prop, expected in want.items():
+        got = getattr(chk, prop)
+        if expected is None:
+            assert got is None, prop
+            continue
+        w1, rot, din, dout = expected
+        assert got.x == periodic_config(w1, X.alphabet), prop
+        assert got.y == periodic_config(rot, X.alphabet), prop
+        assert (got.d_in, got.d_out) == (din, dout), prop
+    return chk
+
+
+@deterministic(120)
+@given(rule_on_shift(BATCH_SHIFTS))
+def test_batched_check_on_subshift_matches_pairwise_loop(case):
+    name, lo, hi, table, P = case
+    symbols, forbidden, _p = BATCH_SHIFTS[name]
+    ab = Alphabet(symbols)
+    X = compile_sft(SftSpec(ab, forbidden)) if forbidden else full_shift(ab)
+    _assert_scans_agree(CellularAutomaton(ab, lo, hi, table), X, P)
+
+
+def _group_slot(X, P: int, point) -> int:
+    """The place of point's orbit among the orbits of its length: the slot
+    of its B(w2) in the batch."""
+    w = point.right_period
+    rep = min((w[i:] + w[:i] for i in range(len(w))), key=X.alphabet.key)
+    return [v for v in periodic_orbits(X, P) if len(v) == len(w)].index(rep)
+
+
+def _rule(symbols: str, lo: int, hi: int, outputs: str):
+    """The rule over `symbols` with offsets [lo, hi] whose table lists
+    `outputs` in the order of its patterns, in the alphabet's order."""
+    pats = ["".join(t) for t in itertools.product(symbols,
+                                                  repeat=hi - lo + 1)]
+    return CellularAutomaton(Alphabet(symbols), lo, hi,
+                             dict(zip(pats, outputs, strict=True)))
+
+
+def test_batched_check_on_subshift_fixed_cases():
+    full2, full3 = full_shift(BINARY), full_shift(Alphabet("012"))
+    no111 = compile_sft(SftSpec(BINARY, ("111",)))
+    # isometric and contracting each fire at the second orbit of a length
+    # group, contracting only after isometric has a witness: the guard-bit
+    # test with only contracting open
+    chk = _assert_scans_agree(_rule("01", -1, 0, "1101"), full2, 4)
+    for w in (chk.isometric, chk.contracting):
+        assert _group_slot(full2, 4, w.y) == 1
+    assert chk.contracting != chk.isometric and chk.expanding is not None
+    # ECA 107: expanding fires mid-group after isometric, with only
+    # expanding open
+    chk = _assert_scans_agree(_rule("01", -1, 1, "11010110"), full2, 4)
+    assert chk.expanding != chk.isometric
+    assert _group_slot(full2, 4, chk.expanding.y) == 1
+    # the and rule on no111: only contracting stays open, and never fires
+    chk = _assert_scans_agree(_rule("01", -1, 0, "0001"), no111, 8)
+    assert chk.contracting is None
+    assert None not in (chk.isometric, chk.expanding)
+    # rules on the full 3-shift: contracting, then expanding third in its
+    # group, each after isometric
+    chk = _assert_scans_agree(_rule("012", 0, 1, "210010112"), full3, 4)
+    assert chk.contracting != chk.isometric
+    chk = _assert_scans_agree(_rule("012", -1, 0, "101222212"), full3, 4)
+    assert chk.expanding != chk.isometric
+    assert _group_slot(full3, 4, chk.expanding.y) == 2
+    # a symbol permutation is an isometry of the full 3-shift
+    chk = _assert_scans_agree(_rule("012", 0, 0, "120"), full3, 5)
+    assert (chk.contracting, chk.isometric, chk.expanding) == (None,) * 3
+    # the one-symbol full shift has one point, so no rule violates anything
+    one = full_shift(Alphabet("a"))
+    chk = _assert_scans_agree(_rule("a", -1, 1, "a"), one, 9)
+    assert (chk.contracting, chk.isometric, chk.expanding) == (None,) * 3
 
 
 @st.composite

@@ -286,6 +286,19 @@ def test_complex_dict_roundtrip():
     assert K2 == K
 
 
+def test_complex_rejects_mixed_vertex_name_types():
+    for vertices, faces in ((["a", 1], [["a", 1]]), (["a", 1], []),
+                            ([2, "b", 1.5], [[2, 1.5]])):
+        with pytest.raises(ValueError, match="vertex names of mixed types"):
+            AbstractComplex.make(vertices, faces)
+    with pytest.raises(ValueError, match="vertex names of mixed types"):
+        AbstractComplex.from_dict({"vertices": ["a", 1], "faces": [["a", 1]]})
+    # names of one kind keep their own order: numbers are not made strings
+    K = AbstractComplex.make([10, 9, 2.5], [[10, 9], [9, 2.5]])
+    assert K.vertices == (10, 9, 2.5)
+    assert K.faces_of_size(2) == [frozenset({2.5, 9}), frozenset({9, 10})]
+
+
 def test_complex_coordinates():
     ext = extract_complex(triangle_union())
     one = parse_config("inf(1).inf(1)", A012)

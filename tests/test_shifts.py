@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from shiftgeo import shifts
 from shiftgeo.configs import Alphabet, BINARY, is_unbordered, parse_config, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
@@ -99,6 +100,24 @@ def test_shannon_cover_fixpoint_and_language():
         C2 = shannon_cover(C)
         assert len(C2.states) == len(C.states)
         assert C.is_deterministic()
+
+
+def test_shannon_cover_builds_once_per_presentation(monkeypatch):
+    built = []
+    real = shifts._subset_graph
+    monkeypatch.setattr(shifts, "_subset_graph",
+                        lambda X, step: built.append(X) or real(X, step))
+    X = triangle_union()
+    C = shannon_cover(X)
+    assert shannon_cover(X) is C and shannon_cover(X) is C
+    assert built == [X]
+    # an equal presentation is another object with its own cover
+    assert shannon_cover(triangle_union()) is not C
+    assert len(built) == 2
+    # a cover does not count as its own cover: its cover is built from it
+    C2 = shannon_cover(C)
+    assert built[2] is C and len(built) == 3
+    assert shannon_cover(C) is C2 and len(built) == 3
 
 
 def test_shannon_cover_random_presentations_sound():
