@@ -266,6 +266,15 @@ class ShiftDistanceDetail:
 
 def distance_to_shift_detail(x: Configuration,
                              Y: ShiftPresentation) -> ShiftDistanceDetail:
+    """Exact distance from x to Y, with the arm cycles that attain it.
+
+    A bi-infinite path circles a left-arm cycle, crosses the finite part and
+    circles a right-arm cycle, so the distance is the least (left mean +
+    right mean) / 2 over each left SCC and the right SCCs it reaches.  Ties
+    go to the least left component index (Tarjan's emission order), then to
+    the least right (mean, component index).  With equal periods v -> v + r0
+    maps the left arm onto the right, so Karp runs once per twin pair.
+    """
     if Y.is_empty:
         raise EmptyShiftError("distance to the empty shift is undefined")
     word, psucc, nl, r0 = _position_graph(x)
@@ -287,7 +296,16 @@ def distance_to_shift_detail(x: Configuration,
     # by arm and component index
     left: dict[int, tuple[Fraction, list[int]]] = {}
     right: dict[int, tuple[Fraction, list[int]]] = {}
+    # Karp results by least node in left-arm coordinates: with equal periods
+    # (twin = r0) whichever twin Tarjan emits first serves the other
+    twin = r0 if x.left_period == x.right_period else 0
+    done: dict[int, tuple[int, Fraction, list[int]]] = {}
     for ci, comp in enumerate(comps):
+        off = twin if comp[0] % n >= r0 else 0
+        if (hit := done.get(comp[0] - off)) is not None:
+            d = off - hit[0]
+            (right if off else left)[ci] = hit[1], [v + d for v in hit[2]]
+            continue
         members = set(comp)
         internal = {v: [(t, w) for (t, w, _a) in wsucc[v] if t in members]
                     for v in comp}
@@ -298,7 +316,8 @@ def distance_to_shift_detail(x: Configuration,
         if sides != {"L"} and sides != {"R"}:
             raise AssertionError("cycle mixes position arms")
         arm = left if sides == {"L"} else right
-        arm[ci] = _graph.karp_min_mean(comp, internal)
+        arm[ci] = res = _graph.karp_min_mean(comp, internal)
+        done[comp[0] - off] = off, *res
 
     # best right-arm value reachable from each component
     k = len(comps)

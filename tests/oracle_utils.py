@@ -116,6 +116,23 @@ def necklaces(symbols: str, p: int) -> list[str]:
     ]
 
 
+def block_shift():
+    """The parity shift as a presentation: a two-state cover whose state s0
+    forces the next symbol to 0."""
+    from shiftgeo.configs import BINARY
+    from shiftgeo.shifts import ShiftPresentation
+    return ShiftPresentation(BINARY, ["s0", "s1"],
+                             [("s0", "s1", "0"), ("s1", "s0", "0"),
+                              ("s1", "s0", "1")])
+
+
+def sft14():
+    """The 14-state SFT with forbidden words 1111, 0000 and 10101."""
+    from shiftgeo.configs import BINARY
+    from shiftgeo.shifts import SftSpec, compile_sft
+    return compile_sft(SftSpec(BINARY, ("1111", "0000", "10101")))
+
+
 def in_parity_shift(w: str) -> bool:
     """True iff inf(w) lies in the parity shift: the shift-closure of the
     binary points whose even coordinates are 0, i.e. the points with one

@@ -37,8 +37,8 @@ from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              disjoint_union, even_shift, full_shift,
                              golden_mean, language, mixing_distance,
                              periodic_orbits)
-from oracle_utils import check_on_subshift_oracle, eca_table, necklaces, \
-    parity_shift_uap_oracle, rand_config
+from oracle_utils import block_shift, check_on_subshift_oracle, eca_table, \
+    necklaces, parity_shift_uap_oracle, rand_config
 
 A012 = Alphabet("012")
 
@@ -46,12 +46,6 @@ A012 = Alphabet("012")
 def report(num, ok, detail=""):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def block_shift():
-    return ShiftPresentation(BINARY, ["s0", "s1"],
-                             [("s0", "s1", "0"), ("s1", "s0", "0"),
-                              ("s1", "s0", "1")])
 
 
 # -- criterion 1: elementary CA classification vs exhaustive oracle ---------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -585,10 +587,12 @@ def test_internal_errors_exit_5_without_a_traceback(capsys, monkeypatch,
 
 
 def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
-    """The exact distance that certifies a UAP tie, and the batched CA
-    check on a subshift (its guard-bit test included: the and rule leaves
-    only ``contracting`` open), keep their invariants as raises, which
-    `python -O` does not strip."""
+    """The exact distance that certifies a UAP tie, the batched CA check
+    on a subshift (its guard-bit test included: the and rule leaves only
+    ``contracting`` open), and the exact distance to a shift from points
+    whose two arms share one period (one arm's Karp results serve the
+    other) keep their invariants as raises, which `python -O` does not
+    strip."""
     block = tmp_path / "block.json"
     block.write_text(json.dumps({
         "alphabet": "01", "states": ["s0", "s1"],
@@ -601,6 +605,9 @@ def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
     and2.write_text(json.dumps({
         "alphabet": "01", "offsets": [-1, 0],
         "table": {"00": "0", "01": "0", "10": "0", "11": "1"}}))
+    sft14 = tmp_path / "sft14.json"
+    sft14.write_text(json.dumps({"alphabet": "01",
+                                 "forbidden": ["1111", "0000", "10101"]}))
     src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     results = []
@@ -608,7 +615,11 @@ def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
                  ["classify", "eca:204", "--shift", str(no111),
                   "--period", "6"],
                  ["classify", str(and2), "--shift", str(no111),
-                  "--period", "6"]):
+                  "--period", "6"],
+                 ["dist", "--to-shift", str(sft14),
+                  "inf(1111010100).inf(1111010100)"],
+                 ["dist", "--to-shift", str(sft14),
+                  "inf(0000101011)1.0inf(0000101011)"]):
         rc, out, _ = run(capsys, *argv, "--json")
         assert rc == 0
         proc = subprocess.run([sys.executable, "-O", "-m", "shiftgeo.cli",
@@ -625,3 +636,171 @@ def test_uap_certification_runs_under_optimized_python(capsys, tmp_path):
     assert (results[2]["contracting"], results[2]["isometric"],
             results[2]["expanding"]) == (True, False, False)
     assert results[2]["expanding_witness"]["y"] == "inf(01).inf(01)"
+    assert [(r["distance"]["num"], r["distance"]["den"])
+            for r in results[3:]] == [(1, 10), (1, 5)]
+
+
+# -- no input reaches a traceback ------------------------------------------
+
+# (file name, JSON text): well-formed and degenerate shift, rule and
+# complex files, small enough that every search on them stays fast
+_FUZZ_FILES = {
+    "golden.json": {"alphabet": "01", "forbidden": ["11"]},
+    "even.json": {"alphabet": "01", "states": ["e", "o"],
+                  "edges": [{"from": "e", "to": "e", "label": "1"},
+                            {"from": "e", "to": "o", "label": "0"},
+                            {"from": "o", "to": "e", "label": "0"}]},
+    "tri.json": {"alphabet": "012", "states": ["a", "b", "c"],
+                 "edges": [{"from": q, "to": q, "label": a}
+                           for q, pair in zip("abc", ("01", "12", "20"))
+                           for a in pair]},
+    "one.json": {"alphabet": "0", "forbidden": []},
+    "empty_shift.json": {"alphabet": "01", "forbidden": ["0", "1"]},
+    "no_edges.json": {"alphabet": "01", "states": ["a"], "edges": []},
+    "no_states.json": {"alphabet": "01", "states": [], "edges": []},
+    "stray_state.json": {"alphabet": "01", "states": ["a"],
+                         "edges": [{"from": "a", "to": "b", "label": "0"}]},
+    "stray_label.json": {"alphabet": "01", "states": ["a"],
+                         "edges": [{"from": "a", "to": "a", "label": "2"}]},
+    "long_label.json": {"alphabet": "01", "states": ["a"],
+                        "edges": [{"from": "a", "to": "a", "label": "01"}]},
+    "empty_alphabet.json": {"alphabet": "", "forbidden": []},
+    "dup_alphabet.json": {"alphabet": "00", "forbidden": []},
+    "word_alphabet.json": {"alphabet": ["ab", "c"], "forbidden": ["c"]},
+    "stray_forbidden.json": {"alphabet": "01", "forbidden": ["2", ""]},
+    "and.json": {"alphabet": "01", "offsets": [-1, 0],
+                 "table": {"00": "0", "01": "0", "10": "0", "11": "1"}},
+    "short_table.json": {"alphabet": "01", "offsets": [-1, 0],
+                         "table": {"00": "0"}},
+    "stray_output.json": {"alphabet": "01", "offsets": [0, 0],
+                          "table": {"0": "2", "1": "0"}},
+    "reversed_offsets.json": {"alphabet": "01", "offsets": [1, -1],
+                              "table": {}},
+    "rule3.json": {"alphabet": "012", "offsets": [0, 0],
+                   "table": {"0": "1", "1": "2", "2": "0"}},
+    "edge.json": {"vertices": ["p", "q"], "faces": [["p", "q"]]},
+    "hollow.json": {"vertices": [1, 2, 3],
+                    "faces": [[1, 2], [2, 3], [1, 3]]},
+    "no_vertices.json": {"vertices": [], "faces": []},
+    "stray_vertex.json": {"vertices": ["p"], "faces": [["p", "q"]]},
+    "empty_face.json": {"vertices": ["p"], "faces": [[]]},
+    "dup_vertex.json": {"vertices": ["p", "p"], "faces": [["p", "p"]]},
+    "list.json": [1, 2],
+    "scalar.json": "x",
+}
+# raw texts that are not JSON objects, and paths that cannot be read
+_FUZZ_RAW = {"truncated.json": '{"alphabet": "01", ', "blank.json": ""}
+
+_FUZZ_VALUES = {
+    "config": ["inf(0).inf(0)", "inf(01)1.0inf(01)", "inf(0).1inf(1)",
+               "inf(011).inf(10)", "inf(2).inf(0)", "inf().inf(0)",
+               "inf(01.inf(1)", "0.1", "inf(0)", "", "inf(ab).inf(a)"],
+    "number": ["-1", "0", "1", "3", "1/2", "0.5", "x", "", "1/0", "-1/2"],
+    "word": ["0", "01", "", "2", "a", "012"],
+    "ca": ["eca:30", "eca:204", "eca:256", "eca:x", "eca:"],
+}
+# the positional arguments of each (command, mode), by kind; "rule" is a
+# CA literal or a file
+_FUZZ_SIGNATURES = {
+    ("dist", None): ("config", "config"), ("classify", None): ("rule",),
+    ("complex", "extract"): ("file",), ("complex", "embed"): ("file", "file"),
+    ("complex", "coords"): ("file", "config"),
+    **{("path", mode): () for mode in ("prefix", "window", "sample")},
+    ("path", "embed"): ("number", "number"),
+    ("uap", "nearest"): ("file", "config"), ("uap", "search"): ("file",),
+    **{("shift", mode): ("file",) for mode in (
+        "compile", "cover", "components", "mixing", "sync-word", "entropy",
+        "inside", "language")},
+    ("shift", "contains"): ("file", "config"),
+    ("measure", "parry"): ("file",), ("measure", "decay"): ("file",),
+    ("measure", "cylinder"): ("file", "word"),
+    ("measure", "binom-bound"): ("number",) * 3,
+    ("measure", "growth-threshold"): ("number",) * 2,
+    ("measure", "generic"): (),
+    ("measure", "ball-count"): ("word", "number", "number"),
+}
+# each command's flags with their values (None for a switch), kept small
+# so that every bounded search stays fast
+_FUZZ_FLAGS = {
+    "dist": {"--db": None, "--dw": None, "--dc": None, "--estimate": None,
+             "--window": ["5", "-2", "x", "0", "3"], "--to-shift": "file"},
+    "classify": {"--shift": "file", "--period": ["3", "-1", "x", "0", "2"],
+                 "--precondition": None, "--zero": ["0", "2", "01", "1"],
+                 "--length": ["2", "-1", "x", "0", "3"]},
+    "complex": {},
+    "path": {"--construction": ["block", "intersperse", "x"],
+             "-r": ["1/3", "3/2", "-1", "x", "0", "1"],
+             "--window": ["5", "-2", "x", "0", "3"]},
+    "uap": {"--period": ["3", "-1", "x", "0", "2"]},
+    "shift": {"--length": ["2", "-1", "x", "0", "3"]},
+    "measure": {"--length": ["2", "-1", "x", "0", "3"]},
+}
+_FUZZ_COMMON = {"--json": None, "--seed": ["0", "-1", "x", "5"],
+                "--alphabet": ["01", "", "ab", "0", "012"], "--out": "out"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_cli")
+    for name, d in _FUZZ_FILES.items():
+        (root / name).write_text(json.dumps(d))
+    for name, text in _FUZZ_RAW.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in (*_FUZZ_FILES, *_FUZZ_RAW)] + \
+        [str(root), str(root / "missing.json")]
+
+
+@st.composite
+def cli_argv(draw, files):
+    """A command and mode, usually with its positional arguments by kind
+    (each drawn from the files and from well-formed and malformed
+    literals), sometimes with any number of them or an unknown mode; then
+    its own flags and the common ones with small or invalid values, and
+    now and then another command's flag."""
+    cmd, mode = draw(st.sampled_from(list(_FUZZ_SIGNATURES)))
+    root = os.path.dirname(files[0])
+    pools = {**_FUZZ_VALUES, "file": files,
+             "rule": files + _FUZZ_VALUES["ca"],
+             "out": [os.path.join(root, name) for name in (
+                 "report.json", "missing/report.json", "")]}
+    kinds = _FUZZ_SIGNATURES[cmd, mode]
+    # hypothesis favours the ends of a range, so the rare branches take a
+    # value from its middle
+    if draw(st.integers(0, 9)) == 5:
+        kinds = draw(st.lists(st.sampled_from(sorted(pools)), max_size=3))
+    if mode is not None and draw(st.integers(0, 19)) == 10:
+        mode = "bogus"
+    argv = [cmd] + ([mode] if mode else [])
+    argv += [draw(st.sampled_from(pools[k])) for k in kinds]
+    flags = {**_FUZZ_FLAGS[cmd], **_FUZZ_COMMON}
+    if draw(st.integers(0, 9)) == 5:
+        flags.update(draw(st.sampled_from(list(_FUZZ_FLAGS.values()))))
+    for flag in draw(st.lists(st.sampled_from(list(flags)), max_size=3,
+                              unique=True)):
+        values = flags[flag]
+        argv += [flag] if values is None else \
+            [flag, draw(st.sampled_from(
+                pools[values] if isinstance(values, str) else values))]
+    # the bounded searches run at a small period unless it was drawn above
+    if cmd in ("classify", "uap") and "--period" not in argv:
+        argv += ["--period", "3"]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.data())
+def test_cli_fuzz_never_ends_in_a_traceback(fuzz_files, data):
+    """Every run exits 0, 2, 3 or 4 with no traceback on stderr; exit 5
+    (a broken invariant) fails too.  An uncaught exception fails the test
+    with its argv."""
+    argv = data.draw(cli_argv(fuzz_files))
+    rc, err = _run_captured(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
+    assert "Traceback" not in err, argv

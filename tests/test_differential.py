@@ -9,10 +9,11 @@ Lyndon-word orbit enumerator and the (w, u, v) triple search against the
 bound against the mpmath interval evaluation it replaced, the image
 presentation of ``preserves_shift`` against its old per-width construction,
 the distance product on integer node ids against the product on named
-nodes, the bitmask powers of ``mixing_distance`` against the boolean
-matrix powers, and the orbit walk and rigidity markers on the transition
-monoid against the state-set walk and per-word block-set fixpoints they
-replaced.
+nodes (and, on points whose two arms share one period, one Karp run per
+twin pair of components against Karp on both arms), the bitmask powers of
+``mixing_distance`` against the boolean matrix powers, and the orbit walk
+and rigidity markers on the transition monoid against the state-set walk
+and per-word block-set fixpoints they replaced.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -24,6 +25,7 @@ Every hypothesis run is derandomized, so the suite sees the same examples
 on every run.
 """
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -52,7 +54,7 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     positive_entropy, shannon_cover, transitive_components, _is_mixing, \
     _merge_equivalent, _pads, _RelationMonoid, _stable_block_set, \
     _subset_graph, _synchronizing_words
-from oracle_utils import check_on_subshift_oracle, \
+from oracle_utils import block_shift, check_on_subshift_oracle, \
     check_on_subshift_pairwise_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
@@ -63,8 +65,9 @@ from oracle_utils import check_on_subshift_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
     periodic_orbits_fixpoint_oracle, periodic_orbits_oracle, \
     preserves_shift_oracle, profile_mismatches_oracle, \
-    residue_profile_oracle, stable_block_set_oracle, unfolded_arm_densities, \
-    unique_approximation_search_oracle, verify_binomial_bound_oracle
+    residue_profile_oracle, sft14, stable_block_set_oracle, \
+    unfolded_arm_densities, unique_approximation_search_oracle, \
+    verify_binomial_bound_oracle
 
 
 def deterministic(examples: int):
@@ -683,6 +686,51 @@ def test_distance_product_on_integer_ids_matches_named_node_oracle(X, data):
     got = _outcome(distance_to_shift_detail, x, X)
     want = _outcome(distance_to_shift_detail_oracle, x, X)
     assert got == want
+
+
+def _equal_arm_config(ab: Alphabet, w: str, u: str, v: str) -> Configuration:
+    """inf(w)u.v inf(w) with u and v trimmed so that neither is absorbed
+    into an arm: both arms keep the period primitive_root(w)."""
+    x = Configuration(ab, w, u.lstrip(w[0]), v.rstrip(w[-1]), w)
+    assert x.left_period == x.right_period
+    return x
+
+
+def _assert_details_match(x, X):
+    """Field for field against the oracle, which runs Karp on every
+    component of both arms; or the same error on an empty shift."""
+    got = _outcome(distance_to_shift_detail, x, X)
+    want = _outcome(distance_to_shift_detail_oracle, x, X)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@deterministic(300)
+@given(presentation(), st.data())
+def test_equal_arm_distance_matches_per_arm_karp_oracle(X, data):
+    """Points whose two arms share one period, periodic or with a finite
+    defect: the right arm's Karp results serve the left."""
+    syms = st.sampled_from(X.alphabet.symbols)
+    w = data.draw(st.text(syms, min_size=1, max_size=6))
+    u = v = ""
+    if data.draw(st.booleans()):
+        u, v = data.draw(st.text(syms, max_size=3)), \
+            data.draw(st.text(syms, max_size=3))
+    _assert_details_match(_equal_arm_config(X.alphabet, w, u, v), X)
+
+
+@pytest.mark.parametrize("w, u, v, X", [
+    # the block shift at even periods: two components per arm, and at
+    # inf(10).1inf(10) Tarjan emits one left twin before its right twin
+    ("10", "", "", block_shift()), ("10", "1", "", block_shift()),
+    ("0110", "", "", block_shift()), ("011010", "1", "01", block_shift()),
+    ("0011010011", "", "", sft14()), ("0011010011", "1", "10", sft14()),
+    ("011", "11", "0", sft14()), ("01101001", "10", "0110", sft14())])
+def test_equal_arm_distance_fixed_cases(w, u, v, X):
+    _assert_details_match(_equal_arm_config(BINARY, w, u, v), X)
 
 
 @deterministic(400)

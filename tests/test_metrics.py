@@ -15,19 +15,12 @@ from shiftgeo.metrics import (cyclic_mismatch_density, d_besicovitch,
 from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              contains_config, full_shift, golden_mean,
                              periodic_orbits)
-from oracle_utils import cyclic_density_oracle, necklaces, \
-    parity_shift_distance, parity_shift_orbits, parity_shift_uap_oracle, \
-    rand_config
+from oracle_utils import block_shift, cyclic_density_oracle, \
+    distance_to_shift_detail_oracle, necklaces, parity_shift_distance, \
+    parity_shift_orbits, parity_shift_uap_oracle, rand_config, sft14
 
 ZERO = parse_config("inf(0).inf(0)", BINARY)
 ONE = parse_config("inf(1).inf(1)", BINARY)
-
-
-def block_shift():
-    """One coordinate parity is forced to 0."""
-    return ShiftPresentation(BINARY, ["s0", "s1"],
-                             [("s0", "s1", "0"), ("s1", "s0", "0"),
-                              ("s1", "s0", "1")])
 
 
 def test_d_cantor():
@@ -283,3 +276,53 @@ def test_uap_block_shift_boundary():
         for w in necklaces("01", p):
             assert distance_to_shift(periodic_config(w, BINARY), X) \
                 == parity_shift_distance(w), w
+
+
+def _karp_calls(monkeypatch, fn, x, Y) -> list[list[int]]:
+    """The node lists of the Karp calls that fn(x, Y) makes."""
+    calls = []
+    karp = metrics._graph.karp_min_mean
+    with monkeypatch.context() as m:
+        m.setattr(metrics._graph, "karp_min_mean",
+                  lambda nodes, edges: calls.append(nodes)
+                  or karp(nodes, edges))
+        fn(x, Y)
+    return calls
+
+
+def _right_arm(x, nodes) -> bool:
+    word, _succ, _nl, r0 = metrics._position_graph(x)
+    return all(v % len(word) >= r0 for v in nodes)
+
+
+@pytest.mark.parametrize("w", ["0011010011", "011", "0101101001101",
+                               "0010110010110010111"])
+def test_periodic_point_runs_karp_once_per_right_component(monkeypatch, w):
+    # the oracle runs Karp on every component of both arms, and each
+    # right-arm component has a left twin
+    x = periodic_config(w, BINARY)
+    calls = _karp_calls(monkeypatch, distance_to_shift_detail, x, sft14())
+    both = _karp_calls(monkeypatch, distance_to_shift_detail_oracle, x,
+                       sft14())
+    assert calls and len(both) == 2 * len(calls)
+
+
+def test_equal_arm_twins_reuse_in_either_emission_order(monkeypatch):
+    # the block shift at period 2 has two components per arm; Tarjan emits
+    # one pair right twin first and the other left twin first
+    x = parse_config("inf(10).1inf(10)", BINARY)
+    calls = _karp_calls(monkeypatch, distance_to_shift_detail, x,
+                        block_shift())
+    assert sorted(_right_arm(x, nodes) for nodes in calls) == [False, True]
+
+
+@pytest.mark.parametrize("literal", ["inf(01)1.inf(0111)",
+                                     "inf(0011)10.01inf(011)",
+                                     "inf(0111).inf(1110)"])
+def test_unequal_arms_run_karp_on_every_component(monkeypatch, literal):
+    x = parse_config(literal, BINARY)
+    assert x.left_period != x.right_period
+    calls = _karp_calls(monkeypatch, distance_to_shift_detail, x, sft14())
+    both = _karp_calls(monkeypatch, distance_to_shift_detail_oracle, x,
+                       sft14())
+    assert len(calls) == len(both) > 0
