@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 
 # Characters with a structural meaning in the literal grammar or in the
 # starred-word machinery; they can never be alphabet symbols.
@@ -301,6 +300,3 @@ def shift(x: Configuration, k: int) -> Configuration:
 def window(x: Configuration, a: int, b: int) -> str:
     return x.window(a, b)
 
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

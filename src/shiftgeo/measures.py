@@ -2,8 +2,8 @@
 probabilities with exponential decay certificates, exact combinatorial
 bound validators, and seeded generic-point sampling.
 
-Eigenvector computations use floating point (numpy, imported on first use)
-with explicit residual tolerances; every combinatorial bound (binomial
+Eigenvector computations use floating point (a power iteration on Python
+floats) with explicit residual tolerances; every combinatorial bound (binomial
 inequalities, Hamming ball counts) uses exact big-integer rationals.  The one
 irrational factor, 2 pi, is enclosed between exact rationals from a Machin
 series, so every verdict is exact.
@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, log
+from operator import mul, sub
 
 from .configs import Alphabet
 from .errors import CapError, PreconditionError
@@ -73,8 +74,6 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
     converge even for a periodic single cycle), to tolerance 1e-15 with an
     iteration cap.
     """
-    import numpy as np
-
     if X.is_empty:
         raise PreconditionError("presentation is reducible")
     C = shannon_cover(X)
@@ -82,30 +81,32 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
         raise PreconditionError("presentation is reducible")
     n = len(C.states)
     idx = _indexed(C)[0]
-    A = np.zeros((n, n))
+    A = [[0.0] * n for _ in range(n)]
     for (s, t, _a) in C.edges:
-        A[idx[s], idx[t]] += 1.0
+        A[idx[s]][idx[t]] += 1.0
 
     def lead_vector(M):
-        v = np.ones(n) / n
-        shifted = M + np.eye(n)
+        v = [1.0 / n] * n
+        shifted = [[x + (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(M)]
         for _ in range(POWER_CAP):
-            w = shifted @ v
-            w /= w.sum()
-            if np.max(np.abs(w - v)) < POWER_TOL:
+            w = [sum(map(mul, row, v)) for row in shifted]
+            total = sum(w)
+            w = [x / total for x in w]
+            if max(map(abs, map(sub, w, v))) < POWER_TOL:
                 return w
             v = w
         raise RuntimeError("power iteration did not converge")
 
     right = lead_vector(A)
-    left = lead_vector(A.T)
-    lam = float((A @ right).sum() / right.sum())
+    left = lead_vector(list(zip(*A)))
+    lam = sum(sum(map(mul, row, right)) for row in A) / sum(right)
     edge_prob = {}
     for (s, t, a) in C.edges:
-        edge_prob[(s, t, a)] = float(right[idx[t]] / (lam * right[idx[s]]))
-    weights = left * right
-    weights /= weights.sum()
-    stationary = {s: float(weights[idx[s]]) for s in C.states}
+        edge_prob[(s, t, a)] = right[idx[t]] / (lam * right[idx[s]])
+    weights = list(map(mul, left, right))
+    total = sum(weights)
+    stationary = {s: weights[idx[s]] / total for s in C.states}
     mu = MarkovMeasure(C, edge_prob, stationary, lam)
     if max(abs(v - 1.0) for v in mu.row_sums().values()) > STOCHASTIC_TOL:
         raise RuntimeError("transition rows failed the stochasticity check")

@@ -49,11 +49,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul, ne
 
 from . import _graph
-from .configs import Configuration, lcm, periodic_config
+from .configs import Configuration, periodic_config
 from .errors import EmptyShiftError, PreconditionError
 from .shifts import (ShiftPresentation, full_shift, lyndon_words,
                      periodic_orbits)

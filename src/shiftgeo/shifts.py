@@ -14,8 +14,9 @@ A periodic point inf(w) lies in X exactly when a cycle of X reads a power
 of w (Lind and Marcus): an infinite run of w-blocks revisits a state.  So
 the one test of periodic points is the cycle flag of w's element of the
 transition monoid ``_RelationMonoid``, interned once per distinct relation
-and carried along the Lyndon walk; ``contains_config`` keeps the fixpoint
-``_stable_block_set`` for eventually periodic points, whose arms differ.
+and carried along the Lyndon walk.  The same greatest fixpoint,
+``_RelationMonoid.stable``, decides both arms of an eventually periodic
+point in ``contains_config``.
 
 Every walk on a presentation reads words through its one forward step
 ``step`` (and ``read``, a fold of it) or its one backward step
@@ -654,31 +655,20 @@ def intersect(X: ShiftPresentation, Y: ShiftPresentation) -> ShiftPresentation:
     return ShiftPresentation(X.alphabet, states, edges).renamed()
 
 
-def _stable_block_set(X: ShiftPresentation, word: str,
-                      outgoing: bool) -> frozenset:
-    """States carrying an infinite aligned run of `word`-blocks: leaving the
-    state when ``outgoing``, arriving into it otherwise.  The fixpoint of
-    reading `word` forward from the set, or backward into it.  Either set is
-    nonempty exactly when the periodic point inf(word) lies in X."""
-    step, word = (X.step_back, word[::-1]) if outgoing else (X.step, word)
-    cur = frozenset(X.states)
-    while True:
-        nxt = functools.reduce(step, word, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def contains_config(X: ShiftPresentation, x: Configuration) -> bool:
-    """Exact membership of an eventually periodic configuration."""
+    """Exact membership of an eventually periodic configuration: a state
+    with an infinite run of left-period blocks into it reads the finite
+    middle to a state with an infinite run of right-period blocks out of
+    it."""
     if X.is_empty:
         return False
-    left_stable = _stable_block_set(X, x.left_period, outgoing=False)
-    mid = X.read(left_stable, x.left_finite + x.right_finite)
-    if not mid:
-        return False
-    right_stable = _stable_block_set(X, x.right_period, outgoing=True)
-    return bool(mid & right_stable)
+    M = _RelationMonoid(X)
+    left, mid, right = (functools.reduce(M.step, w, M.identity) for w in
+                        (x.left_period, x.left_finite + x.right_finite,
+                         x.right_period))
+    into, out = M.stable(left, False), M.stable(right, True)
+    return mid >= 0 and any(into >> s & 1 and r & out
+                            for s, r in enumerate(M.relations[mid]))
 
 
 class _RelationMonoid:
@@ -688,10 +678,10 @@ class _RelationMonoid:
     is one bitmask row per source state, in X's state order.  Each distinct
     nonempty R_w is an element id with ``succ``, its images under the
     symbols stepped so far (-1: the empty relation, also for symbols
-    outside the alphabet), and ``flags``, its cycle flag: the greatest
-    fixpoint S -> {s in S : R_w[s] meets S} is nonempty exactly when a
-    cycle of X reads a power of w, so when inf(w) lies in X (Lind and
-    Marcus).  An image costs O(|Q|^2) once; a later step is one lookup.
+    outside the alphabet), and ``flags``, its cycle flag: ``stable`` is
+    nonempty exactly when a cycle of X reads a power of w, so when inf(w)
+    lies in X (Lind and Marcus).  An image costs O(|Q|^2) once; a later
+    step is one lookup.
     """
 
     __slots__ = ("rows", "ids", "relations", "succ", "flags", "identity")
@@ -712,15 +702,28 @@ class _RelationMonoid:
             e = self.ids[rel] = len(self.relations)
             self.relations.append(rel)
             self.succ.append({})
-            live = -1  # every state
-            while True:
-                nxt = sum(1 << s for s, r in enumerate(rel)
-                          if live >> s & 1 and r & live)
-                if nxt == live:
-                    break
-                live = nxt
-            self.flags.append(bool(live))
+            self.flags.append(bool(self.stable(e, True)))
         return e
+
+    def stable(self, e: int, outgoing: bool) -> int:
+        """Bitmask of the states carrying an infinite run of w-blocks, where
+        e is the element of w: leaving the state when ``outgoing``, arriving
+        into it otherwise.  The greatest fixpoint of S -> {s : R_w[s] meets
+        S}, or of S -> R_w(S), iterated down from every state; either is
+        nonempty exactly when inf(w) lies in X."""
+        if e < 0:
+            return 0
+        rel = self.relations[e]
+        live = (1 << len(rel)) - 1
+        while True:
+            if outgoing:
+                nxt = sum(1 << s for s, r in enumerate(rel) if r & live)
+            else:
+                nxt = functools.reduce(
+                    or_, (r for s, r in enumerate(rel) if live >> s & 1), 0)
+            if nxt == live:
+                return live
+            live = nxt
 
     def image(self, e: int, b) -> int:
         """Compute and record the step of element e >= 0 by b."""

@@ -542,29 +542,29 @@ def lyndon_words_state_set_oracle(X, max_period: int) -> list[str]:
 
 def periodic_orbits_fixpoint_oracle(X, max_period: int) -> list[str]:
     """``shifts.periodic_orbits`` as the state-set walk plus one
-    ``_stable_block_set`` fixpoint per Lyndon word."""
-    from shiftgeo.shifts import _stable_block_set
+    :func:`stable_block_set_oracle` fixpoint per Lyndon word."""
     return [w for w in lyndon_words_state_set_oracle(X, max_period)
-            if _stable_block_set(X, w, outgoing=True)]
+            if stable_block_set_oracle(X, w, outgoing=True)]
 
 
 def isometric_ca_precondition_fixpoint_oracle(X, zero: str, L: int, P: int):
     """``automata.isometric_ca_precondition`` with its zero point and every
-    marker s zero^(p-1) tested by its own ``_stable_block_set`` fixpoint,
-    and its orbits from :func:`periodic_orbits_fixpoint_oracle`."""
+    marker s zero^(p-1) tested by its own :func:`stable_block_set_oracle`
+    fixpoint, and its orbits from :func:`periodic_orbits_fixpoint_oracle`."""
     from shiftgeo.automata import RigidityReport
     from shiftgeo.errors import PreconditionError
-    from shiftgeo.shifts import language, _stable_block_set
+    from shiftgeo.shifts import language
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
     if L <= 0:
         raise PreconditionError("factor length bound must be positive")
     if P <= 0:
         raise PreconditionError("period bound must be positive")
-    if not _stable_block_set(X, zero, outgoing=True):
+    if not stable_block_set_oracle(X, zero, outgoing=True):
         return RigidityReport(False, None, {})
     marked = {s: [p for p in range(1, P + 1)
-                  if _stable_block_set(X, s + zero * (p - 1), outgoing=True)]
+                  if stable_block_set_oracle(X, s + zero * (p - 1),
+                                             outgoing=True)]
               for s in X.alphabet}
     orbits = periodic_orbits_fixpoint_oracle(X, P)
     used = {}
@@ -731,6 +731,59 @@ def verify_binomial_bound_oracle(n: int, m: int, p: int) -> bool:
         if lhs >= hi:
             return False
     raise RuntimeError("interval evaluation failed to separate the sides")
+
+
+# -- the numpy power iteration that shiftgeo.measures.parry_measure ran
+# before it iterated on Python floats ----------------------------------------
+
+
+def parry_measure_numpy_oracle(X):
+    """``measures.parry_measure`` with numpy's matrix-vector products and
+    sums: the same power iteration on A + I, to the same tolerance and
+    cap, with the same checks."""
+    import numpy as np
+    from shiftgeo.measures import MarkovMeasure, POWER_CAP, POWER_TOL, \
+        STOCHASTIC_TOL
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.shifts import shannon_cover, _components, _indexed
+
+    if X.is_empty:
+        raise PreconditionError("presentation is reducible")
+    C = shannon_cover(X)
+    if len(_components(C)) != 1:
+        raise PreconditionError("presentation is reducible")
+    n = len(C.states)
+    idx = _indexed(C)[0]
+    A = np.zeros((n, n))
+    for (s, t, _a) in C.edges:
+        A[idx[s], idx[t]] += 1.0
+
+    def lead_vector(M):
+        v = np.ones(n) / n
+        shifted = M + np.eye(n)
+        for _ in range(POWER_CAP):
+            w = shifted @ v
+            w /= w.sum()
+            if np.max(np.abs(w - v)) < POWER_TOL:
+                return w
+            v = w
+        raise RuntimeError("power iteration did not converge")
+
+    right = lead_vector(A)
+    left = lead_vector(A.T)
+    lam = float((A @ right).sum() / right.sum())
+    edge_prob = {}
+    for (s, t, a) in C.edges:
+        edge_prob[(s, t, a)] = float(right[idx[t]] / (lam * right[idx[s]]))
+    weights = left * right
+    weights /= weights.sum()
+    stationary = {s: float(weights[idx[s]]) for s in C.states}
+    mu = MarkovMeasure(C, edge_prob, stationary, lam)
+    if max(abs(v - 1.0) for v in mu.row_sums().values()) > STOCHASTIC_TOL:
+        raise RuntimeError("transition rows failed the stochasticity check")
+    if mu.stationarity_residual() > STOCHASTIC_TOL:
+        raise RuntimeError("stationary vector failed the residual check")
+    return mu
 
 
 # -- the image presentation that shiftgeo.automata.preserves_shift built

@@ -206,21 +206,16 @@ def test_rigidity_precondition():
 
 def test_periodic_points_make_no_contains_config_call(monkeypatch):
     """Periodic points are tested by the cycle flags of the transition
-    monoid alone: no contains_config and no _stable_block_set fixpoint.  On
-    the full 2-shift every word has the one relation of the one state, so
-    the walk to P = 20 interns one element and computes at most |A| images;
-    every other node is a table lookup."""
+    monoid alone: no contains_config call.  On the full 2-shift every word
+    has the one relation of the one state, so the walk to P = 20 interns
+    one element and computes at most |A| images; every other node is a
+    table lookup."""
     calls = []
     real = shifts.contains_config
     for module in (shifts, automata):
         monkeypatch.setattr(module, "contains_config",
                             lambda X, x: calls.append(x) or real(X, x),
                             raising=False)
-
-    def fixpoint(*args, **kwargs):
-        raise AssertionError("a periodic point ran a block-set fixpoint")
-
-    monkeypatch.setattr(shifts, "_stable_block_set", fixpoint)
     monoids, images = [], []
     init, image = shifts._RelationMonoid.__init__, \
         shifts._RelationMonoid.image

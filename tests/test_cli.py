@@ -505,20 +505,36 @@ def test_classify_ca_over_larger_alphabet_is_input_error(capsys, tmp_path,
     assert (rc, out) == (2, "") and "alphabet mismatch" in err
 
 
-def test_cold_start_loads_neither_numpy_nor_mpmath():
-    """Only parry_measure needs numpy and no command needs mpmath, so a
-    top-level import of either would slow every cold CLI call."""
-    code = ("import sys, shiftgeo.cli\n"
-            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
-            "rc = shiftgeo.cli.main('measure binom-bound 12 4 1'.split())\n"
-            "print(rc, 'mpmath' in sys.modules)\n")
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cold_start_loads_neither_numpy_nor_mpmath(capsys, golden_file):
+    """No command needs numpy or mpmath (both are test-only), so a cold CLI
+    call imports neither, and the measure modes built on parry_measure run
+    with numpy blocked and print what they print in process."""
+    proc = _run_python(
+        "import sys, shiftgeo.cli\n"
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
+        "rc = shiftgeo.cli.main('measure binom-bound 12 4 1'.split())\n"
+        "print(rc, 'mpmath' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "bound holds: True", "0 False"]
+    blocked = ("import sys\n"
+               "sys.modules['numpy'] = None\n"
+               "import shiftgeo.cli\n"
+               "sys.exit(shiftgeo.cli.main(sys.argv[1:]))\n")
+    for argv in (["measure", "parry", golden_file],
+                 ["measure", "decay", golden_file, "--length", "8"]):
+        rc, out, _ = run(capsys, *argv)
+        proc = _run_python(blocked, *argv)
+        assert rc == 0 and (proc.returncode, proc.stdout) == (0, out), \
+            proc.stderr
 
 
 @pytest.mark.parametrize("complex_, message", [

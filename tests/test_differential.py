@@ -13,7 +13,8 @@ nodes (and, on points whose two arms share one period, one Karp run per
 twin pair of components against Karp on both arms), the bitmask powers of
 ``mixing_distance`` against the boolean matrix powers, and the orbit walk
 and rigidity markers on the transition monoid against the state-set walk
-and per-word block-set fixpoints they replaced.
+and per-word block-set fixpoints they replaced, and the Parry measure's
+power iteration on Python floats against the numpy one it replaced.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -29,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 from fractions import Fraction
+import math
 from math import gcd
 from unittest import mock
 
@@ -43,17 +45,18 @@ from shiftgeo.configs import Alphabet, BINARY, Configuration, \
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.homotopy import AbstractComplex, embed_complex, \
     lex_least_completion
-from shiftgeo.measures import _pi_less_than, verify_binomial_bound
+from shiftgeo.measures import cylinder_decay_bound, parry_measure, \
+    _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     d_besicovitch, d_weyl, distance_to_shift, distance_to_shift_detail, \
     nearest_periodic, unique_approximation_search
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
-    concatenation_closure, contains_config, disjoint_union, \
-    find_unbordered_synchronizing, full_shift, language, language_subset, \
-    lyndon_words, mixing_distance, mixing_sft_inside, periodic_orbits, \
-    positive_entropy, shannon_cover, transitive_components, _is_mixing, \
-    _merge_equivalent, _pads, _RelationMonoid, _stable_block_set, \
-    _subset_graph, _synchronizing_words
+    concatenation_closure, contains_config, disjoint_union, even_shift, \
+    find_unbordered_synchronizing, full_shift, golden_mean, language, \
+    language_subset, lyndon_words, mixing_distance, mixing_sft_inside, \
+    periodic_orbits, positive_entropy, shannon_cover, transitive_components, \
+    _is_mixing, _merge_equivalent, _pads, _RelationMonoid, _subset_graph, \
+    _synchronizing_words
 from oracle_utils import block_shift, check_on_subshift_oracle, \
     check_on_subshift_pairwise_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
@@ -63,11 +66,11 @@ from oracle_utils import block_shift, check_on_subshift_oracle, \
     lex_least_completion_oracle, lyndon_words_state_set_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
-    periodic_orbits_fixpoint_oracle, periodic_orbits_oracle, \
-    preserves_shift_oracle, profile_mismatches_oracle, \
-    residue_profile_oracle, sft14, stable_block_set_oracle, \
-    unfolded_arm_densities, unique_approximation_search_oracle, \
-    verify_binomial_bound_oracle
+    parry_measure_numpy_oracle, periodic_orbits_fixpoint_oracle, \
+    periodic_orbits_oracle, preserves_shift_oracle, \
+    profile_mismatches_oracle, residue_profile_oracle, sft14, \
+    stable_block_set_oracle, unfolded_arm_densities, \
+    unique_approximation_search_oracle, verify_binomial_bound_oracle
 
 
 def deterministic(examples: int):
@@ -767,10 +770,14 @@ def test_stable_block_fold_matches_per_state_read_oracle(X, data):
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, len(word)))
         word = word[:i] + _foreign_symbol(X.alphabet) + word[i:]
+    M = _RelationMonoid(X)
+    e = functools.reduce(M.step, word, M.identity)
     for outgoing in (False, True):
-        assert _stable_block_set(X, word, outgoing) == \
+        stable = M.stable(e, outgoing)
+        assert frozenset(s for i, s in enumerate(X.states)
+                         if stable >> i & 1) == \
             stable_block_set_oracle(X, word, outgoing), outgoing
-    assert bool(_stable_block_set(X, word, True)) == \
+    assert M.cycles(e) == bool(M.stable(e, True)) == \
         contains_config_oracle(X, periodic_config(word, big))
     x = _config(data, data.draw(st.sampled_from([X.alphabet, big])))
     assert contains_config(X, x) == contains_config_oracle(X, x)
@@ -1036,3 +1043,55 @@ def test_compile_sft_maps_across_relabelling_onto_character_order(
         assert got == want
     else:
         assert r.listing(got) == _listing(want)
+
+
+# -- the Parry measure on Python floats against numpy's power iteration -----
+
+# numpy's BLAS products and pairwise sums add in another order than Python's
+# left-to-right sums; on the covers drawn here (up to a dozen states) the
+# two differ by at most about 1e-14 relative.
+PARRY_REL_TOL = 1e-12
+
+
+def _assert_parry_matches(mu, ref, close):
+    assert mu.cover.states == ref.cover.states
+    assert mu.edge_prob.keys() == ref.edge_prob.keys()
+    pairs = [(mu.eigenvalue, ref.eigenvalue)]
+    pairs += [(mu.edge_prob[k], ref.edge_prob[k]) for k in mu.edge_prob]
+    pairs += [(mu.stationary[s], ref.stationary[s]) for s in mu.cover.states]
+    for got, want in pairs:
+        assert close(got, want), (got, want)
+
+
+@deterministic(200)
+@given(st.one_of(presentation(), long_word_sft()))
+def test_parry_measure_matches_numpy_power_iteration(X):
+    """Reducible presentations raise on both sides; on every irreducible
+    one the eigenvalue, each transition probability and each stationary
+    entry agree within PARRY_REL_TOL."""
+    pytest.importorskip("numpy")
+    mu = _outcome(parry_measure, X)
+    ref = _outcome(parry_measure_numpy_oracle, X)
+    if isinstance(ref, tuple):
+        assert mu == ref
+        return
+    _assert_parry_matches(mu, ref, lambda a, b: math.isclose(
+        a, b, rel_tol=PARRY_REL_TOL))
+
+
+@pytest.mark.parametrize("X", [
+    golden_mean(), even_shift(), full_shift(BINARY),
+    full_shift(Alphabet("012"))], ids=["golden", "even", "full2", "full3"])
+def test_parry_measure_is_bit_identical_on_small_covers(X):
+    """On one- and two-state covers whose A + I entries are 0, 1 or 2 every
+    product is exact and every sum has at most two terms, so both orders
+    round alike."""
+    pytest.importorskip("numpy")
+    _assert_parry_matches(parry_measure(X), parry_measure_numpy_oracle(X),
+                          lambda a, b: a == b)
+
+
+def test_golden_decay_gamma_is_pinned():
+    cert = cylinder_decay_bound(parry_measure(golden_mean()), 8)
+    assert (cert.gamma, cert.t) == \
+        (Fraction(2783377641436327, 4503599627370496), 2)
