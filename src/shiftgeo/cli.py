@@ -9,8 +9,9 @@ instead.  Exit codes: 0 success, 2 input error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -18,18 +19,24 @@ from fractions import Fraction
 from . import __version__
 from .configs import Alphabet, format_config, json_field, parse_config
 from .errors import CapError, InputError, PreconditionError
-from . import automata, homotopy, measures, metrics, paths, shifts
+
+# Each handler imports the library modules it calls, so a cold call
+# compiles only what its command runs.
 
 
 def _digest(path: str) -> str:
+    import hashlib
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _load_json(path: str, from_dict):
     """from_dict of the JSON object in the file at path; an unreadable file,
-    another JSON value or a missing field is an InputError."""
+    a device, another JSON value or a missing field is an InputError."""
     try:
+        mode = os.stat(path).st_mode
+        if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+            raise InputError(f"cannot read {path}: not a regular file or pipe")
         with open(path) as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
@@ -45,6 +52,7 @@ def _load_json(path: str, from_dict):
 
 def _shift_from_dict(d: dict) -> shifts.ShiftPresentation:
     """Accepts both presentation files and SFT spec files."""
+    from . import shifts
     if "forbidden" not in d:
         return shifts.ShiftPresentation.from_dict(d)
     return shifts.compile_sft(shifts.SftSpec(
@@ -57,6 +65,7 @@ def load_shift(path: str) -> shifts.ShiftPresentation:
 
 
 def load_ca(spec: str) -> automata.CellularAutomaton:
+    from . import automata
     if spec.startswith("eca:"):
         try:
             return automata.elementary_ca(int(spec[4:]))
@@ -151,6 +160,7 @@ def _check_arg_count(ns) -> None:
 
 
 def cmd_dist(ns, rep: Report) -> None:
+    from . import metrics
     ab = _alphabet_from(ns)
     if ns.to_shift:
         if len(ns.args) != 1:
@@ -178,6 +188,7 @@ def cmd_dist(ns, rep: Report) -> None:
 
 
 def cmd_classify(ns, rep: Report) -> None:
+    from . import automata
     if ns.precondition:
         if not ns.shift:
             raise InputError("--precondition requires --shift")
@@ -228,6 +239,7 @@ def cmd_classify(ns, rep: Report) -> None:
 
 
 def cmd_complex(ns, rep: Report) -> None:
+    from . import homotopy
     if ns.mode == "extract":
         X = load_shift(ns.args[0])
         ext = homotopy.extract_complex(X)
@@ -269,6 +281,7 @@ def cmd_complex(ns, rep: Report) -> None:
 
 
 def cmd_path(ns, rep: Report) -> None:
+    from . import paths
     if ns.mode in ("prefix", "window") and ns.r is None:
         raise InputError(f"path {ns.mode} needs -r RATIONAL")
     r = _rational(ns.r) if ns.r is not None else None
@@ -296,6 +309,7 @@ def cmd_path(ns, rep: Report) -> None:
 
 
 def cmd_uap(ns, rep: Report) -> None:
+    from . import metrics
     X = load_shift(ns.args[0])
     if ns.mode == "nearest":
         y = parse_config(ns.args[1], X.alphabet)
@@ -316,6 +330,7 @@ def cmd_uap(ns, rep: Report) -> None:
 
 
 def cmd_shift(ns, rep: Report) -> None:
+    from . import shifts
     mode = ns.mode
     X = load_shift(ns.args[0])
     if mode == "compile":
@@ -356,6 +371,7 @@ def cmd_shift(ns, rep: Report) -> None:
 
 
 def cmd_measure(ns, rep: Report) -> None:
+    from . import measures
     mode = ns.mode
     if mode in ("parry", "cylinder", "decay"):
         X = load_shift(ns.args[0])
@@ -508,8 +524,11 @@ def main(argv=None) -> int:
             setattr(ns, attr, default)
     inputs = {}
     for a in argv:
+        # only a regular file: a pipe would be drained before its command
+        # reads it, and a device read without end
         try:
-            inputs[a] = _digest(a)
+            if stat.S_ISREG(os.stat(a).st_mode):
+                inputs[a] = _digest(a)
         except OSError:
             pass
     rep = Report(["shiftgeo"] + argv, inputs)

@@ -537,6 +537,157 @@ def test_cold_start_loads_neither_numpy_nor_mpmath(capsys, golden_file):
             proc.stderr
 
 
+# the names `shiftgeo` exported, by home module, when it imported every
+# submodule eagerly
+EXPORTS = {
+    "configs": ["Alphabet", "BINARY", "Configuration", "format_config",
+                "hamming", "parse_config", "periodic_config", "shift",
+                "window"],
+    "shifts": ["ShiftPresentation", "SftSpec", "compile_sft",
+               "contains_config", "disjoint_union", "even_shift",
+               "full_shift", "golden_mean", "intersect", "language",
+               "language_equal", "language_subset", "mixing_distance",
+               "mixing_sft_inside", "positive_entropy", "shannon_cover",
+               "transitive_components", "find_unbordered_synchronizing"],
+    "metrics": ["d_besicovitch", "d_cantor", "d_weyl", "density_estimate",
+                "distance_to_shift", "nearest_periodic",
+                "unique_approximation_search", "weyl_estimate"],
+    "paths": ["block_path_prefix", "block_path_source", "block_path_window",
+              "embed_point", "intersperse", "intersperse_path_prefix",
+              "intersperse_path_source", "intersperse_path_window",
+              "sample_block_path"],
+    "homotopy": ["AbstractComplex", "BarycentricPoint", "average",
+                 "complex_coordinates", "embed_complex", "extract_complex",
+                 "inverse_weighted_average", "project"],
+    "automata": ["CellularAutomaton", "apply_ca", "ca_pseudometric",
+                 "check_on_subshift", "classify_full_shift", "elementary_ca",
+                 "isometric_ca_precondition", "isometry_decomposition",
+                 "minimal_neighborhood"],
+    "measures": ["MarkovMeasure", "bernoulli_prefix",
+                 "binomial_growth_threshold", "cylinder",
+                 "cylinder_decay_bound", "hamming_ball_count",
+                 "parry_measure", "verify_binomial_bound"],
+}
+SUBMODULES = ["configs", "shifts", "metrics", "paths", "homotopy",
+              "automata", "measures", "errors", "_graph"]
+
+
+def test_namespace_resolves_every_name_on_first_use():
+    """A bare `import shiftgeo` loads no submodule, yet every submodule and
+    every exported name resolves from it, to the same object as in its
+    home module; `import *` and `dir` see the same names as before."""
+    names = [n for ns in EXPORTS.values() for n in ns]
+    assert len(names) == len(set(names)) == 69
+    proc = _run_python(
+        "import json, sys\n"
+        "import shiftgeo\n"
+        "exports, submodules = json.loads(sys.argv[1])\n"
+        "bare = [m for m in sys.modules if m.startswith('shiftgeo.')]\n"
+        "modules = [getattr(shiftgeo, m).__name__ for m in submodules]\n"
+        "differ = [n for home, ns in exports.items() for n in ns\n"
+        "          if getattr(shiftgeo, n)\n"
+        "          is not getattr(sys.modules['shiftgeo.' + home], n)]\n"
+        "star = {}\n"
+        "exec('from shiftgeo import *', star)\n"
+        "print(json.dumps({'bare': bare, 'modules': modules,\n"
+        "                  'differ': differ,\n"
+        "                  'star': sorted(set(star) - {'__builtins__'}),\n"
+        "                  'dir': dir(shiftgeo),\n"
+        "                  'nope': hasattr(shiftgeo, 'nope')}))\n",
+        json.dumps([EXPORTS, SUBMODULES]))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["bare"] == []
+    assert got["modules"] == ["shiftgeo." + m for m in SUBMODULES]
+    assert got["differ"] == []
+    assert got["star"] == sorted(names)
+    assert set(names + SUBMODULES) <= set(got["dir"])
+    assert got["nope"] is False
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        shiftgeo.nope
+
+
+BASE = ["cli", "configs", "errors"]
+
+
+@pytest.mark.parametrize("argv, loaded, uses_hashlib", [
+    (["path", "sample", "--seed", "7", "--window", "64"], ["paths"], False),
+    (["measure", "binom-bound", "12", "4", "1"],
+     ["_graph", "shifts", "measures"], False),
+    (["dist", "--db", "inf(01).inf(01)", "inf(0).inf(0)"],
+     ["_graph", "shifts", "metrics"], False),
+    (["classify", "eca:232"], ["_graph", "shifts", "metrics", "automata"],
+     False),
+    (["complex", "extract", "GOLDEN"],
+     ["_graph", "shifts", "metrics", "paths", "homotopy"], True),
+])
+def test_each_command_loads_only_the_modules_it_calls(golden_file, argv,
+                                                      loaded, uses_hashlib):
+    """A cold call imports the library modules its handler calls and no
+    others, and hashes its inputs only when it has a file argument."""
+    argv = [golden_file if a == "GOLDEN" else a for a in argv]
+    proc = _run_python(
+        "import contextlib, io, json, sys\n"
+        "import shiftgeo\n"
+        "bare = [m for m in sys.modules if m.startswith('shiftgeo.')]\n"
+        "import shiftgeo.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = shiftgeo.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, bare, sorted(\n"
+        "    m[len('shiftgeo.'):] for m in sys.modules\n"
+        "    if m.startswith('shiftgeo.')), 'hashlib' in sys.modules]))\n",
+        *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [], sorted(BASE + loaded),
+                                       uses_hashlib]
+
+
+_CLI_CHILD = ("import sys, shiftgeo.cli\n"
+              "sys.exit(shiftgeo.cli.main(sys.argv[1:]))\n")
+
+
+def test_shift_file_from_a_pipe(capsys, golden_file):
+    """A pipe is not digested, so its command reads all of it (as from
+    process substitution, `shift compile <(...)`)."""
+    rc, want, _ = run(capsys, "shift", "compile", golden_file)
+    r, w = os.pipe()
+    try:
+        with open(golden_file, "rb") as fh:
+            os.write(w, fh.read())
+        os.close(w)
+        rc2, out, err = run(capsys, "shift", "compile", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert (rc, rc2, out) == (0, 0, want), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "--db", "/dev/zero", "inf(0).inf(0)"],
+     "configuration literal"),
+    (["shift", "compile", "/dev/zero"],
+     "cannot read /dev/zero: not a regular file or pipe")])
+def test_devices_are_neither_digested_nor_read(argv, message):
+    """/dev/zero has no end. The child runs under a 256 MB address-space
+    cap, so reading it would end in a MemoryError, not fill the host."""
+    proc = _run_python("import resource\n"
+                       "resource.setrlimit(resource.RLIMIT_AS,\n"
+                       "                   (1 << 28, 1 << 28))\n"
+                       + _CLI_CHILD, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
+def test_fifo_argument_is_not_digested(tmp_path):
+    """Opening a FIFO with no writer blocks, so the digest never opens
+    one; the argument is then just a malformed configuration literal."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = _run_python(_CLI_CHILD, "dist", "--db", str(fifo),
+                       "inf(0).inf(0)")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, \
+        proc.stderr
+
+
 @pytest.mark.parametrize("complex_, message", [
     ({"vertices": "ab", "faces": 5}, "field 'vertices' has the wrong type"),
     ({"vertices": ["a", "b"], "faces": 5}, "field 'faces' has the wrong type"),
