@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .configs import Alphabet, Configuration, json_field, periodic_config
+from .configs import Alphabet, Configuration, cyclic_slice, json_field, \
+    periodic_config
 from .errors import PreconditionError
 from .metrics import _Correlator, d_besicovitch
 from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
@@ -91,28 +92,34 @@ def elementary_ca(rule: int) -> CellularAutomaton:
     return CellularAutomaton(BINARY, -1, 1, table)
 
 
+def _slide(f: CellularAutomaton, w: str) -> str:
+    """f.table read through a window of f.width cells sliding across w: the
+    images of the cells whose neighborhoods lie in w."""
+    k = f.width
+    return "".join(f.table[w[i:i + k]] for i in range(len(w) - k + 1))
+
+
 def apply_ca(f: CellularAutomaton, x: Configuration) -> Configuration:
-    """The image configuration f(x); eventually periodic structure is kept."""
+    """The image configuration f(x); eventually periodic structure is kept.
+
+    One window of x, over the image span and the rule's offsets, is read
+    with the rule sliding across it; the image is cut into its left period,
+    left and right finite parts and right period, which ``Configuration``
+    canonicalizes.
+    """
     if f.alphabet != x.alphabet:
         raise ValueError("alphabet mismatch")
     lp, rp = len(x.left_period), len(x.right_period)
     ml = len(x.left_finite) + max(0, f.right) + lp + 1
     mr = len(x.right_finite) + max(0, -f.left) + rp + 1
-    img = lambda i: f.table[x.window(i + f.left, i + f.right)]
-    return Configuration(
-        x.alphabet,
-        "".join(img(i) for i in range(-ml - lp, -ml)),
-        "".join(img(i) for i in range(-ml, 0)),
-        "".join(img(i) for i in range(0, mr)),
-        "".join(img(i) for i in range(mr, mr + rp)))
+    img = _slide(f, x.window(-ml - lp + f.left, mr + rp - 1 + f.right))
+    return Configuration(x.alphabet, img[:lp], img[lp:lp + ml],
+                         img[lp + ml:lp + ml + mr], img[lp + ml + mr:])
 
 
 def apply_cyclic(f: CellularAutomaton, w: str) -> str:
     """Image period word: f applied to the periodic point with window w."""
-    p = len(w)
-    return "".join(
-        f.table["".join(w[(i + o) % p] for o in range(f.left, f.right + 1))]
-        for i in range(p))
+    return _slide(f, cyclic_slice(w, f.left, len(w) + f.right)) if w else ""
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +273,9 @@ def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
     x = periodic_config(u + alpha + v, f.alphabet)
     y = periodic_config(u + gamma + v, f.alphabet)
     d_in = d_besicovitch(x, y)
-    d_out = d_besicovitch(apply_ca(f, x), apply_ca(f, y))
+    d_out = d_besicovitch(
+        periodic_config(apply_cyclic(f, u + alpha + v), f.alphabet),
+        periodic_config(apply_cyclic(f, u + gamma + v), f.alphabet))
     if d_in != Fraction(1, 2 * r - 1):
         raise AssertionError(f"witness distance {d_in} is not 1/{2 * r - 1}")
     return (x, y, d_in, d_out)
@@ -292,18 +301,25 @@ def isometry_decomposition(f: CellularAutomaton):
 def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
     """Exact test that f maps X into X, via an image presentation: on the
     Shannon cover, (q, u) with |u| = width - 1 readable from q steps by a
-    to (q.(u+a)[0], (u+a)[1:]), labeled f(u + a)."""
+    to (q.(u+a)[0], (u+a)[1:]), labeled f(u + a).
+
+    Each (q, u) carries the state q.u, so extending u, and testing that
+    u + a is readable, is one step from it.  The image states are numbered
+    0..n-1 in the order the words are built: q in the cover's order, u in
+    the alphabet's."""
     if f.alphabet != X.alphabet:
         raise ValueError("alphabet mismatch")
     C = shannon_cover(X)
-    states = [(q, "") for q in C.states]
+    paths = [(q, "", frozenset([q])) for q in C.states]
     for _ in range(f.width - 1):
-        states = [(q, u + a) for (q, u) in states for a in C.alphabet
-                  if C.read({q}, u + a)]
-    edges = [((q, u), (t, (u + a)[1:]), f.table[u + a])
-             for (q, u) in states for a in C.alphabet if C.read({q}, u + a)
-             for t in C.step({q}, (u + a)[0])]
-    return language_subset(ShiftPresentation(C.alphabet, states, edges), C)
+        paths = [(q, u + a, T) for (q, u, S) in paths for a in C.alphabet
+                 if (T := C.step(S, a))]
+    ids = {(q, u): i for i, (q, u, _S) in enumerate(paths)}
+    edges = [(i, ids[t, (u + a)[1:]], f.table[u + a])
+             for i, (q, u, S) in enumerate(paths) for a in C.alphabet
+             if C.step(S, a) for t in C.step({q}, (u + a)[0])]
+    return language_subset(
+        ShiftPresentation(C.alphabet, range(len(paths)), edges), C)
 
 
 @dataclass

@@ -149,6 +149,15 @@ def is_unbordered(w: str) -> bool:
     return not any(w[:k] == w[-k:] for k in range(1, len(w)))
 
 
+def cyclic_slice(w: str, a: int, b: int) -> str:
+    """Cells a..b-1 of the periodic point inf(w) whose cell 0 is w[0]; the
+    empty word when a >= b.  w must be nonempty."""
+    if a >= b:
+        return ""
+    k = a % len(w)
+    return (w * ((k + b - a) // len(w) + 1))[k:k + b - a]
+
+
 # ---------------------------------------------------------------------------
 # configurations
 
@@ -207,7 +216,12 @@ class Configuration:
         """The word x_a x_{a+1} ... x_b (inclusive on both ends)."""
         if a > b:
             raise ValueError(f"empty window [{a}, {b}]")
-        return "".join(self.symbol_at(i) for i in range(a, b + 1))
+        lf, rf = self.left_finite, self.right_finite
+        n, m = len(lf), len(rf)
+        return (cyclic_slice(self.left_period, a + n, min(b + 1, -n) + n)
+                + lf[max(a + n, 0):max(min(b + 1, 0) + n, 0)]
+                + rf[max(a, 0):max(min(b + 1, m), 0)]
+                + cyclic_slice(self.right_period, max(a, m) - m, b + 1 - m))
 
     @property
     def is_periodic(self) -> bool:

@@ -233,17 +233,21 @@ def project(S: ShiftPresentation, T: ShiftPresentation, anchor: Configuration,
         raise PreconditionError("m is below the mixing distance of T")
     if not contains_config(S, x):
         raise PreconditionError("x is not a point of S")
-    good = {}
-    for j in range(-N - 2 * m, N + 2 * m + 1):
-        good[j] = T.accepts_word(x.window(j - 2 * m, j + 2 * m))
     constraints: list = []
-    for i in range(-N, N + 1):
-        if any(good[j] for j in range(i - m, i + m + 1)):
-            constraints.append(x.symbol_at(i))
-        elif not any(good[j] for j in range(i - 2 * m, i + 2 * m + 1)):
-            constraints.append(anchor.symbol_at(i))
-        else:
-            constraints.append(None)
+    if N >= 0:
+        # good[k]: x looks like T around cell k - N - 2m; cell i of the
+        # window [-N, N] is xs[t + 4m] and anchor[t] with t = i + N
+        xs = x.window(-N - 4 * m, N + 4 * m)
+        near = anchor.window(-N, N)
+        good = [T.accepts_word(xs[k:k + 4 * m + 1])
+                for k in range(2 * N + 4 * m + 1)]
+        for t in range(2 * N + 1):
+            if any(good[t + m:t + 3 * m + 1]):
+                constraints.append(xs[t + 4 * m])
+            elif not any(good[t:t + 4 * m + 1]):
+                constraints.append(near[t])
+            else:
+                constraints.append(None)
     return lex_least_completion(T, constraints)
 
 

@@ -143,7 +143,8 @@ class PathSource:
             raise ValueError(f"empty window [{a}, {b}]")
         need = max(b + 1, -a)
         u = self._fn(max(need, 0))
-        return "".join(u[i] if i >= 0 else u[-1 - i] for i in range(a, b + 1))
+        return (u[max(-1 - b, 0):max(-a, 0)][::-1]
+                + u[max(a, 0):max(b + 1, 0)])
 
 
 def intersperse_path_source(r: Fraction) -> PathSource:

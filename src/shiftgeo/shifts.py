@@ -286,8 +286,7 @@ def _separating_word(A: ShiftPresentation, B: ShiftPresentation):
     start = (frozenset(A.states), frozenset(B.states))
     seen = {start}
     queue = [(start, "")]
-    while queue:
-        (SA, SB), w = queue.pop(0)
+    for (SA, SB), w in queue:
         for a in A.alphabet:
             TA = A.step(SA, a)
             if not TA:

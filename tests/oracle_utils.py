@@ -826,6 +826,90 @@ def preserves_shift_oracle(f, X) -> bool:
     return language_subset(image, C)
 
 
+# -- the image presentation on (q, u) names that
+# shiftgeo.automata.preserves_shift built before it numbered its states ------
+
+
+def preserves_shift_tuple_oracle(f, X) -> bool:
+    """Exact test that f maps X into X, via the image presentation on
+    (q, u) tuple names, each u + a re-read from q."""
+    from shiftgeo.shifts import ShiftPresentation, language_subset, \
+        shannon_cover
+    C = shannon_cover(X)
+    states = [(q, "") for q in C.states]
+    for _ in range(f.width - 1):
+        states = [(q, u + a) for (q, u) in states for a in C.alphabet
+                  if C.read({q}, u + a)]
+    edges = [((q, u), (t, (u + a)[1:]), f.table[u + a])
+             for (q, u) in states for a in C.alphabet if C.read({q}, u + a)
+             for t in C.step({q}, (u + a)[0])]
+    return language_subset(ShiftPresentation(C.alphabet, states, edges), C)
+
+
+# -- the per-cell reads that Configuration.window, apply_ca,
+# PathSource.window and homotopy.project made before they sliced one window --
+
+
+def window_oracle(x: Configuration, a: int, b: int) -> str:
+    """The word x_a ... x_b, one symbol_at call per cell."""
+    if a > b:
+        raise ValueError(f"empty window [{a}, {b}]")
+    return "".join(x.symbol_at(i) for i in range(a, b + 1))
+
+
+def apply_ca_oracle(f, x: Configuration) -> Configuration:
+    """f(x), one window per image cell."""
+    lp, rp = len(x.left_period), len(x.right_period)
+    ml = len(x.left_finite) + max(0, f.right) + lp + 1
+    mr = len(x.right_finite) + max(0, -f.left) + rp + 1
+    img = lambda i: f.table[window_oracle(x, i + f.left, i + f.right)]
+    return Configuration(
+        x.alphabet,
+        "".join(img(i) for i in range(-ml - lp, -ml)),
+        "".join(img(i) for i in range(-ml, 0)),
+        "".join(img(i) for i in range(0, mr)),
+        "".join(img(i) for i in range(mr, mr + rp)))
+
+
+def path_window_oracle(prefix_fn, a: int, b: int) -> str:
+    """Window [a, b] of the reflection t(i) = u(i), t(-1-i) = u(i) of the
+    one-sided prefix function, one cell at a time."""
+    if a > b:
+        raise ValueError(f"empty window [{a}, {b}]")
+    u = prefix_fn(max(b + 1, -a, 0))
+    return "".join(u[i] if i >= 0 else u[-1 - i] for i in range(a, b + 1))
+
+
+def project_oracle(S, T, anchor: Configuration, m: int, x: Configuration,
+                   N: int) -> str:
+    """homotopy.project with one window per position and one symbol_at per
+    cell, preconditions included."""
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.homotopy import lex_least_completion
+    from shiftgeo.shifts import contains_config, language_subset, \
+        mixing_distance
+    if not language_subset(T, S):
+        raise PreconditionError("T is not a subshift of S")
+    if not contains_config(T, anchor):
+        raise PreconditionError("anchor is not a point of T")
+    if mixing_distance(T) > m:
+        raise PreconditionError("m is below the mixing distance of T")
+    if not contains_config(S, x):
+        raise PreconditionError("x is not a point of S")
+    good = {}
+    for j in range(-N - 2 * m, N + 2 * m + 1):
+        good[j] = T.accepts_word(window_oracle(x, j - 2 * m, j + 2 * m))
+    constraints: list = []
+    for i in range(-N, N + 1):
+        if any(good[j] for j in range(i - m, i + m + 1)):
+            constraints.append(x.symbol_at(i))
+        elif not any(good[j] for j in range(i - 2 * m, i + 2 * m + 1)):
+            constraints.append(anchor.symbol_at(i))
+        else:
+            constraints.append(None)
+    return lex_least_completion(T, constraints)
+
+
 # -- the product graph on named nodes that
 # shiftgeo.metrics.distance_to_shift_detail built before it numbered them -----
 

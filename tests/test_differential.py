@@ -14,7 +14,11 @@ twin pair of components against Karp on both arms), the bitmask powers of
 ``mixing_distance`` against the boolean matrix powers, and the orbit walk
 and rigidity markers on the transition monoid against the state-set walk
 and per-word block-set fixpoints they replaced, and the Parry measure's
-power iteration on Python floats against the numpy one it replaced.
+power iteration on Python floats against the numpy one it replaced, and
+the sliced windows of points and paths, the sliding rule read of
+``apply_ca`` and ``apply_cyclic``, the one-window read of ``project`` and
+the integer-id image presentation of ``preserves_shift`` against the
+per-cell reads and the (q, u)-named construction they replaced.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -38,18 +42,19 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from shiftgeo import _graph
-from shiftgeo.automata import CellularAutomaton, check_on_subshift, \
-    isometric_ca_precondition, preserves_shift
+from shiftgeo.automata import CellularAutomaton, apply_ca, apply_cyclic, \
+    check_on_subshift, isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.homotopy import AbstractComplex, embed_complex, \
-    lex_least_completion
+    lex_least_completion, project
 from shiftgeo.measures import cylinder_decay_bound, parry_measure, \
     _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
     d_besicovitch, d_weyl, distance_to_shift, distance_to_shift_detail, \
     nearest_periodic, unique_approximation_search
+from shiftgeo.paths import block_path_source, intersperse_path_source
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     concatenation_closure, contains_config, disjoint_union, even_shift, \
     find_unbordered_synchronizing, full_shift, golden_mean, language, \
@@ -57,7 +62,8 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     periodic_orbits, positive_entropy, shannon_cover, transitive_components, \
     _is_mixing, _merge_equivalent, _pads, _RelationMonoid, _subset_graph, \
     _synchronizing_words
-from oracle_utils import block_shift, check_on_subshift_oracle, \
+from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
+    block_shift, check_on_subshift_oracle, \
     check_on_subshift_pairwise_oracle, contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
@@ -67,10 +73,12 @@ from oracle_utils import block_shift, check_on_subshift_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
     parry_measure_numpy_oracle, periodic_orbits_fixpoint_oracle, \
-    periodic_orbits_oracle, preserves_shift_oracle, \
+    path_window_oracle, periodic_orbits_oracle, preserves_shift_oracle, \
+    preserves_shift_tuple_oracle, project_oracle, \
     profile_mismatches_oracle, residue_profile_oracle, sft14, \
     stable_block_set_oracle, unfolded_arm_densities, \
-    unique_approximation_search_oracle, verify_binomial_bound_oracle
+    unique_approximation_search_oracle, verify_binomial_bound_oracle, \
+    window_oracle
 
 
 def deterministic(examples: int):
@@ -909,7 +917,110 @@ def test_preserves_shift_matches_old_image_oracle(X, data):
     if X.is_empty:
         reject()
     f = _near_shift_rule(data, X.alphabet)
-    assert preserves_shift(f, X) == preserves_shift_oracle(f, X)
+    shift = data.draw(st.integers(-2, 2))
+    f = dataclasses.replace(f, left=f.left + shift, right=f.right + shift)
+    assert preserves_shift(f, X) == preserves_shift_oracle(f, X) == \
+        preserves_shift_tuple_oracle(f, X)
+
+
+# -- sliced windows and the sliding rule read against per-cell reads --------
+
+
+@st.composite
+def point_and_window(draw):
+    """A point with periods of length 1 to 4 and finite parts of up to 10
+    cells, and a window wholly left of the origin, wholly right of it,
+    across it, or inside the span of the finite parts."""
+    ab = Alphabet(draw(st.permutations("012"))[:draw(st.integers(1, 3))])
+    syms = st.sampled_from(ab.symbols)
+    period = st.text(syms, min_size=1, max_size=4)
+    finite = st.text(syms, max_size=10)
+    x = Configuration(ab, draw(period), draw(finite), draw(finite),
+                      draw(period))
+    n, m = len(x.left_finite), len(x.right_finite)
+    where = draw(st.sampled_from(("left", "right", "across", "finite")))
+    if where == "left":
+        b = draw(st.integers(-30, -1))
+        a = b - draw(st.integers(0, 24))
+    elif where == "right":
+        a = draw(st.integers(0, 30))
+        b = a + draw(st.integers(0, 24))
+    elif where == "across":
+        a = draw(st.integers(-30, -1))
+        b = draw(st.integers(0, 30))
+    else:
+        a = draw(st.integers(-n, max(m - 1, -n)))
+        b = draw(st.integers(a, max(m - 1, a)))
+    return x, a, b
+
+
+@deterministic(500)
+@given(point_and_window())
+def test_window_slices_match_per_cell_oracle(case):
+    x, a, b = case
+    assert x.window(a, b) == window_oracle(x, a, b)
+    with pytest.raises(ValueError):
+        x.window(b + 1, a)
+
+
+@st.composite
+def offset_rule(draw, ab: Alphabet):
+    """A random rule over `ab` whose offsets lie in -3..2 (so its window may
+    be all negative or all positive), at most six cells wide on two
+    symbols and three on three."""
+    widest = {1: 6, 2: 6, 3: 3}[len(ab)]
+    lo = draw(st.integers(-3, 2))
+    hi = draw(st.integers(lo, min(2, lo + widest - 1)))
+    pats = ["".join(t) for t in itertools.product(ab.symbols,
+                                                  repeat=hi - lo + 1)]
+    outs = draw(st.lists(st.sampled_from(ab.symbols), min_size=len(pats),
+                         max_size=len(pats)))
+    return CellularAutomaton(ab, lo, hi, dict(zip(pats, outs)))
+
+
+@deterministic(400)
+@given(point_and_window(), st.data())
+def test_apply_ca_matches_per_cell_oracle(case, data):
+    x = case[0]
+    f = data.draw(offset_rule(x.alphabet))
+    assert apply_ca(f, x) == apply_ca_oracle(f, x)
+
+
+@deterministic(400)
+@given(st.data())
+def test_apply_cyclic_matches_oracle_on_random_offsets(data):
+    ab = Alphabet(data.draw(st.sampled_from(("01", "012", "0"))))
+    f = data.draw(offset_rule(ab))
+    w = data.draw(st.text(st.sampled_from(ab.symbols), max_size=8))
+    assert apply_cyclic(f, w) == \
+        apply_cyclic_oracle(f.table, f.left, f.right, w)
+
+
+@deterministic(300)
+@given(st.sampled_from((block_path_source, intersperse_path_source)),
+       st.fractions(0, 1, max_denominator=64), st.integers(-40, 40),
+       st.integers(0, 40))
+def test_path_window_slices_match_per_cell_oracle(source, r, a, width):
+    src = source(r)
+    b = a + width
+    assert src.window(a, b) == path_window_oracle(src._fn, a, b)
+    with pytest.raises(ValueError):
+        src.window(b + 1, a)
+
+
+@deterministic(150)
+@given(st.sampled_from(("golden", "even", "full")), st.data())
+def test_project_slices_match_per_cell_oracle(name, data):
+    T = {"golden": golden_mean, "even": even_shift,
+         "full": lambda: full_shift(BINARY)}[name]()
+    S = full_shift(BINARY)
+    anchor = periodic_config(data.draw(st.sampled_from(("0", "01", "001"))),
+                             BINARY)
+    x = _config(data, BINARY)
+    m = data.draw(st.integers(0, 3))
+    N = data.draw(st.integers(-3, 12))
+    assert _outcome(project, S, T, anchor, m, x, N) == \
+        _outcome(project_oracle, S, T, anchor, m, x, N)
 
 
 # -- every listing and tie-break follows the alphabet's order ---------------
