@@ -8,6 +8,7 @@ are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def strongly_connected_components(n: int, succ) -> list[list[int]]:
@@ -17,34 +18,30 @@ def strongly_connected_components(n: int, succ) -> list[list[int]]:
     emitted only after everything it can reach), each sorted ascending.
     """
     index = [-1] * n
-    low = [0] * n
+    low = [0] * (n + 1)
     on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
+    # one (node, iterator over its successors) per DFS frame, above a bottom
+    # frame (n, all nodes; hence low[n]) that starts a search at each root
+    work = [(n, iter(range(n)))]
+    while True:
+        v, it = work[-1]
+        for w in it:
+            if index[w] == -1:
+                index[w] = low[w] = counter
                 counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
+                stack.append(w)
+                on_stack[w] = True
+                work.append((w, iter(succ[w])))
+                break
+            if on_stack[w] and index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            work.pop()
+            if not work:
+                return comps
             if low[v] == index[v]:
                 comp = []
                 while True:
@@ -54,38 +51,26 @@ def strongly_connected_components(n: int, succ) -> list[list[int]]:
                     if w == v:
                         break
                 comps.append(sorted(comp))
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+            u = work[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
 
 
 def condensation_reach(n: int, succ, comps: list[list[int]]):
-    """Reachability between SCCs.  Returns (comp_of, reach) where
-    reach[c] is the set of component indices reachable from component c
-    (including c itself)."""
+    """The condensation DAG as (comp_of, dag): dag[c] holds the components
+    that edges leave c for.  ``comps`` is in reverse topological order, so a
+    fold over ascending c along dag[c] sees everything c reaches."""
     comp_of = [0] * n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    k = len(comps)
-    dag: list[set[int]] = [set() for _ in range(k)]
-    for v in range(n):
+    dag: list[set[int]] = [set() for _ in comps]
+    for v, out in enumerate(succ):
         cv = comp_of[v]
-        for w in succ[v]:
-            cw = comp_of[w]
-            if cw != cv:
+        for w in out:
+            if (cw := comp_of[w]) != cv:
                 dag[cv].add(cw)
-    reach: list[set[int]] = [set() for _ in range(k)]
-    # comps come out of Tarjan in reverse topological order, so successors
-    # of component c have smaller indices and are already complete.
-    for c in range(k):
-        r = {c}
-        for d in dag[c]:
-            r |= reach[d]
-        reach[c] = r
-    return comp_of, reach
+    return comp_of, dag
 
 
 def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
@@ -95,13 +80,15 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     pairs with both endpoints inside the SCC.  Returns the exact minimum mean
     and one cycle (as a node list) achieving it.
 
-    Karp's recurrence over walks of exactly k edges from ``nodes[0]``, with
-    each row holding only the nodes some k-edge walk reaches.  Time is
-    O(sum_k |frontier_k| * outdeg) and memory is one entry per reached
-    (k, node) pair.  On a phase-layered graph (every edge goes from phase j
-    to phase j + 1 mod p, as in the product of a presentation with a
-    position cycle) every frontier lies in one phase, so both are linear in
-    the number of nodes rather than quadratic.
+    Karp's recurrence over walks of exactly k edges from ``nodes[0]``, on
+    cyclic classes: with BFS levels from node 0 and d the gcd of level(u) +
+    1 - level(v) over all edges (the period), edges go from class c to class
+    c + 1 mod d, so row k is a list over class k mod d, relaxed from one
+    precomputed (u, v, w) list in ``nodes`` order of u with a strict < (the
+    least predecessor wins ties); only rows k = n (mod d) enter the max/min.
+    A row costs the edges out of one class and holds one class, so on the
+    product of a presentation with a position cycle of period p, whose
+    phases the classes refine, time and memory are linear in p.
 
     The cycle returned is the shortest, then earliest, closed subwalk of
     mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
@@ -114,58 +101,74 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
-    # dist[k][v] = min weight of a walk with exactly k edges from node 0 to
-    # v, parent[k][v] = its predecessor; seen[v] lists (k, dist[k][v]) for
-    # every k < n that reaches v, in ascending k.
-    dist: list[dict[int, int]] = [{0: 0}]
-    parent: list[dict[int, int]] = [{}]
-    seen: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    level = [0] + [-1] * (n - 1)
+    queue = [0]
+    for u in queue:
+        for (v, _w) in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    d = gcd(*(level[u] + 1 - level[v]
+              for u in range(n) for (v, _w) in adj[u]))
+    if d == 0:
+        raise ValueError("graph has no cycle")
+    # cls[c] lists class c in nodes order; pos[u] is u's place in its class
+    cls: list[list[int]] = [[] for _ in range(d)]
+    for u in range(n):
+        cls[level[u] % d].append(u)
+    pos = {u: i for c in cls for i, u in enumerate(c)}
+    relax = [[(pos[u], pos[v], w) for u in c for (v, w) in adj[u]]
+             for c in cls]
+    inf = float("inf")
+    # dist[k][i] = min weight of a walk with exactly k edges from node 0 to
+    # the i-th node of class k mod d, parent[k][i] its predecessor's place
+    dist = [[0] + [inf] * (len(cls[0]) - 1)]
+    parent: list[list[int]] = [[]]
     for k in range(1, n + 1):
         prev = dist[-1]
-        dk: dict[int, int] = {}
-        pk: dict[int, int] = {}
-        # ascending u with a strict < keeps the least predecessor on ties
-        for u in sorted(prev):
-            du = prev[u]
-            seen[u].append((k - 1, du))
-            for (v, w) in adj[u]:
-                cand = du + w
-                if v not in dk or cand < dk[v]:
-                    dk[v] = cand
-                    pk[v] = u
+        dk = [inf] * len(cls[k % d])
+        pk = [-1] * len(dk)
+        for (i, j, w) in relax[(k - 1) % d]:
+            cand = prev[i] + w
+            if cand < dk[j]:
+                dk[j] = cand
+                pk[j] = i
         dist.append(dk)
         parent.append(pk)
     # min over v of max over k of (dist[n][v] - dist[k][v]) / (n - k), as
     # (numerator, positive denominator) pairs compared by cross-multiplying;
     # the first maximum per v and the first minimum over ascending v win.
-    dn = dist[n]
-    best = None
-    best_v = -1
-    for v in sorted(dn):
+    best, best_v = None, -1
+    for v, dnv in enumerate(dist[n]):
+        if dnv == inf:
+            continue
         worst = None
-        for (k, dkv) in seen[v]:
-            num, den = dn[v] - dkv, n - k
+        for k in range(n % d, n, d):
+            dkv = dist[k][v]
+            if dkv == inf:
+                continue
+            num, den = dnv - dkv, n - k
             if worst is None or num * worst[1] > worst[0] * den:
                 worst = (num, den)
         if worst is not None and (
                 best is None or best[0] * worst[1] > worst[0] * best[1]):
             best = worst
             best_v = v
-    if best is None:
-        raise ValueError("graph has no cycle")
     mean = Fraction(*best)
-    # Recover a cycle of mean `best` from the optimal n-edge walk into best_v.
+    # Recover a cycle of mean `best` from the optimal n-edge walk into
+    # best_v, as places in the classes of its rows.
     walk = [best_v]
     for k in range(n, 0, -1):
         walk.append(parent[k][walk[-1]])
-    walk.reverse()  # length n+1, indices into `nodes`
+    walk.reverse()
     # The walk's first j edges weigh dist[j][walk[j]], since each parent
-    # edge attains the minimum.
-    last: dict[int, int] = {}
+    # edge attains the minimum; a node is (class, place).
+    last: dict[tuple[int, int], int] = {}
     found = None
     for j, v in enumerate(walk):
-        i = last.get(v)
-        last[v] = j
+        key = (j % d, v)
+        i = last.get(key)
+        last[key] = j
         if i is None:
             continue
         clen = j - i
@@ -176,4 +179,4 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     if found is None:
         raise AssertionError("min mean cycle not found on optimal walk")
     clen, i = found
-    return mean, [nodes[w] for w in walk[i:i + clen]]
+    return mean, [nodes[cls[j % d][walk[j]]] for j in range(i, i + clen)]

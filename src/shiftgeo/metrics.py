@@ -39,9 +39,10 @@ run per strongly connected component, and the best co-reachable (left cycle,
 right cycle) pair wins.  The n positions are numbered left cycle, finite
 middle, right cycle, and product node (q, i) is q_index * n + i, so i = v mod
 n tells a node's arm.  Every edge inside an arm's component goes from
-position phase j to phase j + 1 mod p, so the product is phase-layered: the
-nodes a walk of k edges can reach share one phase, at most |Q| of them, and
-Karp's frontier rows stay that small (time and memory linear in p).
+position phase j to phase j + 1 mod p, so Karp's cyclic classes refine the
+phases and its rows hold at most |Q| entries (time and memory linear in p).
+The best right cycle each component reaches is folded along the condensation
+DAG, so a long finite part (a chain of one-node components) is linear too.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def distance_to_shift_detail(x: Configuration,
                 wsucc[s0 + i].append((t0 + j, cost, a))
     succ = [[t for (t, _w, _a) in row] for row in wsucc]
     comps = _graph.strongly_connected_components(size, succ)
-    reach = _graph.condensation_reach(size, succ, comps)[1]
+    comp_of, dag = _graph.condensation_reach(size, succ, comps)
 
     # (minimum cycle mean, cycle) inside each SCC that has internal edges,
     # by arm and component index
@@ -306,9 +307,8 @@ def distance_to_shift_detail(x: Configuration,
             d = off - hit[0]
             (right if off else left)[ci] = hit[1], [v + d for v in hit[2]]
             continue
-        members = set(comp)
-        internal = {v: [(t, w) for (t, w, _a) in wsucc[v] if t in members]
-                    for v in comp}
+        internal = {v: [(t, w) for (t, w, _a) in wsucc[v]
+                        if comp_of[t] == ci] for v in comp}
         if not any(internal.values()):
             continue
         sides = {"L" if v % n < nl else "R" if v % n >= r0 else "M"
@@ -319,17 +319,14 @@ def distance_to_shift_detail(x: Configuration,
         arm[ci] = res = _graph.karp_min_mean(comp, internal)
         done[comp[0] - off] = off, *res
 
-    # best right-arm value reachable from each component
-    k = len(comps)
-    best_right: list[tuple[Fraction, int] | None] = [None] * k
-    for ci in range(k):  # reverse topological order (Tarjan emission order)
-        cand = []
+    # least right-arm (mean, index) reachable from each component, folded
+    # along the condensation DAG in Tarjan's (reverse topological) order
+    best_right: list[tuple[Fraction, int] | None] = []
+    for ci, out in enumerate(dag):
+        cand = [b for cj in out if (b := best_right[cj]) is not None]
         if ci in right:
             cand.append((right[ci][0], ci))
-        for cj in reach[ci]:
-            if cj != ci and best_right[cj] is not None:
-                cand.append(best_right[cj])
-        best_right[ci] = min(cand) if cand else None
+        best_right.append(min(cand) if cand else None)
 
     best = None
     for ci, (lm, _cyc) in left.items():  # ascending ci

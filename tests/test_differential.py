@@ -3,7 +3,9 @@ rotation-class correlation and the gcd-class CA scan against the unfolded
 brute-force oracles and the per-class residue sum in oracle_utils, the
 batched CA scan against the per-pair loop it replaced, the
 nearest-point search against its loop over every rotation, the
-frontier-row Karp against the dense-table Karp it replaced, and the
+cyclic-class Karp against the dense-table and frontier-row Karps it
+replaced, Tarjan's components and the condensation DAG against the
+index-frame Tarjan and the reach-set closure they replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
 |A|^p loops they replaced, the Machin enclosure of pi in the binomial
 bound against the mpmath interval evaluation it replaced, the image
@@ -64,11 +66,13 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     _synchronizing_words
 from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     block_shift, check_on_subshift_oracle, \
-    check_on_subshift_pairwise_oracle, contains_config_oracle, \
+    check_on_subshift_pairwise_oracle, condensation_reach_oracle, \
+    contains_config_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
-    isometric_ca_precondition_oracle, karp_min_mean_oracle, \
+    isometric_ca_precondition_oracle, karp_min_mean_frontier_oracle, \
+    karp_min_mean_oracle, \
     lex_least_completion_oracle, lyndon_words_state_set_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
@@ -76,7 +80,8 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     path_window_oracle, periodic_orbits_oracle, preserves_shift_oracle, \
     preserves_shift_tuple_oracle, project_oracle, \
     profile_mismatches_oracle, residue_profile_oracle, sft14, \
-    stable_block_set_oracle, unfolded_arm_densities, \
+    stable_block_set_oracle, strongly_connected_components_oracle, \
+    unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle, \
     window_oracle
 
@@ -434,10 +439,11 @@ def test_karp_min_mean_matches_dense_oracle_on_phase_layers(graph):
 
 
 @st.composite
-def point_and_sft(draw):
+def point_and_sft(draw, max_finite=4):
     """A non-empty binary SFT with one to three forbidden words of length 1
-    to 4, and an eventually periodic point with arm periods <= 30.  Lengths
-    are drawn first, so long arms and many-state covers are common."""
+    to 4, and an eventually periodic point with arm periods <= 30 and finite
+    parts of at most `max_finite` cells each.  Lengths are drawn first, so
+    long arms and many-state covers are common."""
 
     def word(lo, hi):
         n = draw(st.integers(lo, hi))
@@ -448,8 +454,8 @@ def point_and_sft(draw):
         Y = compile_sft(SftSpec(BINARY, forbidden))
     except EmptyShiftError:
         reject()
-    x = Configuration(BINARY, word(1, 30), word(0, 4), word(0, 4),
-                      word(1, 30))
+    x = Configuration(BINARY, word(1, 30), word(0, max_finite),
+                      word(0, max_finite), word(1, 30))
     return x, Y
 
 
@@ -461,6 +467,119 @@ def test_distance_to_shift_detail_matches_dense_karp(case):
     with mock.patch.object(_graph, "karp_min_mean", karp_min_mean_oracle):
         want = distance_to_shift_detail(x, Y)
     assert got == want
+
+
+@deterministic(100)
+@given(point_and_sft(max_finite=60))
+def test_distance_to_shift_detail_with_long_finite_parts(case):
+    """Finite parts of up to 60 cells make long chains of one-node
+    components: the fold along the condensation DAG against the best right
+    cycle over each component's full reach set."""
+    x, Y = case
+    assert distance_to_shift_detail(x, Y) == \
+        distance_to_shift_detail_oracle(x, Y)
+
+
+@st.composite
+def periodic_scc(draw):
+    """(nodes, edges) of a strongly connected digraph whose cycle lengths
+    are all multiples of d, for d in 2..4: d classes of 1 to 4 nodes each
+    (often of unequal sizes), every edge from class c to class c + 1 mod d,
+    a closed walk through every node, and random extra edges that may be
+    parallel to others.  Ids are arbitrary and ``nodes`` lists them in a
+    random order, so classes interleave in it."""
+    d = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    ids = draw(st.lists(st.integers(0, 99), min_size=sum(sizes),
+                        max_size=sum(sizes), unique=True))
+    cls, at = [], 0
+    for size in sizes:
+        cls.append(ids[at:at + size])
+        at += size
+    # step t of the walk is in class t mod d; t // d runs over every place
+    walk = [cls[t % d][t // d % sizes[t % d]]
+            for t in range(d * max(sizes))]
+    pairs = list(zip(walk, walk[1:] + walk[:1]))
+    for _ in range(draw(st.integers(0, 2 * sum(sizes)))):
+        c = draw(st.integers(0, d - 1))
+        pairs.append((draw(st.sampled_from(cls[c])),
+                      draw(st.sampled_from(cls[(c + 1) % d]))))
+    pairs = draw(st.permutations(pairs))
+    edges = {v: [] for v in ids}
+    for (u, v) in pairs:
+        edges[u].append((v, draw(WEIGHTS)))
+    return draw(st.permutations(ids)), edges
+
+
+@deterministic(400)
+@given(periodic_scc())
+def test_karp_min_mean_on_periodic_sccs_matches_both_oracles(graph):
+    nodes, edges = graph
+    got = _graph.karp_min_mean(nodes, edges)
+    assert got == karp_min_mean_oracle(nodes, edges)
+    assert got == karp_min_mean_frontier_oracle(nodes, edges)
+
+
+@deterministic(50)
+@given(st.integers(0, 99),
+       st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+def test_karp_min_mean_on_one_node_with_self_loops(v, weights):
+    edges = {v: [(v, w) for w in weights]}
+    got = _graph.karp_min_mean([v], edges)
+    assert got == (Fraction(min(weights)), [v])
+    assert got == karp_min_mean_oracle([v], edges)
+    assert got == karp_min_mean_frontier_oracle([v], edges)
+
+
+@pytest.mark.parametrize("karp", [_graph.karp_min_mean, karp_min_mean_oracle,
+                                  karp_min_mean_frontier_oracle])
+def test_karp_min_mean_on_one_node_without_edges_raises(karp):
+    with pytest.raises(ValueError, match="graph has no cycle"):
+        karp([7], {7: []})
+
+
+@st.composite
+def random_digraph(draw):
+    """(n, succ) on 0 to 12 nodes with random successor lists that may hold
+    self-loops and repeated targets."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    succ = [draw(st.lists(st.integers(0, n - 1), max_size=4))
+            for _ in range(n)]
+    return n, succ
+
+
+def _closure(dag) -> list[set[int]]:
+    reach = []
+    for c, out in enumerate(dag):
+        assert all(cj < c for cj in out)
+        reach.append({c}.union(*(reach[cj] for cj in out)))
+    return reach
+
+
+@deterministic(400)
+@given(random_digraph())
+def test_tarjan_and_condensation_match_index_based_oracles(graph):
+    """Components in the same emission order, each sorted, and a DAG whose
+    closure is the oracle's reach sets."""
+    n, succ = graph
+    comps = _graph.strongly_connected_components(n, succ)
+    assert comps == strongly_connected_components_oracle(n, succ)
+    comp_of, dag = _graph.condensation_reach(n, succ, comps)
+    want_of, reach = condensation_reach_oracle(n, succ, comps)
+    assert comp_of == want_of
+    assert _closure(dag) == reach
+
+
+def test_tarjan_on_a_long_path_does_not_recurse():
+    n = 20_000
+    succ = [[v + 1] for v in range(n - 1)] + [[]]
+    comps = _graph.strongly_connected_components(n, succ)
+    assert comps == [[v] for v in reversed(range(n))]
+    assert comps == strongly_connected_components_oracle(n, succ)
+    comp_of, dag = _graph.condensation_reach(n, succ, comps)
+    assert dag == [set()] + [{c - 1} for c in range(1, n)]
 
 
 # -- the Lyndon-word orbit enumerator against the |A|^p loops ---------------

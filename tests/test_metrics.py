@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -326,3 +327,24 @@ def test_unequal_arms_run_karp_on_every_component(monkeypatch, literal):
     both = _karp_calls(monkeypatch, distance_to_shift_detail_oracle, x,
                        sft14())
     assert len(calls) == len(both) > 0
+
+
+def test_long_finite_part_costs_linear_memory():
+    """A finite part of 1000 cells gives about 14 000 one-node components;
+    the best right cycle is folded along the condensation DAG, so memory
+    stays small where a reach set per component grew quadratically."""
+    r = random.Random(1000)
+    mid = "".join(r.choice("01") for _ in range(1000))
+    x = parse_config(f"inf(01){mid}.inf(011)", BINARY)
+    Y = sft14()
+    tracemalloc.start()
+    try:
+        d = distance_to_shift_detail(x, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    # the points of Y nearest inf(01) differ from it once per 6 cells, and
+    # inf(011) lies in Y
+    assert (d.distance, d.left_mean, d.right_mean) == (F(1, 12), F(1, 6), 0)
+    assert d.right_cycle_word == "011"
