@@ -73,6 +73,24 @@ def condensation_reach(n: int, succ, comps: list[list[int]]):
     return comp_of, dag
 
 
+def bfs_period(adj) -> tuple[list[int], int]:
+    """(level, d) for a strongly connected graph on nodes 0..n-1, where
+    ``adj[u]`` lists (v, label) pairs: level[v] is the BFS distance from
+    node 0, and d the gcd of level(u) + 1 - level(v) over all edges, which
+    is the gcd of the cycle lengths (the period), or 0 without an edge.
+    Edges go from level class c to class c + 1 mod d."""
+    n = len(adj)
+    level = [0] + [-1] * (n - 1)
+    queue = [0]
+    for u in queue:
+        for (v, _w) in adj[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level, gcd(*(level[u] + 1 - level[v]
+                        for u in range(n) for (v, _w) in adj[u]))
+
+
 def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     """Minimum mean cycle of a strongly connected weighted graph.
 
@@ -81,9 +99,8 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     and one cycle (as a node list) achieving it.
 
     Karp's recurrence over walks of exactly k edges from ``nodes[0]``, on
-    cyclic classes: with BFS levels from node 0 and d the gcd of level(u) +
-    1 - level(v) over all edges (the period), edges go from class c to class
-    c + 1 mod d, so row k is a list over class k mod d, relaxed from one
+    the cyclic classes of :func:`bfs_period`: edges go from class c to
+    class c + 1 mod d, so row k is a list over class k mod d, relaxed from one
     precomputed (u, v, w) list in ``nodes`` order of u with a strict < (the
     least predecessor wins ties); only rows k = n (mod d) enter the max/min.
     A row costs the edges out of one class and holds one class, so on the
@@ -101,15 +118,7 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
     adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
-    level = [0] + [-1] * (n - 1)
-    queue = [0]
-    for u in queue:
-        for (v, _w) in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    d = gcd(*(level[u] + 1 - level[v]
-              for u in range(n) for (v, _w) in adj[u]))
+    level, d = bfs_period(adj)
     if d == 0:
         raise ValueError("graph has no cycle")
     # cls[c] lists class c in nodes order; pos[u] is u's place in its class

@@ -129,12 +129,14 @@ def _rational(text: str) -> Fraction:
         raise InputError(f"{text!r} is not a rational number") from e
 
 
-# the positional arguments each (command, mode) takes; `path embed` takes
-# one or more coordinates, which paths.embed_point checks
+# every (command, mode), in the order each command lists its modes, with
+# the positional arguments it takes; None for `path embed`, whose one or
+# more coordinates paths.embed_point checks
 _ARGS = {
     ("complex", "extract"): "FILE", ("complex", "embed"): "COMPLEX FILE",
     ("complex", "coords"): "FILE CONFIG",
-    **{("path", mode): "" for mode in ("prefix", "window", "sample")},
+    ("path", "prefix"): "", ("path", "window"): "", ("path", "embed"): None,
+    ("path", "sample"): "",
     ("uap", "nearest"): "FILE CONFIG", ("uap", "search"): "FILE",
     **{("shift", mode): "FILE" for mode in (
         "compile", "cover", "components", "mixing", "sync-word", "entropy",
@@ -145,6 +147,10 @@ _ARGS = {
     ("measure", "growth-threshold"): "K A", ("measure", "generic"): "",
     ("measure", "ball-count"): "WORD N EPS",
 }
+
+
+def _modes(cmd: str) -> list[str]:
+    return [mode for (c, mode) in _ARGS if c == cmd]
 
 
 def _check_arg_count(ns) -> None:
@@ -187,6 +193,11 @@ def cmd_dist(ns, rep: Report) -> None:
     rep.put(kind, _frac_json(d), f"{kind}: {_frac(d)}")
 
 
+def _witness_json(x, y, d_in: Fraction, d_out: Fraction) -> dict:
+    return {"x": format_config(x), "y": format_config(y),
+            "d_in": _frac_json(d_in), "d_out": _frac_json(d_out)}
+
+
 def cmd_classify(ns, rep: Report) -> None:
     from . import automata
     if ns.precondition:
@@ -211,10 +222,8 @@ def cmd_classify(ns, rep: Report) -> None:
             w = getattr(chk, prop)
             rep.put(prop, w is None, chk.verdict(prop))
             if w is not None:
-                rep.put(prop + "_witness", {
-                    "x": format_config(w.x), "y": format_config(w.y),
-                    "d_in": _frac_json(w.d_in),
-                    "d_out": _frac_json(w.d_out)})
+                rep.put(prop + "_witness",
+                        _witness_json(w.x, w.y, w.d_in, w.d_out))
         return
     c = automata.classify_full_shift(f)
     rep.put("essential_offsets", list(c.neighborhood.essential))
@@ -231,11 +240,9 @@ def cmd_classify(ns, rep: Report) -> None:
                 f"decomposition: shift {off}, map {g}")
     if c.witness:
         x, y, din, dout = c.witness
-        rep.put("witness", {
-            "x": format_config(x), "y": format_config(y),
-            "d_in": _frac_json(din), "d_out": _frac_json(dout)},
-            f"witness: {format_config(x)} vs {format_config(y)}: "
-            f"{_frac(din)} -> {_frac(dout)}")
+        rep.put("witness", _witness_json(x, y, din, dout),
+                f"witness: {format_config(x)} vs {format_config(y)}: "
+                f"{_frac(din)} -> {_frac(dout)}")
 
 
 def cmd_complex(ns, rep: Report) -> None:
@@ -286,23 +293,14 @@ def cmd_path(ns, rep: Report) -> None:
         raise InputError(f"path {ns.mode} needs -r RATIONAL")
     r = _rational(ns.r) if ns.r is not None else None
     n = ns.window
-    if ns.mode == "prefix":
-        fn = (paths.intersperse_path_prefix if ns.construction == "intersperse"
-              else paths.block_path_prefix)
-        w = fn(r, n)
-        rep.put("word", w, w)
-    elif ns.mode == "window":
-        fn = (paths.intersperse_path_window if ns.construction == "intersperse"
-              else paths.block_path_window)
-        w = fn(r, n)
-        rep.put("word", w, w)
-    elif ns.mode == "embed":
-        v = [_rational(t) for t in ns.args]
-        w = paths.embed_point(v, n)
-        rep.put("word", w, w)
-    else:  # sample
+    if ns.mode == "embed":
+        w = paths.embed_point([_rational(t) for t in ns.args], n)
+    elif ns.mode == "sample":
         w = paths.sample_block_path(ns.seed, n)
-        rep.put("word", w, w)
+    else:  # prefix, window
+        w = getattr(paths, f"{ns.construction}_path_{ns.mode}")(r, n)
+    rep.put("word", w, w)
+    if ns.mode == "sample":
         zero = Fraction(w.count("0"), len(w))
         rep.put("zero_density", _frac_json(zero),
                 f"zero density {_frac(zero)}")
@@ -449,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 parents=[common], **kw))
 
     p = sub.add_parser("dist", help="distances between configurations")
-    p.add_argument("--db", action="store_true")
-    p.add_argument("--dw", action="store_true")
-    p.add_argument("--dc", action="store_true")
+    metric = p.add_mutually_exclusive_group()
+    for flag in ("--db", "--dw", "--dc"):
+        metric.add_argument(flag, action="store_true")
     p.add_argument("--estimate", action="store_true",
                    help="finite centered-window estimate over --window N")
     p.add_argument("--window", type=int, default=1000, metavar="N")
@@ -467,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=4)
 
     p = sub.add_parser("complex", help="simplicial complex translations")
-    p.add_argument("mode", choices=["extract", "embed", "coords"])
+    p.add_argument("mode", choices=_modes("complex"))
     p.add_argument("args", nargs="+")
 
     p = sub.add_parser("path", help="path constructions and sampling")
-    p.add_argument("mode", choices=["prefix", "window", "embed", "sample"])
+    p.add_argument("mode", choices=_modes("path"))
     p.add_argument("--construction", choices=["intersperse", "block"],
                    default="block")
     p.add_argument("-r", help="rational parameter in [0, 1]")
@@ -480,21 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uap", help="nearest periodic points and the unique "
                                    "approximation property")
-    p.add_argument("mode", choices=["nearest", "search"])
+    p.add_argument("mode", choices=_modes("uap"))
     p.add_argument("--period", type=int, default=8)
     p.add_argument("args", nargs="+")
 
     p = sub.add_parser("shift", help="sofic shift machinery")
-    p.add_argument("mode", choices=["compile", "cover", "components",
-                                    "mixing", "sync-word", "entropy",
-                                    "inside", "language", "contains"])
+    p.add_argument("mode", choices=_modes("shift"))
     p.add_argument("--length", type=int)
     p.add_argument("args", nargs="+")
 
     p = sub.add_parser("measure", help="Markov measures and exact bounds")
-    p.add_argument("mode", choices=["parry", "cylinder", "decay",
-                                    "binom-bound", "growth-threshold",
-                                    "generic", "ball-count"])
+    p.add_argument("mode", choices=_modes("measure"))
     p.add_argument("--length", type=int)
     p.add_argument("args", nargs="*")
     return ap

@@ -112,18 +112,6 @@ def hamming(u: str, v: str) -> int:
     return sum(a != b for a, b in zip(u, v))
 
 
-def occurs(v: str, w: str) -> bool:
-    """True iff v occurs in w as a factor (the empty word always occurs)."""
-    return v in w
-
-
-def occurrence_count(w: str, v: str) -> int:
-    """Number of (possibly overlapping) occurrences of v in w; v nonempty."""
-    if not v:
-        raise ValueError("occurrence_count of the empty word is undefined")
-    return sum(w.startswith(v, i) for i in range(len(w) - len(v) + 1))
-
-
 def primitive_root(w: str) -> str:
     """Shortest u with w = u^k."""
     n = len(w)
@@ -199,18 +187,7 @@ class Configuration:
     # -- access ------------------------------------------------------------
 
     def symbol_at(self, i: int) -> str:
-        if i >= 0:
-            rf = self.right_finite
-            if i < len(rf):
-                return rf[i]
-            rp = self.right_period
-            return rp[(i - len(rf)) % len(rp)]
-        j = -i - 1  # distance to the left of the origin, 0-based
-        lf = self.left_finite
-        if j < len(lf):
-            return lf[len(lf) - 1 - j]
-        lp = self.left_period
-        return lp[len(lp) - 1 - (j - len(lf)) % len(lp)]
+        return self.window(i, i)
 
     def window(self, a: int, b: int) -> str:
         """The word x_a x_{a+1} ... x_b (inclusive on both ends)."""

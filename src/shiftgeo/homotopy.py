@@ -190,10 +190,13 @@ def average(X: ShiftPresentation, m: int, r: Fraction, x: Configuration,
     if not contains_config(X, y):
         raise PreconditionError("y is not a point of X")
     constraints = []
-    for i in range(-N, N + 1):
-        side = average_selects(m, r, i)
-        constraints.append(None if side is None
-                           else (x if side == "x" else y).symbol_at(i))
+    if N >= 0:
+        # cell i of the window [-N, N] is xs[i + N] and ys[i + N]
+        xs, ys = x.window(-N, N), y.window(-N, N)
+        for i in range(-N, N + 1):
+            side = average_selects(m, r, i)
+            constraints.append(None if side is None
+                               else (xs if side == "x" else ys)[i + N])
     return lex_least_completion(X, constraints)
 
 

@@ -56,8 +56,7 @@ from operator import mul, ne
 from . import _graph
 from .configs import Configuration, periodic_config
 from .errors import EmptyShiftError, PreconditionError
-from .shifts import (ShiftPresentation, full_shift, lyndon_words,
-                     periodic_orbits)
+from .shifts import ShiftPresentation, full_shift, periodic_orbits
 
 
 def _check_alphabets(x: Configuration, y: Configuration):
@@ -460,7 +459,7 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
     x_orbits = periodic_orbits(X, P)
     in_x = set(x_orbits)
     corr = _Correlator(X.alphabet.symbols, P)
-    for w in lyndon_words(full_shift(X.alphabet), P):
+    for w in periodic_orbits(full_shift(X.alphabet), P):
         if w in in_x:  # inf(w) is in X: its distance is 0
             continue
         best, points = _nearest_orbits(x_orbits, w, corr, X.alphabet.key)

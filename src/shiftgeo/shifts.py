@@ -5,16 +5,18 @@ it presents is the set of bi-infinite label sequences along bi-infinite
 paths.  SFTs given by forbidden-word lists compile to presentations via the
 standard higher-block construction.  On top of this the module provides
 language queries, minimal deterministic presentations (Shannon covers),
-transitive components, mixing distances, synchronizing/unbordered word
-search, an exact entropy-positivity test, intersections, membership of
-eventually periodic configurations, and periodic orbits, enumerated as the
-Lyndon words of the presented language.
+transitive components, mixing distances (the cover's period comes from
+``_graph.bfs_period``, as Karp's cyclic classes do), synchronizing/unbordered
+word search, an exact entropy-positivity test, intersections, membership of
+eventually periodic configurations, and periodic orbits.
 
-A periodic point inf(w) lies in X exactly when a cycle of X reads a power
-of w (Lind and Marcus): an infinite run of w-blocks revisits a state.  So
-the one test of periodic points is the cycle flag of w's element of the
-transition monoid ``_RelationMonoid``, interned once per distinct relation
-and carried along the Lyndon walk.  The same greatest fixpoint,
+``periodic_orbits`` is the one enumerator of periodic points: a walk of the
+Lyndon words whose periodic points lie in X.  A periodic point inf(w) lies
+in X exactly when a cycle of X reads a power of w (Lind and Marcus): an
+infinite run of w-blocks revisits a state.  So the one test of periodic
+points is the cycle flag of w's element of the transition monoid
+``_RelationMonoid``, interned once per distinct relation and carried along
+the Lyndon walk.  The same greatest fixpoint,
 ``_RelationMonoid.stable``, decides both arms of an eventually periodic
 point in ``contains_config``.
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 from operator import or_
 
 from . import _graph
@@ -462,23 +463,6 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
 # mixing distance
 
 
-def _cover_period(succ) -> int:
-    """gcd of cycle lengths of a strongly connected graph, given by its
-    successor index lists."""
-    level = {0: 0}
-    queue = [0]
-    g = 0
-    while queue:
-        v = queue.pop(0)
-        for w in succ[v]:
-            if w not in level:
-                level[w] = level[v] + 1
-                queue.append(w)
-            else:
-                g = gcd(g, level[v] + 1 - level[w])
-    return abs(g) if g else 1
-
-
 def _minimal_sets(family: list[frozenset]) -> list[frozenset]:
     return [S for S in family
             if not any(T < S for T in family)]
@@ -493,7 +477,7 @@ def mixing_distance(X: ShiftPresentation) -> int:
     idx, succ = _indexed(C)
     if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
         raise PreconditionError("shift is not irreducible")
-    g = _cover_period(succ)
+    g = _graph.bfs_period([[(w, 1) for w in row] for row in succ])[1]
     if g > 1:
         raise PreconditionError(f"shift is not mixing (period {g})")
     # rows[i]: bitmask of the states that paths of exactly k edges from
@@ -745,11 +729,32 @@ class _RelationMonoid:
         return e >= 0 and self.flags[e]
 
 
-def _lyndon_walk(X: ShiftPresentation, max_period: int,
-                 periodic: bool) -> list[str]:
-    """The Lyndon words of :func:`lyndon_words`, only those with a cycle
-    flag when ``periodic``; one walk carries each prefix's element of the
-    transition monoid."""
+def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
+    """Primitive representatives of the periodic orbits of X with least
+    period <= max_period, each the least rotation of its orbit in the
+    alphabet's order, ordered by length and then lexicographically in that
+    order.
+
+    These are the Lyndon words w of length <= max_period (primitive and
+    strictly least among their rotations in the alphabet's order) with
+    inf(w) in X.  The words are read off the Fredricksen-Kessler-Maiorana
+    prenecklace tree, which works for any total order on the symbols
+    (Ruskey, Savage and Wang 1992): a prefix a[0:t] of least period p
+    extends by a[t - p], keeping p, or by any larger symbol, taking period
+    t + 1, and it is a Lyndon word exactly when p == t.  Every prefix of a
+    Lyndon word is a prenecklace, so the walk carries each prefix's element
+    of the transition monoid of X, drops a subtree as soon as that element
+    is empty (the prefix is not a factor), and keeps a Lyndon word exactly
+    when its element has the cycle flag set.
+
+    The cost is one table lookup per child of a visited prenecklace (on the
+    full shift O(|A|^P / P) prenecklaces), plus O(|Q|^2) per element of the
+    monoid the walk reaches (one on a full shift, never more than the
+    nodes), one join per word returned, and a final stable sort by length.
+    The walk keeps an explicit stack and one shared prefix, so memory is
+    O(|A| P) beyond the words and elements, and a one-symbol alphabet (a
+    path of depth max_period) needs no recursion.
+    """
     if max_period <= 0 or X.is_empty:
         return []
     M = _RelationMonoid(X)
@@ -767,7 +772,7 @@ def _lyndon_walk(X: ShiftPresentation, max_period: int,
         t, b, p, e = stack.pop()
         del a[t - 1:]
         a.append(b)
-        if p == t and (flags[e] or not periodic):
+        if p == t and flags[e]:
             words.append("".join(a))
         if t == max_period:
             continue
@@ -781,42 +786,3 @@ def _lyndon_walk(X: ShiftPresentation, max_period: int,
                 stack.append((t + 1, b, p if b == keep else t + 1, f))
     words.sort(key=len)  # stable, so lexicographic within a length
     return words
-
-
-def lyndon_words(X: ShiftPresentation, max_period: int) -> list[str]:
-    """Lyndon words of length <= max_period all of whose prefixes are
-    factors of X, ordered by length and then lexicographically in the
-    alphabet's order.
-
-    A Lyndon word is primitive and strictly least among its rotations in
-    the alphabet's order.  The words are read off the
-    Fredricksen-Kessler-Maiorana prenecklace tree, which works for any total
-    order on the symbols (Ruskey, Savage and Wang 1992): a prefix a[0:t] of
-    least period p extends by a[t - p], keeping p, or by any larger symbol,
-    taking period t + 1, and it is a Lyndon word exactly when p == t.  Every
-    prefix of a Lyndon word is a prenecklace, so the walk carries each
-    prefix's element of the transition monoid of X and drops a subtree as
-    soon as that element is empty (the prefix is not a factor).
-
-    The cost is one table lookup per child of a visited prenecklace (on the
-    full shift O(|A|^P / P) prenecklaces), plus O(|Q|^2) per element of the
-    monoid the walk reaches (one on a full shift, never more than the
-    nodes), one join per word returned, and a final stable sort by length.
-    The walk keeps an explicit stack and one shared prefix, so memory is
-    O(|A| P) beyond the words and elements, and a one-symbol alphabet (a
-    path of depth max_period) needs no recursion.
-    """
-    return _lyndon_walk(X, max_period, periodic=False)
-
-
-def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
-    """Primitive representatives of the periodic orbits of X with least
-    period <= max_period, each the least rotation of its orbit in the
-    alphabet's order, ordered by length and then lexicographically in that
-    order.
-
-    These are the :func:`lyndon_words` of X whose element of the transition
-    monoid has its cycle flag set, filtered inside the same walk: one table
-    lookup per walk node, plus O(|Q|^2) per element of the monoid reached.
-    """
-    return _lyndon_walk(X, max_period, periodic=True)

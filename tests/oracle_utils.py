@@ -302,7 +302,8 @@ def unfolded_arm_densities(x: Configuration,
     for sign, px, py in ((-1, x.left_period, y.left_period),
                          (1, x.right_period, y.right_period)):
         n = lcm(len(px), len(py))
-        mism = sum(x.symbol_at(sign * i) != y.symbol_at(sign * i)
+        mism = sum(symbol_at_oracle(x, sign * i)
+                   != symbol_at_oracle(y, sign * i)
                    for i in range(start + 1, start + 1 + n))
         out.append(Fraction(mism, n))
     return out[0], out[1]
@@ -323,7 +324,8 @@ def rand_config(rng, alphabet: Alphabet, max_period: int = 4,
 
 def unfolded_density(x: Configuration, y: Configuration,
                      N: int) -> Fraction:
-    mism = sum(x.symbol_at(i) != y.symbol_at(i) for i in range(-N, N + 1))
+    mism = sum(symbol_at_oracle(x, i) != symbol_at_oracle(y, i)
+               for i in range(-N, N + 1))
     return Fraction(mism, 2 * N + 1)
 
 
@@ -575,7 +577,7 @@ def condensation_reach_oracle(n: int, succ, comps: list[list[int]]):
     return comp_of, reach
 
 
-# -- the |A|^p orbit loops that shiftgeo.shifts.lyndon_words replaced -------
+# -- the |A|^p orbit loops that shiftgeo.shifts.periodic_orbits replaced -----
 
 
 def _all_words(alphabet, p: int):
@@ -687,8 +689,10 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
 
 
 def lyndon_words_state_set_oracle(X, max_period: int) -> list[str]:
-    """``shifts.lyndon_words`` on the prenecklace walk that carries each
-    prefix's state set, stepped by ``X.step``."""
+    """Lyndon words of length <= max_period all of whose prefixes are
+    factors of X, by length and then in the alphabet's order, on the
+    prenecklace walk that carries each prefix's state set, stepped by
+    ``X.step``."""
     if max_period <= 0 or X.is_empty:
         return []
     order = X.alphabet.symbols
@@ -1024,15 +1028,33 @@ def preserves_shift_tuple_oracle(f, X) -> bool:
     return language_subset(ShiftPresentation(C.alphabet, states, edges), C)
 
 
-# -- the per-cell reads that Configuration.window, apply_ca,
-# PathSource.window and homotopy.project made before they sliced one window --
+# -- the per-cell reads that Configuration.window, Configuration.symbol_at,
+# apply_ca, PathSource.window, homotopy.project and homotopy.average made
+# before they sliced one window -----------------------------------------------
+
+
+def symbol_at_oracle(x: Configuration, i: int) -> str:
+    """x_i by index arithmetic on the finite part or the period of its side
+    (what Configuration.symbol_at computed before it read window(i, i))."""
+    if i >= 0:
+        rf = x.right_finite
+        if i < len(rf):
+            return rf[i]
+        rp = x.right_period
+        return rp[(i - len(rf)) % len(rp)]
+    j = -i - 1  # distance to the left of the origin, 0-based
+    lf = x.left_finite
+    if j < len(lf):
+        return lf[len(lf) - 1 - j]
+    lp = x.left_period
+    return lp[len(lp) - 1 - (j - len(lf)) % len(lp)]
 
 
 def window_oracle(x: Configuration, a: int, b: int) -> str:
-    """The word x_a ... x_b, one symbol_at call per cell."""
+    """The word x_a ... x_b, one symbol_at_oracle call per cell."""
     if a > b:
         raise ValueError(f"empty window [{a}, {b}]")
-    return "".join(x.symbol_at(i) for i in range(a, b + 1))
+    return "".join(symbol_at_oracle(x, i) for i in range(a, b + 1))
 
 
 def apply_ca_oracle(f, x: Configuration) -> Configuration:
@@ -1060,8 +1082,8 @@ def path_window_oracle(prefix_fn, a: int, b: int) -> str:
 
 def project_oracle(S, T, anchor: Configuration, m: int, x: Configuration,
                    N: int) -> str:
-    """homotopy.project with one window per position and one symbol_at per
-    cell, preconditions included."""
+    """homotopy.project with one window per position and one
+    symbol_at_oracle per cell, preconditions included."""
     from shiftgeo.errors import PreconditionError
     from shiftgeo.homotopy import lex_least_completion
     from shiftgeo.shifts import contains_config, language_subset, \
@@ -1080,12 +1102,36 @@ def project_oracle(S, T, anchor: Configuration, m: int, x: Configuration,
     constraints: list = []
     for i in range(-N, N + 1):
         if any(good[j] for j in range(i - m, i + m + 1)):
-            constraints.append(x.symbol_at(i))
+            constraints.append(symbol_at_oracle(x, i))
         elif not any(good[j] for j in range(i - 2 * m, i + 2 * m + 1)):
-            constraints.append(anchor.symbol_at(i))
+            constraints.append(symbol_at_oracle(anchor, i))
         else:
             constraints.append(None)
     return lex_least_completion(T, constraints)
+
+
+def average_oracle(X, m: int, r, x: Configuration, y: Configuration,
+                   N: int) -> str:
+    """homotopy.average with one symbol_at_oracle per selected cell,
+    preconditions included."""
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.homotopy import average_selects, lex_least_completion
+    from shiftgeo.shifts import contains_config, mixing_distance
+    r = Fraction(r)
+    if not 0 <= r <= 1:
+        raise PreconditionError("need 0 <= r <= 1")
+    if mixing_distance(X) > m:
+        raise PreconditionError("m is below the mixing distance of X")
+    if not contains_config(X, x):
+        raise PreconditionError("x is not a point of X")
+    if not contains_config(X, y):
+        raise PreconditionError("y is not a point of X")
+    constraints = []
+    for i in range(-N, N + 1):
+        side = average_selects(m, r, i)
+        constraints.append(None if side is None else symbol_at_oracle(
+            x if side == "x" else y, i))
+    return lex_least_completion(X, constraints)
 
 
 # -- the product graph on named nodes that
@@ -1111,7 +1157,7 @@ def _arm_position_nodes(x: Configuration):
     mids = list(range(-len(lf), len(rf)))
     for i in mids:
         nodes.append(("M", i))
-        sym[("M", i)] = x.symbol_at(i)
+        sym[("M", i)] = symbol_at_oracle(x, i)
     for k in range(len(rp)):
         nodes.append(("R", k))
         sym[("R", k)] = rp[k]
@@ -1218,7 +1264,25 @@ def _cycle_word(nodes, wsucc, cyc, key) -> str:
 
 
 # -- the boolean matrix powers that shiftgeo.shifts.mixing_distance stored
-# before it walked them as bitmask rows --------------------------------------
+# before it walked them as bitmask rows, and the period it took from its own
+# BFS before the cover and Karp shared shiftgeo._graph.bfs_period ------------
+
+
+def cover_period_oracle(succ) -> int:
+    """gcd of cycle lengths of a strongly connected graph, given by its
+    successor index lists."""
+    level = {0: 0}
+    queue = [0]
+    g = 0
+    while queue:
+        v = queue.pop(0)
+        for w in succ[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+            else:
+                g = gcd(g, level[v] + 1 - level[w])
+    return abs(g) if g else 1
 
 
 def mixing_distance_oracle(X) -> int:
@@ -1226,15 +1290,15 @@ def mixing_distance_oracle(X) -> int:
     kept as a list of boolean lists, multiplied by an O(n^3) ``any``."""
     from shiftgeo import _graph
     from shiftgeo.errors import EmptyShiftError, PreconditionError
-    from shiftgeo.shifts import _cover_period, _indexed, _minimal_sets, \
-        _subset_graph, shannon_cover
+    from shiftgeo.shifts import _indexed, _minimal_sets, _subset_graph, \
+        shannon_cover
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     C = shannon_cover(X)
     idx, succ = _indexed(C)
     if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
         raise PreconditionError("shift is not irreducible")
-    g = _cover_period(succ)
+    g = cover_period_oracle(succ)
     if g > 1:
         raise PreconditionError(f"shift is not mixing (period {g})")
     n_states = len(C.states)

@@ -54,6 +54,48 @@ def test_dist_dw_dc(capsys):
     assert rc == 0 and "1/8" in out
 
 
+@pytest.mark.parametrize("flags", [("--dw", "--dc"), ("--db", "--dw"),
+                                   ("--dc", "--db"), ("--db", "--dw", "--dc")])
+def test_dist_metric_flags_are_exclusive(capsys, flags):
+    rc, out, err = run(capsys, "dist", *flags,
+                       "inf(0).1inf(1)", "inf(0).inf(0)")
+    assert rc == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
+# each subcommand's modes, in the order its parser lists them
+MODES = {
+    "complex": ["extract", "embed", "coords"],
+    "path": ["prefix", "window", "embed", "sample"],
+    "uap": ["nearest", "search"],
+    "shift": ["compile", "cover", "components", "mixing", "sync-word",
+              "entropy", "inside", "language", "contains"],
+    "measure": ["parry", "cylinder", "decay", "binom-bound",
+                "growth-threshold", "generic", "ball-count"],
+}
+
+
+def test_each_subcommand_offers_exactly_its_modes():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "cmd").choices
+    for cmd, parser in subparsers.items():
+        mode = [a for a in parser._actions if a.dest == "mode"]
+        assert [list(a.choices) for a in mode] == \
+            ([MODES[cmd]] if cmd in MODES else []), cmd
+    assert {c for (c, _m) in cli._ARGS} == set(MODES)
+
+
+def test_path_embed_skips_the_argument_count_check(capsys):
+    ns = cli.build_parser().parse_args(["path", "embed", "1/2", "1/3",
+                                        "1/5"])
+    cli._check_arg_count(ns)  # takes one or more coordinates
+    rc, out, _ = run(capsys, "path", "embed", "1/2", "1/3", "1/5",
+                     "--window", "8")
+    assert rc == 0 and len(out.strip()) == 8
+    rc, _, err = run(capsys, "path", "sample", "1/2")
+    assert rc == 2 and "path sample takes no arguments" in err
+
+
 def test_dist_to_shift(capsys, golden_file):
     rc, out, _ = run(capsys, "dist", "--to-shift", golden_file,
                      "inf(1).inf(1)")

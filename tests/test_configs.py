@@ -3,9 +3,9 @@ import random
 import pytest
 
 from shiftgeo.configs import (Alphabet, BINARY, Configuration, format_config,
-                              hamming, is_unbordered, least_rotation, occurs,
-                              occurrence_count, parse_config, periodic_config,
-                              primitive_root, shift, window)
+                              hamming, is_unbordered, least_rotation,
+                              parse_config, periodic_config, primitive_root,
+                              shift, window)
 from oracle_utils import rand_config
 
 
@@ -31,11 +31,6 @@ def test_hamming():
 
 
 def test_word_helpers():
-    assert occurs("10", "0011") is False
-    assert occurs("01", "0101")
-    assert occurs("", "x")
-    assert occurrence_count("aaa", "aa") == 2  # overlapping occurrences
-    assert occurrence_count("0101", "01") == 2
     assert primitive_root("010101") == "01"
     assert primitive_root("0110") == "0110"
     assert least_rotation("100") == "001"

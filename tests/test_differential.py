@@ -18,9 +18,12 @@ and rigidity markers on the transition monoid against the state-set walk
 and per-word block-set fixpoints they replaced, and the Parry measure's
 power iteration on Python floats against the numpy one it replaced, and
 the sliced windows of points and paths, the sliding rule read of
-``apply_ca`` and ``apply_cyclic``, the one-window read of ``project`` and
-the integer-id image presentation of ``preserves_shift`` against the
-per-cell reads and the (q, u)-named construction they replaced.
+``apply_ca`` and ``apply_cyclic``, the one-window reads of ``project``
+and ``average``, ``symbol_at`` as a one-cell window and the integer-id
+image presentation of ``preserves_shift`` against the per-cell reads, the
+index arithmetic and the (q, u)-named construction they replaced, and the
+period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
+``mixing_distance`` ran.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -49,7 +52,7 @@ from shiftgeo.automata import CellularAutomaton, apply_ca, apply_cyclic, \
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
-from shiftgeo.homotopy import AbstractComplex, embed_complex, \
+from shiftgeo.homotopy import AbstractComplex, average, embed_complex, \
     lex_least_completion, project
 from shiftgeo.measures import cylinder_decay_bound, parry_measure, \
     _pi_less_than, verify_binomial_bound
@@ -60,14 +63,14 @@ from shiftgeo.paths import block_path_source, intersperse_path_source
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     concatenation_closure, contains_config, disjoint_union, even_shift, \
     find_unbordered_synchronizing, full_shift, golden_mean, language, \
-    language_subset, lyndon_words, mixing_distance, mixing_sft_inside, \
+    language_subset, mixing_distance, mixing_sft_inside, \
     periodic_orbits, positive_entropy, shannon_cover, transitive_components, \
     _is_mixing, _merge_equivalent, _pads, _RelationMonoid, _subset_graph, \
     _synchronizing_words
 from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
-    block_shift, check_on_subshift_oracle, \
+    average_oracle, block_shift, check_on_subshift_oracle, \
     check_on_subshift_pairwise_oracle, condensation_reach_oracle, \
-    contains_config_oracle, \
+    contains_config_oracle, cover_period_oracle, \
     cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
@@ -81,7 +84,7 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     preserves_shift_tuple_oracle, project_oracle, \
     profile_mismatches_oracle, residue_profile_oracle, sft14, \
     stable_block_set_oracle, strongly_connected_components_oracle, \
-    unfolded_arm_densities, \
+    symbol_at_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle, \
     window_oracle
 
@@ -481,14 +484,15 @@ def test_distance_to_shift_detail_with_long_finite_parts(case):
 
 
 @st.composite
-def periodic_scc(draw):
+def periodic_scc(draw, least_period: int = 2):
     """(nodes, edges) of a strongly connected digraph whose cycle lengths
-    are all multiples of d, for d in 2..4: d classes of 1 to 4 nodes each
+    are all multiples of d, for d in least_period..4: d classes of 1 to 4
+    nodes each
     (often of unequal sizes), every edge from class c to class c + 1 mod d,
     a closed walk through every node, and random extra edges that may be
     parallel to others.  Ids are arbitrary and ``nodes`` lists them in a
     random order, so classes interleave in it."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(least_period, 4))
     sizes = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
     ids = draw(st.lists(st.integers(0, 99), min_size=sum(sizes),
                         max_size=sum(sizes), unique=True))
@@ -529,6 +533,22 @@ def test_karp_min_mean_on_one_node_with_self_loops(v, weights):
     assert got == (Fraction(min(weights)), [v])
     assert got == karp_min_mean_oracle([v], edges)
     assert got == karp_min_mean_frontier_oracle([v], edges)
+
+
+@deterministic(400)
+@given(periodic_scc(least_period=1))
+def test_bfs_period_matches_cover_period_oracle(graph):
+    """The period that Karp's cyclic classes and mixing_distance share,
+    against the pop(0) BFS of mixing_distance it replaced; every edge
+    steps from level class c to class c + 1 mod the period."""
+    nodes, edges = graph
+    idx = {v: i for i, v in enumerate(nodes)}
+    adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
+    level, d = _graph.bfs_period(adj)
+    assert d == cover_period_oracle([[t for (t, _w) in row] for row in adj])
+    assert min(level) == 0
+    assert all((level[u] + 1 - level[v]) % d == 0
+               for u, row in enumerate(adj) for (v, _w) in row)
 
 
 @pytest.mark.parametrize("karp", [_graph.karp_min_mean, karp_min_mean_oracle,
@@ -627,7 +647,6 @@ def _lyndon_oracle(X, P: int) -> list[str]:
 def _walks_match_fixpoint_oracle(X, P: int):
     """The monoid walk against the state-set walk and per-word fixpoints
     it replaced."""
-    assert lyndon_words(X, P) == lyndon_words_state_set_oracle(X, P)
     assert periodic_orbits(X, P) == periodic_orbits_fixpoint_oracle(X, P)
 
 
@@ -636,7 +655,8 @@ def _walks_match_fixpoint_oracle(X, P: int):
 def test_periodic_orbits_match_word_loop_oracle(X, P):
     if len(X.alphabet) == 3:
         P = min(P, 6)  # the oracle walks all 3^p words
-    assert lyndon_words(X, P) == _lyndon_oracle(X, P)
+    F = full_shift(X.alphabet)
+    assert periodic_orbits(F, P) == _lyndon_oracle(F, P)
     assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
     _walks_match_fixpoint_oracle(X, P)
 
@@ -1142,6 +1162,37 @@ def test_project_slices_match_per_cell_oracle(name, data):
         _outcome(project_oracle, S, T, anchor, m, x, N)
 
 
+@deterministic(150)
+@given(st.sampled_from(("golden", "even", "full")), st.data())
+def test_average_slices_match_per_cell_oracle(name, data):
+    X = {"golden": golden_mean, "even": even_shift,
+         "full": lambda: full_shift(BINARY)}[name]()
+    x, y = _config(data, BINARY), _config(data, BINARY)
+    m = data.draw(st.integers(0, 3))
+    r = Fraction(data.draw(st.integers(0, 8)), 8)
+    N = data.draw(st.integers(-3, 40))
+    assert _outcome(average, X, m, r, x, y, N) == \
+        _outcome(average_oracle, X, m, r, x, y, N)
+
+
+@deterministic(300)
+@given(st.data())
+def test_symbol_at_matches_index_arithmetic_oracle(data):
+    """Every cell left of, inside and right of the finite parts, on arms
+    of period 1 to 4."""
+    ab = Alphabet(data.draw(st.permutations("012"))[:data.draw(
+        st.integers(1, 3))])
+    syms = st.sampled_from(ab.symbols)
+    period = st.text(syms, min_size=1, max_size=4)
+    finite = st.text(syms, max_size=5)
+    x = Configuration(ab, data.draw(period), data.draw(finite),
+                      data.draw(finite), data.draw(period))
+    lo = -len(x.left_finite) - 2 * len(x.left_period) - 2
+    hi = len(x.right_finite) + 2 * len(x.right_period) + 2
+    for i in range(lo, hi + 1):
+        assert x.symbol_at(i) == symbol_at_oracle(x, i), i
+
+
 # -- every listing and tie-break follows the alphabet's order ---------------
 
 
@@ -1187,7 +1238,8 @@ def test_shift_outputs_map_across_relabelling_onto_character_order(X, data):
     n = data.draw(st.integers(0, 4))
     P = data.draw(st.integers(1, 6 if len(X.alphabet) == 3 else 8))
     assert [r.word(w) for w in language(X, n)] == language(Y, n)
-    assert [r.word(w) for w in lyndon_words(X, P)] == lyndon_words(Y, P)
+    assert [r.word(w) for w in periodic_orbits(full_shift(X.alphabet), P)] \
+        == periodic_orbits(full_shift(Y.alphabet), P)
     assert [r.word(w) for w in periodic_orbits(X, P)] == \
         periodic_orbits(Y, P)
     cap = data.draw(st.integers(1, 4))

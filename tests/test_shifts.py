@@ -10,7 +10,7 @@ from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
 from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              contains_config, disjoint_union, even_shift,
                              full_shift, golden_mean, intersect, language,
-                             language_equal, lyndon_words, mixing_distance,
+                             language_equal, mixing_distance,
                              mixing_sft_inside, periodic_orbits,
                              positive_entropy, shannon_cover,
                              transitive_components,
@@ -363,17 +363,16 @@ def test_orbit_counts_match_trace_formula():
 
 def test_periodic_orbits_of_one_symbol_need_no_recursion():
     assert periodic_orbits(full_shift(Alphabet("0")), 3000) == ["0"]
-    assert lyndon_words(full_shift(Alphabet("0")), 3000) == ["0"]
 
 
 def test_lyndon_words_edge_cases():
+    """periodic_orbits on a full shift lists its Lyndon words."""
     for P in (0, -1, -5):
-        assert lyndon_words(full_shift(BINARY), P) == []
+        assert periodic_orbits(full_shift(BINARY), P) == []
     empty = ShiftPresentation(BINARY, ["a", "b"], [("a", "b", "0")])
     assert empty.is_empty
-    assert lyndon_words(empty, 6) == []
     assert periodic_orbits(empty, 6) == []
     # the order is by length, then by the alphabet's order, and each word
     # is the least of its rotations in that order too
-    assert lyndon_words(full_shift(Alphabet("10")), 3) == \
+    assert periodic_orbits(full_shift(Alphabet("10")), 3) == \
         ["1", "0", "10", "110", "100"]
