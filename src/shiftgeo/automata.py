@@ -345,6 +345,39 @@ class SubshiftCheck:
                 f"{w.d_in} -> {w.d_out}")
 
 
+class _OrbitScan:
+    """The part of ``check_on_subshift`` that depends on (X, P) only: the
+    orbit words, their length groups, one ``_Correlator`` whose ``packs``
+    caches every rule checked on them shares, and per (group, g) the packed
+    B(w2) of the group with its class mask and guard bits.  It holds no
+    reference to X, so keeping it on X makes no cycle."""
+
+    __slots__ = ("orbits", "groups", "corr", "_batches")
+
+    def __init__(self, X: ShiftPresentation, P: int):
+        self.orbits = tuple(periodic_orbits(X, P))
+        self.groups = tuple(tuple(ws) for _q, ws in
+                            itertools.groupby(self.orbits, len))
+        self.corr = _Correlator(X.alphabet.symbols, P)
+        self._batches = {}
+
+    def batch(self, i: int, g: int) -> tuple:
+        """(stride, B of group i, class mask, guards), built once."""
+        out = self._batches.get((i, g))
+        if out is None:
+            corr = self.corr
+            stride = 3 * g * corr.S * corr.D
+            b_in = rep = 0
+            pack = corr.packs(g)
+            for w in reversed(self.groups[i]):
+                b_in = b_in << stride | pack(w)[1]
+                rep = rep << stride | 1
+            mask = corr.mask(g) * rep
+            out = self._batches[i, g] = (
+                stride, b_in, mask, mask // ((1 << corr.D) - 1) << corr.D)
+        return out
+
+
 def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
                       P: int) -> SubshiftCheck:
     """Exhaustive exact check of the three properties over all pairs of
@@ -386,36 +419,46 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     read them, and the test runs again from the next slot.  A skipped pair
     could fire only properties that already have a witness, so every first
     witness is the one a per-pair scan finds.
+
+    Everything before the rule depends on (X, P) only and is built once,
+    on the first check of X at bound P, as a plan kept on X (``_scans``,
+    beside the cover ``shannon_cover`` keeps): the orbit list, its length
+    groups, the packed profiles (one cache, which the image words of a
+    rule hit too, since they are words of X of the same lengths) and the
+    B(w2) batches with their masks and guard bits.  A survey of many rules
+    on one shift lists and packs its orbits once.  Per rule stay the
+    images f(w), the B(f w2) batches and the scan itself.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
     if not preserves_shift(f, X):
         raise PreconditionError("rule does not map the shift into itself")
-    orbits = periodic_orbits(X, P)
+    if X._scans is None:
+        X._scans = {}
+    plan = X._scans.get(P)
+    if plan is None:
+        plan = X._scans[P] = _OrbitScan(X, P)
+    orbits, groups, corr = plan.orbits, plan.groups, plan.corr
+    S, packs, digits = corr.S, corr.packs, corr.digits
     images = {w: apply_cyclic(f, w) for w in orbits}
-    corr = _Correlator(f.alphabet.symbols, P)
-    D, S, pack, digits = corr.D, corr.S, corr.pack, corr.digits
-    groups = [list(ws) for _q, ws in itertools.groupby(orbits, len)]
 
     @functools.cache
     def batch(i: int, g: int) -> tuple:
         """(stride, B of group i, B of its images, class mask, guards)."""
-        stride = 3 * g * S * D
-        b_in = b_out = rep = 0
+        stride, b_in, mask, guards = plan.batch(i, g)
+        b_out, pack = 0, packs(g)
         for w in reversed(groups[i]):
-            b_in = b_in << stride | pack(w, g)[1]
-            b_out = b_out << stride | pack(images[w], g)[1]
-            rep = rep << stride | 1
-        mask = corr.mask(g) * rep
-        return stride, b_in, b_out, mask, mask // ((1 << D) - 1) << D
+            b_out = b_out << stride | pack(images[w])[1]
+        return stride, b_in, b_out, mask, guards
 
     first = {"contracting": None, "isometric": None, "expanding": None}
     for w1 in orbits:
         for i, group in enumerate(groups):
             g = gcd(len(w1), len(group[0]))
             stride, b_in, b_out, M, G = batch(i, g)
-            cin = pack(w1, g)[0] * b_in
-            cout = pack(images[w1], g)[0] * b_out
+            pack = packs(g)
+            cin = pack(w1)[0] * b_in
+            cout = pack(images[w1])[0] * b_out
             I, O = cin & M, cout & M
             start = 0
             while True:
@@ -478,10 +521,14 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
 
     The zero point and the |A| P markers are tested by the cycle flags of
     their elements of the transition monoid of X (see ``shifts``): the
-    marker of period p + 1 is the one of period p stepped once by `zero`.
-    The p-periodic points of X are the orbits u with |u| dividing p, and
-    inf(u) contains w exactly when w is a factor of u^(|w| // |u| + 2),
-    which holds every rotation's prefix.
+    marker of period p + 1 is the one of period p stepped once by `zero`,
+    and bit p of ``marked[s]`` says the marker of period p is in X.  The
+    p-periodic points of X are the orbits u with |u| dividing p, and the
+    factors of inf(u) of length n are the n-windows of u^(L // |u| + 2)
+    that start in its first copy of u.  Indexing each such factor w of each
+    orbit once, bit p of ``periods[w]`` says that some p-periodic point of X
+    contains w; the least shared period is then the lowest set bit of
+    ``periods[w] & marked[s]``.
     """
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
@@ -494,22 +541,28 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
         return RigidityReport(False, None, {})
     marked = {}
     for s in X.alphabet:
-        e, marked[s] = M.step(M.identity, s), []
+        e, marked[s] = M.step(M.identity, s), 0
         for p in range(1, P + 1):
             if M.cycles(e):
-                marked[s].append(p)
+                marked[s] |= 1 << p
             e = M.step(e, zero)
-    orbits = periodic_orbits(X, P)
+    periods: dict = {}
+    for u in periodic_orbits(X, P):
+        q = len(u)
+        multiples = sum(1 << p for p in range(q, P + 1, q))
+        text = u * (L // q + 2)
+        for i in range(q):
+            for j in range(i + 1, i + L + 1):
+                w = text[i:j]
+                periods[w] = periods.get(w, 0) | multiples
     used = {}
     for n in range(1, L + 1):
         for w in language(X, n):
             for s in (a for a in X.alphabet if a in w):
-                found = next((p for p in marked[s] if any(
-                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
-                    for u in orbits)), None)
-                if found is None:
+                shared = periods.get(w, 0) & marked[s]
+                if not shared:
                     return RigidityReport(False, (w, s), used)
-                used[(w, s)] = found
+                used[(w, s)] = (shared & -shared).bit_length() - 1
     return RigidityReport(True, None, used)
 
 

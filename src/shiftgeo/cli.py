@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 import time
@@ -494,6 +495,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse's own test for a negative number, which it reads as a positional
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _parse(ap: argparse.ArgumentParser, argv: list):
+    """``ap.parse_args(argv)``, except that positionals after an option join
+    the subcommand's ``args`` list, in order.  argparse matches that list
+    against the positionals before the first option (a "*" list even when
+    there are none), so later ones are left over; anything else left over
+    is an error, as in ``parse_args``."""
+    ns, extra = ap.parse_known_args(argv)
+    if extra and hasattr(ns, "args") and not any(
+            t[:1] == "-" and t != "-" and not _NEGATIVE_NUMBER.fullmatch(t)
+            for t in extra):
+        ns.args = ns.args + extra
+    elif extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return ns
+
+
 _HANDLERS = {
     "dist": cmd_dist,
     "classify": cmd_classify,
@@ -509,7 +530,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _parse(ap, argv)
     except SystemExit as e:
         return 2 if e.code else 0
     for attr, default in (("json", False), ("out", None), ("seed", 0),

@@ -118,7 +118,7 @@ class _Correlator:
     """Packed correlations of words of length <= P over a fixed symbol
     order, for one search.
 
-    ``pack(w, g)`` is w's packed (A, B), cached per (word, g), and
+    ``packs(g)(w)`` is w's packed (A, B) mod g, cached per g and word, and
     ``mask(g)`` covers the class digits of a g-class product.  The digit
     width is D = (P * P).bit_length(): every lcm of two lengths <= P is at
     most P^2 < 2^D.
@@ -127,10 +127,17 @@ class _Correlator:
     def __init__(self, symbols, P: int):
         self.D = D = (P * P).bit_length()
         self.S = S = len(symbols)
-        # caches on partials, not on bound methods: no reference cycle
-        # keeps them alive once the search returns
-        self.pack = functools.cache(
-            functools.partial(_packed_profile, tuple(symbols), D))
+        symbols = tuple(symbols)
+
+        def packs(g: int):
+            return functools.cache(
+                lambda w: _packed_profile(symbols, D, w, g))
+
+        # caches on closures and partials, not on bound methods: no
+        # reference cycle keeps them alive once the search returns; one
+        # cache per g is keyed by the word alone, with no (word, g) tuple
+        # per entry
+        self.packs = functools.cache(packs)
         self.mask = functools.cache(functools.partial(_class_mask, D, S))
 
     def digits(self, product: int, g: int) -> list[int]:
@@ -143,7 +150,8 @@ class _Correlator:
         """(g, lcm, counts): counts[k] matches of inf(u) against
         inf(v[k:] + v[:k]) over one lcm block, for each k < g."""
         g = gcd(len(u), len(v))
-        product = self.pack(u, g)[0] * self.pack(v, g)[1]
+        pack = self.packs(g)
+        product = pack(u)[0] * pack(v)[1]
         return g, len(u) // g * len(v), self.digits(product, g)
 
 
@@ -151,8 +159,21 @@ class _Correlator:
 # the three pseudometrics
 
 
+def _first_difference(u: str, v: str, offset: int) -> int | None:
+    """offset + the first index where u and v differ; None if u == v."""
+    if u == v:
+        return None
+    return offset + next(i for i, (s, t) in enumerate(zip(u, v)) if s != t)
+
+
 def d_cantor(x: Configuration, y: Configuration) -> Fraction:
-    """2^(-delta) with delta the least |i| where x and y differ; 0 if equal."""
+    """2^(-delta) with delta the least |i| where x and y differ; 0 if equal.
+
+    The cells are compared in doubling blocks of |i|, 0..1, 2..3, 4..7, ...,
+    one window of each point per side and block; the first block holding a
+    difference on either side holds delta.  Beyond its finite parts and one
+    lcm block of the periods, a side agrees everywhere if it agreed so far,
+    so each side stops there."""
     _check_alphabets(x, y)
     if x == y:
         return Fraction(0)
@@ -160,11 +181,22 @@ def d_cantor(x: Configuration, y: Configuration) -> Fraction:
                + lcm(len(x.right_period), len(y.right_period)))
     bound_l = (max(len(x.left_finite), len(y.left_finite))
                + lcm(len(x.left_period), len(y.left_period)))
-    for d in range(max(bound_r, bound_l) + 1):
-        if d <= bound_r and x.symbol_at(d) != y.symbol_at(d):
-            return Fraction(1, 2 ** d)
-        if 0 < d <= bound_l and x.symbol_at(-d) != y.symbol_at(-d):
-            return Fraction(1, 2 ** d)
+    lo = 0
+    while lo <= max(bound_r, bound_l):
+        hi = max(2 * lo - 1, 1)
+        found = []
+        b = min(hi, bound_r)
+        if lo <= b:
+            found.append(_first_difference(x.window(lo, b), y.window(lo, b),
+                                           lo))
+        a, b = max(lo, 1), min(hi, bound_l)
+        if a <= b:  # cells -a, -a - 1, ..., -b, read leftwards
+            found.append(_first_difference(x.window(-b, -a)[::-1],
+                                           y.window(-b, -a)[::-1], a))
+        found = [d for d in found if d is not None]
+        if found:
+            return Fraction(1, 2 ** min(found))
+        lo = hi + 1
     raise AssertionError("distinct canonical configurations must differ")
 
 

@@ -68,7 +68,8 @@ class ShiftPresentation:
     presentation (no states) is valid and presents the empty shift.
     """
 
-    __slots__ = ("alphabet", "states", "edges", "_out", "_in", "_cover")
+    __slots__ = ("alphabet", "states", "edges", "_out", "_in", "_cover",
+                 "_scans")
 
     def __init__(self, alphabet: Alphabet, states, edges):
         self.alphabet = alphabet
@@ -98,6 +99,9 @@ class ShiftPresentation:
         self._out = out
         self._in = inc
         self._cover = None   # filled by the first shannon_cover(self)
+        # period bound P -> the orbit-scan plan that every
+        # automata.check_on_subshift(f, self, P) shares; filled by the first
+        self._scans = None
 
     # -- basic queries -------------------------------------------------
 

@@ -262,14 +262,15 @@ def check_on_subshift_pairwise_oracle(f, X, P: int):
     orbits = periodic_orbits(X, P)
     images = {w: apply_cyclic(f, w) for w in orbits}
     corr = _Correlator(f.alphabet.symbols, P)
-    pack, mask, digits = corr.pack, corr.mask, corr.digits
+    packs, mask, digits = corr.packs, corr.mask, corr.digits
 
     first = {"contracting": None, "isometric": None, "expanding": None}
     for w1 in orbits:
         for w2 in orbits:
             g = gcd(len(w1), len(w2))
-            cin = pack(w1, g)[0] * pack(w2, g)[1]
-            cout = pack(images[w1], g)[0] * pack(images[w2], g)[1]
+            pack = packs(g)
+            cin = pack(w1)[0] * pack(w2)[1]
+            cout = pack(images[w1])[0] * pack(images[w2])[1]
             if (cin ^ cout) & mask(g):
                 block = len(w1) // g * len(w2)
                 for k, (a, b) in enumerate(zip(digits(cin, g),
@@ -684,6 +685,44 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
     return RigidityReport(True, None, used)
 
 
+def precondition_oracle(X, zero: str, L: int, P: int):
+    """``automata.isometric_ca_precondition`` as it was before the factor
+    index: for each (w, s) the least marked p with some orbit u, |u|
+    dividing p, whose power u^(|w| // |u| + 2) contains w, found by a scan
+    over every orbit per (word, symbol, period)."""
+    from shiftgeo.automata import RigidityReport
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.shifts import _RelationMonoid, language, periodic_orbits
+    if zero not in X.alphabet:
+        raise ValueError(f"symbol {zero!r} not in alphabet")
+    if L <= 0:
+        raise PreconditionError("factor length bound must be positive")
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
+    M = _RelationMonoid(X)
+    if not M.cycles(M.step(M.identity, zero)):
+        return RigidityReport(False, None, {})
+    marked = {}
+    for s in X.alphabet:
+        e, marked[s] = M.step(M.identity, s), []
+        for p in range(1, P + 1):
+            if M.cycles(e):
+                marked[s].append(p)
+            e = M.step(e, zero)
+    orbits = periodic_orbits(X, P)
+    used = {}
+    for n in range(1, L + 1):
+        for w in language(X, n):
+            for s in (a for a in X.alphabet if a in w):
+                found = next((p for p in marked[s] if any(
+                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
+                    for u in orbits)), None)
+                if found is None:
+                    return RigidityReport(False, (w, s), used)
+                used[(w, s)] = found
+    return RigidityReport(True, None, used)
+
+
 # -- the state-set walk and per-word fixpoints that the transition monoid of
 # shiftgeo.shifts._RelationMonoid replaced -----------------------------------
 
@@ -1048,6 +1087,28 @@ def symbol_at_oracle(x: Configuration, i: int) -> str:
         return lf[len(lf) - 1 - j]
     lp = x.left_period
     return lp[len(lp) - 1 - (j - len(lf)) % len(lp)]
+
+
+def d_cantor_oracle(x: Configuration, y: Configuration) -> Fraction:
+    """``metrics.d_cantor`` as the per-cell loop it was: cells d and -d
+    compared for d = 0, 1, ... up to each side's bound, one
+    symbol_at_oracle call per cell."""
+    if x.alphabet != y.alphabet:
+        raise ValueError("alphabet mismatch")
+    if x == y:
+        return Fraction(0)
+    bound_r = (max(len(x.right_finite), len(y.right_finite))
+               + lcm(len(x.right_period), len(y.right_period)))
+    bound_l = (max(len(x.left_finite), len(y.left_finite))
+               + lcm(len(x.left_period), len(y.left_period)))
+    for d in range(max(bound_r, bound_l) + 1):
+        if d <= bound_r and \
+                symbol_at_oracle(x, d) != symbol_at_oracle(y, d):
+            return Fraction(1, 2 ** d)
+        if 0 < d <= bound_l and \
+                symbol_at_oracle(x, -d) != symbol_at_oracle(y, -d):
+            return Fraction(1, 2 ** d)
+    raise AssertionError("distinct canonical configurations must differ")
 
 
 def window_oracle(x: Configuration, a: int, b: int) -> str:

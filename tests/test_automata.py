@@ -147,6 +147,44 @@ def test_check_on_subshift_rejects_non_positive_period(P):
         check_on_subshift(elementary_ca(204), golden_mean(), P)
 
 
+def test_golden_survey_lists_the_orbits_once(monkeypatch):
+    """The 56 radius-1 rules that preserve the golden mean shift, checked
+    on one presentation at P = 8, share one orbit-scan plan: one
+    periodic_orbits call.  Another bound builds its own plan, and returning
+    to P = 8 builds none."""
+    calls = []
+    real = automata.periodic_orbits
+    monkeypatch.setattr(automata, "periodic_orbits",
+                        lambda X, P: calls.append(P) or real(X, P))
+    X = golden_mean()
+    survey = [f for f in map(elementary_ca, range(256))
+              if preserves_shift(f, X)]
+    assert len(survey) == 56
+    for f in survey:
+        check_on_subshift(f, X, 8)
+    assert calls == [8]
+    check_on_subshift(survey[0], X, 5)
+    check_on_subshift(survey[1], X, 8)
+    assert calls == [8, 5]
+
+
+def test_mutating_outputs_leaves_later_checks_unchanged():
+    """A returned witness and a periodic_orbits list are the caller's own:
+    changing them changes no later check on the same presentation."""
+    X = golden_mean()
+    f, g = elementary_ca(0), elementary_ca(184)
+    first = [check_on_subshift(h, golden_mean(), 6) for h in (f, g)]
+    chk = check_on_subshift(f, X, 6)
+    assert chk == first[0] and chk.isometric is not None
+    chk.isometric.x = chk.isometric.y
+    chk.isometric.d_in = F(99)
+    chk.contracting = None
+    orbits = shifts.periodic_orbits(X, 6)
+    orbits.reverse()
+    orbits.append("1")
+    assert [check_on_subshift(h, X, 6) for h in (f, g)] == first
+
+
 def test_identity_isometric_on_golden():
     chk = check_on_subshift(elementary_ca(204), golden_mean(), 6)
     assert chk.isometric is None and chk.contracting is None \

@@ -96,6 +96,46 @@ def test_path_embed_skips_the_argument_count_check(capsys):
     assert rc == 2 and "path sample takes no arguments" in err
 
 
+@pytest.mark.parametrize("head, option, tail", [
+    (["path", "embed"], ["--window", "8"], ["1/2"]),
+    (["path", "embed"], ["--window", "8"], ["0", "1/2"]),
+    (["measure", "cylinder"], ["--json"], ["GOLDEN", "0"]),
+    (["measure", "decay"], ["--length", "6"], ["GOLDEN"]),
+    (["measure", "binom-bound"], ["--json"], ["5", "3", "1"]),
+    (["measure", "ball-count"], ["--json"], ["01", "3", "1/4"]),
+    (["measure", "ball-count"], ["--json"], ["01", "-3", "1/4"]),
+    (["dist", "inf(01).inf(01)"], ["--db"], ["inf(0).inf(0)"]),
+    (["uap", "nearest", "GOLDEN"], ["--period", "4"], ["inf(1).inf(1)"]),
+], ids=lambda v: "-".join(v))
+def test_positionals_may_follow_an_option(capsys, golden_file, head, option,
+                                          tail):
+    """Positionals after an option join the subcommand's arguments, in
+    order: both argv orders give one result and exit code."""
+    head, tail = ([golden_file if t == "GOLDEN" else t for t in part]
+                  for part in (head, tail))
+    before = run(capsys, *head, *tail, *option)
+    after = run(capsys, *head, *option, *tail)
+    assert before[0] in (0, 3) and before[::2] == after[::2]
+    if before[0] == 0 and "--json" in option:  # the report echoes argv
+        assert json.loads(before[1])["result"] == \
+            json.loads(after[1])["result"]
+    else:
+        assert before == after
+
+
+@pytest.mark.parametrize("argv, left", [
+    (["path", "embed", "1/2", "--bogus", "3"], "--bogus 3"),
+    (["path", "embed", "--window", "8", "-1/2"], "-1/2"),
+    (["classify", "eca:30", "--period", "3", "eca:90"], "eca:90"),
+])
+def test_leftover_options_are_still_rejected(capsys, argv, left):
+    """An unknown option, and a positional that no argument list takes,
+    still end the parse with exit 2 naming them."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"unrecognized arguments: {left}" in err
+
+
 def test_dist_to_shift(capsys, golden_file):
     rc, out, _ = run(capsys, "dist", "--to-shift", golden_file,
                      "inf(1).inf(1)")

@@ -23,7 +23,10 @@ and ``average``, ``symbol_at`` as a one-cell window and the integer-id
 image presentation of ``preserves_shift`` against the per-cell reads, the
 index arithmetic and the (q, u)-named construction they replaced, and the
 period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
-``mixing_distance`` ran.
+``mixing_distance`` ran, the factor index of the rigidity precondition
+against its scan over every orbit, ``d_cantor``'s doubling windows against
+its per-cell loop, and checks on one presentation, which share its
+orbit-scan plan, against checks on a fresh one.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -57,8 +60,8 @@ from shiftgeo.homotopy import AbstractComplex, average, embed_complex, \
 from shiftgeo.measures import cylinder_decay_bound, parry_measure, \
     _pi_less_than, verify_binomial_bound
 from shiftgeo.metrics import _Correlator, cyclic_mismatch_density, \
-    d_besicovitch, d_weyl, distance_to_shift, distance_to_shift_detail, \
-    nearest_periodic, unique_approximation_search
+    d_besicovitch, d_cantor, d_weyl, distance_to_shift, \
+    distance_to_shift_detail, nearest_periodic, unique_approximation_search
 from shiftgeo.paths import block_path_source, intersperse_path_source
 from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     concatenation_closure, contains_config, disjoint_union, even_shift, \
@@ -71,7 +74,8 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     average_oracle, block_shift, check_on_subshift_oracle, \
     check_on_subshift_pairwise_oracle, condensation_reach_oracle, \
     contains_config_oracle, cover_period_oracle, \
-    cyclic_avoids, cyclic_density_oracle, distance_to_shift_detail_oracle, \
+    cyclic_avoids, cyclic_density_oracle, d_cantor_oracle, \
+    distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
     isometric_ca_precondition_oracle, karp_min_mean_frontier_oracle, \
@@ -81,7 +85,7 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
     parry_measure_numpy_oracle, periodic_orbits_fixpoint_oracle, \
     path_window_oracle, periodic_orbits_oracle, preserves_shift_oracle, \
-    preserves_shift_tuple_oracle, project_oracle, \
+    precondition_oracle, preserves_shift_tuple_oracle, project_oracle, \
     profile_mismatches_oracle, residue_profile_oracle, sft14, \
     stable_block_set_oracle, strongly_connected_components_oracle, \
     symbol_at_oracle, unfolded_arm_densities, \
@@ -263,6 +267,48 @@ def test_batched_check_on_subshift_fixed_cases():
 
 
 @st.composite
+def checks_on_one_shift(draw):
+    """A shift of BATCH_SHIFTS and a sequence of (rule, P) on it, the
+    period bounds interleaved; on an SFT the rules mostly preserve it, and
+    now and then one need not."""
+    name = draw(st.sampled_from(sorted(BATCH_SHIFTS)))
+    symbols, forbidden, _p = BATCH_SHIFTS[name]
+    max_p = 4 if len(symbols) == 3 else 6
+    checks = []
+    for _ in range(draw(st.integers(2, 6))):
+        if forbidden and draw(st.integers(0, 4)):
+            lo, hi, table = draw(st.sampled_from(_preserving_rules(name)))
+        else:
+            lo, hi, pats = draw(st.sampled_from(_rules(symbols)))
+            table = dict(zip(pats, draw(st.lists(
+                st.sampled_from(symbols), min_size=len(pats),
+                max_size=len(pats)))))
+        checks.append((lo, hi, table, draw(st.integers(1, max_p))))
+    return name, checks
+
+
+@deterministic(80)
+@given(checks_on_one_shift())
+def test_checks_sharing_a_plan_match_checks_on_fresh_presentations(case):
+    """Every check on one presentation, which builds an orbit-scan plan per
+    period bound and shares it with the later checks, equals the check on
+    a freshly built presentation, which has none."""
+    name, checks = case
+    symbols, forbidden, _p = BATCH_SHIFTS[name]
+    ab = Alphabet(symbols)
+
+    def build():
+        return compile_sft(SftSpec(ab, forbidden)) if forbidden \
+            else full_shift(ab)
+
+    X = build()
+    for lo, hi, table, P in checks:
+        f = CellularAutomaton(ab, lo, hi, table)
+        assert _outcome(check_on_subshift, f, X, P) == \
+            _outcome(check_on_subshift, f, build(), P)
+
+
+@st.composite
 def word_pair(draw):
     """Two words over 2 to 4 symbols with lengths 1 to 60 that are equal,
     coprime, or share a proper common divisor."""
@@ -370,6 +416,35 @@ def test_arm_distances_match_unfolded_oracle(pair):
     left, right = unfolded_arm_densities(x, y)
     assert d_besicovitch(x, y) == (left + right) / 2
     assert d_weyl(x, y) == max(left, right)
+
+
+@st.composite
+def cantor_pair(draw):
+    """Two points over 2 or 3 symbols: unrelated ones, or a point and its
+    copy with one cell changed at a drawn distance from the origin, so the
+    pair agrees on every cell nearer."""
+    x, y = draw(config_pair())
+    if draw(st.booleans()):
+        return x, y
+    n = max(len(x.left_finite), len(x.right_finite), 1) + draw(
+        st.integers(0, 40))
+    lp, rp = len(x.left_period), len(x.right_period)
+    left, right = list(x.window(-n, -1)), list(x.window(0, n))
+    d = draw(st.integers(0, n))
+    cells, i = (right, d) if d == 0 or draw(st.booleans()) else (left, n - d)
+    cells[i] = draw(st.sampled_from([s for s in x.alphabet.symbols
+                                     if s != cells[i]]))
+    return x, Configuration(x.alphabet, x.window(-n - lp, -n - 1),
+                            "".join(left), "".join(right),
+                            x.window(n + 1, n + rp))
+
+
+@deterministic(300)
+@given(cantor_pair())
+def test_d_cantor_matches_per_cell_oracle(pair):
+    x, y = pair
+    assert d_cantor(x, y) == d_cantor_oracle(x, y) == d_cantor(y, x)
+    assert d_cantor(x, x) == 0
 
 
 WEIGHTS = st.integers(-2, 3)
@@ -728,6 +803,40 @@ def test_rigidity_precondition_matches_word_list_oracle(X, data):
     assert got.passed == want.passed
     assert got.failing == want.failing
     assert got.periods_used == want.periods_used
+
+
+@deterministic(200)
+@given(presentation(), st.data())
+def test_rigidity_precondition_matches_orbit_scan_oracle(X, data):
+    """The factor index against the scan over every orbit per (word,
+    symbol, period) it replaced: every RigidityReport field."""
+    zero = data.draw(st.sampled_from(X.alphabet.symbols))
+    L = data.draw(st.integers(1, 5))
+    P = data.draw(st.integers(1, 7 if len(X.alphabet) == 3 else 10))
+    got = isometric_ca_precondition(X, zero, L, P)
+    want = precondition_oracle(X, zero, L, P)
+    assert (got.passed, got.failing, got.periods_used) == \
+        (want.passed, want.failing, want.periods_used)
+
+
+@pytest.mark.parametrize("symbols, edges, L, P", [
+    ("012", [(1, 2, "0"), (1, 1, "1"), (1, 2, "1"), (1, 2, "2"),
+             (2, 1, "0")], 3, 5),
+    ("01", [(0, 4, "0"), (1, 0, "1"), (1, 3, "1"), (2, 4, "0"), (3, 3, "0"),
+            (3, 0, "1"), (4, 1, "0"), (4, 2, "0")], 3, 6),
+])
+def test_rigidity_precondition_counts_only_multiples_of_an_orbit(symbols,
+                                                                 edges, L,
+                                                                 P):
+    """A factor of an orbit u is offered only at the multiples of |u|: on
+    these shifts a marker exists at a period p >= |u| that |u| does not
+    divide, and the precondition fails."""
+    X = ShiftPresentation(Alphabet(symbols), range(5), edges)
+    want = precondition_oracle(X, "0", L, P)
+    got = isometric_ca_precondition(X, "0", L, P)
+    assert not want.passed
+    assert (got.passed, got.failing, got.periods_used) == \
+        (want.passed, want.failing, want.periods_used)
 
 
 # -- the (w, u, v) triple search against the |A|^k word loops ---------------
