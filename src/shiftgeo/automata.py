@@ -23,9 +23,9 @@ from math import gcd
 from .configs import Alphabet, Configuration, cyclic_slice, json_field, \
     periodic_config
 from .errors import PreconditionError
-from .metrics import _Correlator, d_besicovitch
-from .shifts import (ShiftPresentation, language_subset, periodic_orbits,
-                     shannon_cover, language, _RelationMonoid)
+from .metrics import _OrbitPlan, cyclic_mismatch_density
+from .shifts import (ShiftPresentation, language_subset, shannon_cover,
+                     language, _RelationMonoid)
 
 MAX_WIDTH = 12
 
@@ -270,15 +270,15 @@ def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
     if pair is None:
         raise AssertionError("no separated symbol pair exists")
     alpha, gamma = pair
-    x = periodic_config(u + alpha + v, f.alphabet)
-    y = periodic_config(u + gamma + v, f.alphabet)
-    d_in = d_besicovitch(x, y)
-    d_out = d_besicovitch(
-        periodic_config(apply_cyclic(f, u + alpha + v), f.alphabet),
-        periodic_config(apply_cyclic(f, u + gamma + v), f.alphabet))
+    # equal-length period words: the distance of their points, and of the
+    # images, is the mismatch density of the words
+    xw, yw = u + alpha + v, u + gamma + v
+    d_in = cyclic_mismatch_density(xw, yw)
+    d_out = cyclic_mismatch_density(apply_cyclic(f, xw), apply_cyclic(f, yw))
     if d_in != Fraction(1, 2 * r - 1):
         raise AssertionError(f"witness distance {d_in} is not 1/{2 * r - 1}")
-    return (x, y, d_in, d_out)
+    return (periodic_config(xw, f.alphabet), periodic_config(yw, f.alphabet),
+            d_in, d_out)
 
 
 def isometry_decomposition(f: CellularAutomaton):
@@ -345,39 +345,6 @@ class SubshiftCheck:
                 f"{w.d_in} -> {w.d_out}")
 
 
-class _OrbitScan:
-    """The part of ``check_on_subshift`` that depends on (X, P) only: the
-    orbit words, their length groups, one ``_Correlator`` whose ``packs``
-    caches every rule checked on them shares, and per (group, g) the packed
-    B(w2) of the group with its class mask and guard bits.  It holds no
-    reference to X, so keeping it on X makes no cycle."""
-
-    __slots__ = ("orbits", "groups", "corr", "_batches")
-
-    def __init__(self, X: ShiftPresentation, P: int):
-        self.orbits = tuple(periodic_orbits(X, P))
-        self.groups = tuple(tuple(ws) for _q, ws in
-                            itertools.groupby(self.orbits, len))
-        self.corr = _Correlator(X.alphabet.symbols, P)
-        self._batches = {}
-
-    def batch(self, i: int, g: int) -> tuple:
-        """(stride, B of group i, class mask, guards), built once."""
-        out = self._batches.get((i, g))
-        if out is None:
-            corr = self.corr
-            stride = 3 * g * corr.S * corr.D
-            b_in = rep = 0
-            pack = corr.packs(g)
-            for w in reversed(self.groups[i]):
-                b_in = b_in << stride | pack(w)[1]
-                rep = rep << stride | 1
-            mask = corr.mask(g) * rep
-            out = self._batches[i, g] = (
-                stride, b_in, mask, mask // ((1 << corr.D) - 1) << corr.D)
-        return out
-
-
 def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
                       P: int) -> SubshiftCheck:
     """Exhaustive exact check of the three properties over all pairs of
@@ -396,13 +363,13 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     ``metrics``): A(w1) B(w2) and A(f w1) B(f w2), whose digit
     2N - 1 - k |A| (N = g |A|) is the match count at class k before and
     after the rule.  Every digit is at most lcm(|w1|, |w2|) <= P^2 < 2^D
-    with D = (P * P).bit_length(), so no digit carries.  The orbits are
-    listed by length, and every w2 of one length q shares g with w1, so the
-    B(w2) of the group are packed into one integer at a stride of 3 N
-    D-bit digits (one product has fewer), as are the B(f w2): one product
-    before the rule and one after hold every pair (w1, w2) of the group,
-    each in its own slot.  With I and O their class digits, the group is
-    tested for the properties still open:
+    with D = (P' * P').bit_length(), P' >= P the plan's bound (below), so
+    no digit carries.  The orbits are listed by length, and every w2 of one
+    length q shares g with w1, so the B(w2) of the group are packed into
+    one integer at a stride of 3 N D-bit digits (one product has fewer), as
+    are the B(f w2): one product before the rule and one after hold every
+    pair (w1, w2) of the group, each in its own slot.  With I and O their
+    class digits, the group is tested for the properties still open:
 
     - while ``isometric`` is open, a pair is unsettled iff its class digits
       differ, I ^ O;
@@ -420,35 +387,30 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     could fire only properties that already have a witness, so every first
     witness is the one a per-pair scan finds.
 
-    Everything before the rule depends on (X, P) only and is built once,
-    on the first check of X at bound P, as a plan kept on X (``_scans``,
-    beside the cover ``shannon_cover`` keeps): the orbit list, its length
-    groups, the packed profiles (one cache, which the image words of a
-    rule hit too, since they are words of X of the same lengths) and the
-    B(w2) batches with their masks and guard bits.  A survey of many rules
-    on one shift lists and packs its orbits once.  Per rule stay the
-    images f(w), the B(f w2) batches and the scan itself.
+    Everything before the rule depends on X and P only and comes from X's
+    one orbit plan (``metrics._OrbitPlan``, kept on X beside its cover),
+    which every periodic-orbit query on X shares and which is rebuilt only
+    for a larger P: the orbit list and its length groups, the packed
+    profiles (one cache, which the image words of a rule hit too, since
+    they are words of X) and the B(w2) batches with their masks and guard
+    bits.  A survey of many rules on one shift lists and packs its orbits
+    once.  Per rule stay the images f(w), their B(f w2) batches and the
+    scan itself.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
     if not preserves_shift(f, X):
         raise PreconditionError("rule does not map the shift into itself")
-    if X._scans is None:
-        X._scans = {}
-    plan = X._scans.get(P)
-    if plan is None:
-        plan = X._scans[P] = _OrbitScan(X, P)
-    orbits, groups, corr = plan.orbits, plan.groups, plan.corr
-    S, packs, digits = corr.S, corr.packs, corr.digits
+    plan = _OrbitPlan.of(X, P)
+    orbits, groups = plan.upto(P)
+    S, packs, digits = plan.corr.S, plan.corr.packs, plan.corr.digits
     images = {w: apply_cyclic(f, w) for w in orbits}
 
     @functools.cache
     def batch(i: int, g: int) -> tuple:
         """(stride, B of group i, B of its images, class mask, guards)."""
         stride, b_in, mask, guards = plan.batch(i, g)
-        b_out, pack = 0, packs(g)
-        for w in reversed(groups[i]):
-            b_out = b_out << stride | pack(images[w])[1]
+        b_out = plan.pack_group([images[w] for w in groups[i]], g)[1]
         return stride, b_in, b_out, mask, guards
 
     first = {"contracting": None, "isometric": None, "expanding": None}
@@ -547,7 +509,7 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
                 marked[s] |= 1 << p
             e = M.step(e, zero)
     periods: dict = {}
-    for u in periodic_orbits(X, P):
+    for u in _OrbitPlan.of(X, P).upto(P)[0]:
         q = len(u)
         multiples = sum(1 << p for p in range(q, P + 1, q))
         text = u * (L // q + 2)

@@ -3,7 +3,7 @@
 Every command is deterministic given its flags and ``--seed`` and prints a
 reproducible result section; ``--json`` emits a machine-readable run report
 instead.  Exit codes: 0 success, 2 input error, 3 precondition violation,
-4 resource cap exceeded.
+4 resource cap exceeded, 5 internal error (a broken invariant).
 """
 
 from __future__ import annotations

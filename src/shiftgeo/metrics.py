@@ -32,6 +32,12 @@ out carries and the digits are exact.  ``nearest_periodic`` and
 ``_nearest_orbits``; the search runs the exact distance below only to
 certify a tie of two or more nearest orbits.
 
+Those two and ``automata``'s ``check_on_subshift`` and
+``isometric_ca_precondition`` read X's orbits from one plan kept on X,
+``_OrbitPlan``, which serves every period bound up to its own.  This module
+alone knows the packed layout: digit width, class mask, and the slot
+stride and guard bits of a length group packed into one integer.
+
 Distance from a configuration to a sofic shift is computed exactly by a
 product construction: each arm's cyclic position graph is crossed with the
 presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
@@ -47,7 +53,9 @@ DAG, so a long finite part (a chain of one-node components) is linear too.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -116,7 +124,7 @@ def _class_mask(D: int, S: int, g: int) -> int:
 
 class _Correlator:
     """Packed correlations of words of length <= P over a fixed symbol
-    order, for one search.
+    order, for one orbit plan.
 
     ``packs(g)(w)`` is w's packed (A, B) mod g, cached per g and word, and
     ``mask(g)`` covers the class digits of a g-class product.  The digit
@@ -126,8 +134,8 @@ class _Correlator:
 
     def __init__(self, symbols, P: int):
         self.D = D = (P * P).bit_length()
+        self.symbols = symbols = tuple(symbols)
         self.S = S = len(symbols)
-        symbols = tuple(symbols)
 
         def packs(g: int):
             return functools.cache(
@@ -153,6 +161,67 @@ class _Correlator:
         pack = self.packs(g)
         product = pack(u)[0] * pack(v)[1]
         return g, len(u) // g * len(v), self.digits(product, g)
+
+
+class _OrbitPlan:
+    """What every periodic-orbit query on X up to a period bound P shares:
+    the orbits ``periodic_orbits(X, P)``, their length groups, one
+    ``_Correlator`` and per (group, g) the group's packed B(w) with its
+    class mask and guard bits.  The orbits of least period <= P' <= P are a
+    prefix of the list, sorted by length, and the digits of width D(P)
+    cannot carry for shorter words, so ``of`` keeps one plan per
+    presentation and rebuilds it only for a larger P.  Its caches hold
+    words of X only (orbits, and images under rules preserving X) and no
+    reference to X, so keeping it on X makes no cycle."""
+
+    __slots__ = ("P", "orbits", "groups", "corr", "_batches")
+
+    def __init__(self, X: ShiftPresentation, P: int):
+        self.P = P
+        self.orbits = tuple(periodic_orbits(X, P))
+        self.groups = tuple(tuple(ws) for _q, ws in
+                            itertools.groupby(self.orbits, len))
+        self.corr = _Correlator(X.alphabet.symbols, P)
+        self._batches = {}
+
+    @staticmethod
+    def of(X: ShiftPresentation, P: int) -> "_OrbitPlan":
+        """X's plan, built on the first query and rebuilt only when P
+        exceeds its bound."""
+        plan = X._orbit_plan
+        if plan is None or plan.P < P:
+            plan = X._orbit_plan = _OrbitPlan(X, P)
+        return plan
+
+    def upto(self, P: int) -> tuple[tuple, tuple]:
+        """(orbits, groups) of the points of least period <= P."""
+        groups = self.groups[:bisect.bisect_right(
+            self.groups, P, key=lambda ws: len(ws[0]))]
+        return self.orbits[:sum(map(len, groups))], groups
+
+    def pack_group(self, words, g: int) -> tuple[int, int]:
+        """(stride, B): the B(w) of `words` mod g in one integer, the first
+        lowest, in slots of 3 N digits (N = g |A|): a product A(u) B holds
+        each A(u) B(w) in its own slot."""
+        corr = self.corr
+        stride, pack, b = 3 * g * corr.S * corr.D, corr.packs(g), 0
+        for w in reversed(words):
+            b = b << stride | pack(w)[1]
+        return stride, b
+
+    def batch(self, i: int, g: int) -> tuple:
+        """(stride, B of group i, class mask, guards), built once.  The
+        guard bit sits at the lowest bit of the digit above each class
+        digit."""
+        out = self._batches.get((i, g))
+        if out is None:
+            group, D = self.groups[i], self.corr.D
+            stride, b = self.pack_group(group, g)
+            rep = ((1 << len(group) * stride) - 1) // ((1 << stride) - 1)
+            mask = self.corr.mask(g) * rep
+            out = self._batches[i, g] = (
+                stride, b, mask, mask // ((1 << D) - 1) << D)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +376,8 @@ def distance_to_shift_detail(x: Configuration,
     the least right (mean, component index).  With equal periods v -> v + r0
     maps the left arm onto the right, so Karp runs once per twin pair.
     """
+    if x.alphabet != Y.alphabet:
+        raise ValueError("alphabet mismatch")
     if Y.is_empty:
         raise EmptyShiftError("distance to the empty shift is undefined")
     word, psucc, nl, r0 = _position_graph(x)
@@ -409,24 +480,30 @@ class MinimizerSet:
     period_bound: int
 
 
-def _nearest_orbits(orbits, yw: str, corr: _Correlator, key):
+def _nearest_orbits(groups, yw: str, corr: _Correlator, key):
     """(distance, points): the least mismatch density of inf(yw) against the
-    points in the orbits of the words `orbits` (None without orbits), and
-    for each orbit that reaches it the least such rotation by `key`, in the
-    order of `orbits`.  The density against w[i:] + w[:i] depends on i only
-    through i mod g, g = gcd(|yw|, |w|), so one packed correlation per orbit
-    gives every rotation's.  Densities are compared as integer mismatch
-    counts, cross-multiplied."""
+    points in the orbits of the length groups `groups` (None without
+    orbits), and for each orbit that reaches it the least such rotation by
+    `key`, in the order of the groups.  The density against w[i:] + w[:i]
+    depends on i only through i mod g, g = gcd(|yw|, |w|), so one packed
+    correlation per orbit gives every rotation's.  yw, which need not be a
+    word of X, is packed for this query alone.  Densities are compared as
+    integer mismatch counts, cross-multiplied."""
     best, points = None, []  # best: (mismatches, block)
-    for w in orbits:
-        g, block, counts = corr.class_matches(yw, w)
-        top = max(counts)
-        m = block - top
-        if best is None or m * best[1] < best[0] * block:
-            best, points = (m, block), []
-        if m * best[1] == best[0] * block:
-            points.append(min((w[i:] + w[:i] for i in range(len(w))
-                               if counts[i % g] == top), key=key))
+    a = functools.cache(
+        lambda g: _packed_profile(corr.symbols, corr.D, yw, g)[0])
+    for group in groups:
+        g = gcd(len(yw), len(group[0]))
+        block, pack = len(yw) // g * len(group[0]), corr.packs(g)
+        for w in group:
+            counts = corr.digits(a(g) * pack(w)[1], g)
+            top = max(counts)
+            m = block - top
+            if best is None or m * best[1] < best[0] * block:
+                best, points = (m, block), []
+            if m * best[1] == best[0] * block:
+                points.append(min((w[i:] + w[:i] for i in range(len(w))
+                                   if counts[i % g] == top), key=key))
     return (Fraction(*best) if best else None), points
 
 
@@ -439,6 +516,8 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
     in the alphabet's order, among those achieving the minimum, and they are
     listed in that order.
     """
+    if y.alphabet != X.alphabet:
+        raise ValueError("alphabet mismatch")
     if P <= 0:
         raise PreconditionError("period bound must be positive")
     if not y.is_periodic:
@@ -447,10 +526,9 @@ def nearest_periodic(X: ShiftPresentation, y: Configuration,
         raise PreconditionError("period of y exceeds the bound")
     if X.is_empty:
         raise EmptyShiftError("empty shift")
-    key = X.alphabet.key
-    best, points = _nearest_orbits(
-        periodic_orbits(X, P), y.right_period,
-        _Correlator(X.alphabet.symbols, P), key)
+    key, plan = X.alphabet.key, _OrbitPlan.of(X, P)
+    best, points = _nearest_orbits(plan.upto(P)[1], y.right_period,
+                                   plan.corr, key)
     if best is None:
         raise PreconditionError(
             f"shift has no periodic points with period <= {P}")
@@ -488,13 +566,13 @@ def unique_approximation_search(X: ShiftPresentation, P: int) -> UapVerdict:
         raise PreconditionError("period bound must be positive")
     if X.is_empty:
         raise EmptyShiftError("empty shift")
-    x_orbits = periodic_orbits(X, P)
+    plan = _OrbitPlan.of(X, P)
+    x_orbits, groups = plan.upto(P)
     in_x = set(x_orbits)
-    corr = _Correlator(X.alphabet.symbols, P)
     for w in periodic_orbits(full_shift(X.alphabet), P):
         if w in in_x:  # inf(w) is in X: its distance is 0
             continue
-        best, points = _nearest_orbits(x_orbits, w, corr, X.alphabet.key)
+        best, points = _nearest_orbits(groups, w, plan.corr, X.alphabet.key)
         if len(points) < 2:
             continue
         y = periodic_config(w, X.alphabet)

@@ -69,7 +69,7 @@ class ShiftPresentation:
     """
 
     __slots__ = ("alphabet", "states", "edges", "_out", "_in", "_cover",
-                 "_scans")
+                 "_orbit_plan")
 
     def __init__(self, alphabet: Alphabet, states, edges):
         self.alphabet = alphabet
@@ -99,9 +99,10 @@ class ShiftPresentation:
         self._out = out
         self._in = inc
         self._cover = None   # filled by the first shannon_cover(self)
-        # period bound P -> the orbit-scan plan that every
-        # automata.check_on_subshift(f, self, P) shares; filled by the first
-        self._scans = None
+        # the orbit plan (metrics._OrbitPlan) that every periodic-orbit
+        # query on self up to its bound shares; filled by the first query
+        # and replaced only by a query with a larger bound
+        self._orbit_plan = None
 
     # -- basic queries -------------------------------------------------
 

@@ -1,10 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from shiftgeo import automata, shifts
+from shiftgeo import automata, metrics, shifts
 from shiftgeo.configs import Alphabet, BINARY, parse_config, periodic_config, \
     shift
 from shiftgeo.errors import PreconditionError
@@ -14,7 +16,8 @@ from shiftgeo.automata import (CellularAutomaton, apply_ca, apply_cyclic,
                                isometric_ca_precondition,
                                isometry_decomposition, minimal_neighborhood,
                                minimal_neighborhood_on, preserves_shift)
-from shiftgeo.metrics import d_besicovitch
+from shiftgeo.metrics import d_besicovitch, nearest_periodic, \
+    unique_approximation_search
 from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              disjoint_union, even_shift, full_shift,
                              golden_mean)
@@ -149,12 +152,12 @@ def test_check_on_subshift_rejects_non_positive_period(P):
 
 def test_golden_survey_lists_the_orbits_once(monkeypatch):
     """The 56 radius-1 rules that preserve the golden mean shift, checked
-    on one presentation at P = 8, share one orbit-scan plan: one
-    periodic_orbits call.  Another bound builds its own plan, and returning
-    to P = 8 builds none."""
+    on one presentation at P = 8, share one orbit plan: one periodic_orbits
+    call.  A lower bound reads a prefix of that plan and builds none; a
+    higher bound builds one plan, which then serves every lower bound."""
     calls = []
-    real = automata.periodic_orbits
-    monkeypatch.setattr(automata, "periodic_orbits",
+    real = metrics.periodic_orbits
+    monkeypatch.setattr(metrics, "periodic_orbits",
                         lambda X, P: calls.append(P) or real(X, P))
     X = golden_mean()
     survey = [f for f in map(elementary_ca, range(256))
@@ -165,7 +168,48 @@ def test_golden_survey_lists_the_orbits_once(monkeypatch):
     assert calls == [8]
     check_on_subshift(survey[0], X, 5)
     check_on_subshift(survey[1], X, 8)
-    assert calls == [8, 5]
+    assert calls == [8]
+    check_on_subshift(survey[2], X, 9)
+    check_on_subshift(survey[3], X, 5)
+    check_on_subshift(survey[4], X, 9)
+    assert calls == [8, 9]
+
+
+def test_presentation_frees_its_one_plan_by_reference_count():
+    """The orbit plan holds no reference to its presentation: with the
+    cycle collector off, deleting a presentation that every kind of orbit
+    query has used frees it and its plan.  A sweep of bounds up and back
+    down leaves exactly one plan, at the largest bound."""
+
+    class Probe(ShiftPresentation):
+        __slots__ = ("__weakref__",)
+
+    g = golden_mean()
+    gc.disable()
+    try:
+        X = Probe(g.alphabet, g.states, g.edges)
+        check_on_subshift(elementary_ca(184), X, 6)
+        nearest_periodic(X, periodic_config("011", BINARY), 7)
+        unique_approximation_search(X, 5)
+        isometric_ca_precondition(X, "0", 3, 4)
+        # the plan's slots take no weak reference; its correlator, which
+        # only the plan holds, goes when the plan does
+        alive, corr = weakref.ref(X), weakref.ref(X._orbit_plan.corr)
+        assert X._orbit_plan.P == 7
+        del X
+        assert alive() is None and corr() is None
+    finally:
+        gc.enable()
+    X = full_shift(BINARY)
+    f = elementary_ca(170)
+    for P in range(1, 13):
+        check_on_subshift(f, X, P)
+        assert X._orbit_plan.P == P
+    plan = X._orbit_plan
+    for P in range(11, 0, -1):
+        check_on_subshift(f, X, P)
+        assert X._orbit_plan is plan
+    assert isinstance(plan, metrics._OrbitPlan) and plan.P == 12
 
 
 def test_mutating_outputs_leaves_later_checks_unchanged():

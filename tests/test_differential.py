@@ -51,7 +51,8 @@ from hypothesis import given, reject, settings, strategies as st
 
 from shiftgeo import _graph
 from shiftgeo.automata import CellularAutomaton, apply_ca, apply_cyclic, \
-    check_on_subshift, isometric_ca_precondition, preserves_shift
+    check_on_subshift, classify_full_shift, elementary_ca, \
+    isometric_ca_precondition, preserves_shift
 from shiftgeo.configs import Alphabet, BINARY, Configuration, \
     periodic_config
 from shiftgeo.errors import CapError, EmptyShiftError, PreconditionError
@@ -267,33 +268,65 @@ def test_batched_check_on_subshift_fixed_cases():
 
 
 @st.composite
-def checks_on_one_shift(draw):
-    """A shift of BATCH_SHIFTS and a sequence of (rule, P) on it, the
-    period bounds interleaved; on an SFT the rules mostly preserve it, and
-    now and then one need not."""
+def queries_on_one_shift(draw):
+    """A shift of BATCH_SHIFTS and a sequence of orbit queries on it, the
+    period bounds rising and falling: rule checks (on an SFT the rules
+    mostly preserve it, and now and then one need not), nearest periodic
+    points of a point of period <= P, unique approximation searches and
+    rigidity preconditions."""
     name = draw(st.sampled_from(sorted(BATCH_SHIFTS)))
     symbols, forbidden, _p = BATCH_SHIFTS[name]
     max_p = 4 if len(symbols) == 3 else 6
-    checks = []
-    for _ in range(draw(st.integers(2, 6))):
-        if forbidden and draw(st.integers(0, 4)):
-            lo, hi, table = draw(st.sampled_from(_preserving_rules(name)))
+    queries = []
+    for _ in range(draw(st.integers(2, 8))):
+        P = draw(st.integers(1, max_p))
+        kind = draw(st.sampled_from(["check", "check", "nearest", "uap",
+                                     "precondition"]))
+        if kind == "nearest":
+            n = draw(st.integers(1, P))
+            queries.append((kind, draw(st.text(st.sampled_from(symbols),
+                                               min_size=n, max_size=n)), P))
+        elif kind == "uap":
+            queries.append((kind, P))
+        elif kind == "precondition":
+            queries.append((kind, draw(st.sampled_from(symbols)),
+                            draw(st.integers(1, 3)), P))
+        elif forbidden and draw(st.integers(0, 4)):
+            queries.append((kind, *draw(st.sampled_from(
+                _preserving_rules(name))), P))
         else:
             lo, hi, pats = draw(st.sampled_from(_rules(symbols)))
             table = dict(zip(pats, draw(st.lists(
                 st.sampled_from(symbols), min_size=len(pats),
                 max_size=len(pats)))))
-        checks.append((lo, hi, table, draw(st.integers(1, max_p))))
-    return name, checks
+            queries.append((kind, lo, hi, table, P))
+    return name, queries
+
+
+def _orbit_query(X, query):
+    """The outcome of one query of queries_on_one_shift on X."""
+    kind, *args = query
+    if kind == "check":
+        lo, hi, table, P = args
+        return _outcome(check_on_subshift,
+                        CellularAutomaton(X.alphabet, lo, hi, table), X, P)
+    if kind == "nearest":
+        w, P = args
+        return _outcome(nearest_periodic, X, periodic_config(w, X.alphabet),
+                        P)
+    if kind == "uap":
+        return _outcome(unique_approximation_search, X, *args)
+    return _outcome(isometric_ca_precondition, X, *args)
 
 
 @deterministic(80)
-@given(checks_on_one_shift())
+@given(queries_on_one_shift())
 def test_checks_sharing_a_plan_match_checks_on_fresh_presentations(case):
-    """Every check on one presentation, which builds an orbit-scan plan per
-    period bound and shares it with the later checks, equals the check on
-    a freshly built presentation, which has none."""
-    name, checks = case
+    """Every orbit query on one presentation, which keeps one orbit plan
+    for the largest period bound asked so far and shares it with the later
+    queries, equals the query on a freshly built presentation, which has
+    none."""
+    name, queries = case
     symbols, forbidden, _p = BATCH_SHIFTS[name]
     ab = Alphabet(symbols)
 
@@ -302,10 +335,25 @@ def test_checks_sharing_a_plan_match_checks_on_fresh_presentations(case):
             else full_shift(ab)
 
     X = build()
-    for lo, hi, table, P in checks:
-        f = CellularAutomaton(ab, lo, hi, table)
-        assert _outcome(check_on_subshift, f, X, P) == \
-            _outcome(check_on_subshift, f, build(), P)
+    for query in queries:
+        assert _orbit_query(X, query) == _orbit_query(build(), query)
+
+
+def test_non_contracting_witnesses_match_the_besicovitch_distance():
+    """Each witness of the 248 non-contracting elementary rules, whose
+    distances are mismatch densities of its period words, equals
+    d_besicovitch of its points before and after the rule."""
+    witnesses = 0
+    for rule in range(256):
+        f = elementary_ca(rule)
+        rep = classify_full_shift(f)
+        if rep.witness is None:
+            continue
+        x, y, d_in, d_out = rep.witness
+        assert d_in == d_besicovitch(x, y), rule
+        assert d_out == d_besicovitch(apply_ca(f, x), apply_ca(f, y)), rule
+        witnesses += 1
+    assert witnesses == 248
 
 
 @st.composite

@@ -120,6 +120,23 @@ def test_distance_to_shift_fixed_cases():
     assert distance_to_shift(halfline, g) == F(1, 4)
 
 
+def test_distance_to_shift_rejects_another_alphabet():
+    """A point over another alphabet is an input error, as for
+    d_besicovitch, not a distance of 1."""
+    x = parse_config("inf(ab).inf(ab)", Alphabet("ab"))
+    for fn in (distance_to_shift, distance_to_shift_detail):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            fn(x, golden_mean())
+
+
+def test_nearest_periodic_rejects_another_alphabet():
+    """A point over another alphabet is an input error, not a distance of
+    1 reached by every orbit."""
+    y = periodic_config("ab", Alphabet("ab"))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        nearest_periodic(golden_mean(), y, 4)
+
+
 def test_distance_to_shift_matches_periodic_search():
     rng = random.Random(4)
     g = golden_mean()
