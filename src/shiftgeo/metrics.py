@@ -154,13 +154,11 @@ class _Correlator:
         return [product >> o & low
                 for o in _class_offsets(self.D, self.S, g)]
 
-    def class_matches(self, u: str, v: str) -> tuple[int, int, list[int]]:
-        """(g, lcm, counts): counts[k] matches of inf(u) against
-        inf(v[k:] + v[:k]) over one lcm block, for each k < g."""
-        g = gcd(len(u), len(v))
-        pack = self.packs(g)
-        product = pack(u)[0] * pack(v)[1]
-        return g, len(u) // g * len(v), self.digits(product, g)
+    def class_matches(self, a: int, g: int, v: str) -> list[int]:
+        """counts[k]: matches of inf(u) against inf(v[k:] + v[:k]) over one
+        lcm block, for each k < g = gcd(|u|, |v|), given u's packed A mod
+        g.  u may be a word outside the plan's caches."""
+        return self.digits(a * self.packs(g)(v)[1], g)
 
 
 class _OrbitPlan:
@@ -194,7 +192,10 @@ class _OrbitPlan:
         return plan
 
     def upto(self, P: int) -> tuple[tuple, tuple]:
-        """(orbits, groups) of the points of least period <= P."""
+        """(orbits, groups) of the points of least period <= P.  A query
+        at a lower bound than the plan's runs at the plan's digit width
+        D(self.P): its packed integers are wider than a plan built for P
+        alone would make them, and its counts are the same."""
         groups = self.groups[:bisect.bisect_right(
             self.groups, P, key=lambda ws: len(ws[0]))]
         return self.orbits[:sum(map(len, groups))], groups
@@ -494,9 +495,9 @@ def _nearest_orbits(groups, yw: str, corr: _Correlator, key):
         lambda g: _packed_profile(corr.symbols, corr.D, yw, g)[0])
     for group in groups:
         g = gcd(len(yw), len(group[0]))
-        block, pack = len(yw) // g * len(group[0]), corr.packs(g)
+        block = len(yw) // g * len(group[0])
         for w in group:
-            counts = corr.digits(a(g) * pack(w)[1], g)
+            counts = corr.class_matches(a(g), g, w)
             top = max(counts)
             m = block - top
             if best is None or m * best[1] < best[0] * block:

@@ -270,36 +270,38 @@ def test_batched_check_on_subshift_fixed_cases():
 @st.composite
 def queries_on_one_shift(draw):
     """A shift of BATCH_SHIFTS and a sequence of orbit queries on it, the
-    period bounds rising and falling: rule checks (on an SFT the rules
-    mostly preserve it, and now and then one need not), nearest periodic
-    points of a point of period <= P, unique approximation searches and
-    rigidity preconditions."""
+    period bounds rising and falling: 2 to 6 rule checks (on an SFT the
+    rules mostly preserve it, and now and then one need not) with 0 to 4
+    other queries put in among them, each a nearest periodic point search
+    for a point of period <= P, a unique approximation search or a
+    rigidity precondition."""
     name = draw(st.sampled_from(sorted(BATCH_SHIFTS)))
     symbols, forbidden, _p = BATCH_SHIFTS[name]
     max_p = 4 if len(symbols) == 3 else 6
     queries = []
-    for _ in range(draw(st.integers(2, 8))):
+    for _ in range(draw(st.integers(2, 6))):
         P = draw(st.integers(1, max_p))
-        kind = draw(st.sampled_from(["check", "check", "nearest", "uap",
-                                     "precondition"]))
-        if kind == "nearest":
-            n = draw(st.integers(1, P))
-            queries.append((kind, draw(st.text(st.sampled_from(symbols),
-                                               min_size=n, max_size=n)), P))
-        elif kind == "uap":
-            queries.append((kind, P))
-        elif kind == "precondition":
-            queries.append((kind, draw(st.sampled_from(symbols)),
-                            draw(st.integers(1, 3)), P))
-        elif forbidden and draw(st.integers(0, 4)):
-            queries.append((kind, *draw(st.sampled_from(
-                _preserving_rules(name))), P))
+        if forbidden and draw(st.integers(0, 4)):
+            lo, hi, table = draw(st.sampled_from(_preserving_rules(name)))
         else:
             lo, hi, pats = draw(st.sampled_from(_rules(symbols)))
             table = dict(zip(pats, draw(st.lists(
                 st.sampled_from(symbols), min_size=len(pats),
                 max_size=len(pats)))))
-            queries.append((kind, lo, hi, table, P))
+        queries.append(("check", lo, hi, table, P))
+    for _ in range(draw(st.integers(0, 4))):
+        P = draw(st.integers(1, max_p))
+        kind = draw(st.sampled_from(["nearest", "uap", "precondition"]))
+        if kind == "nearest":
+            n = draw(st.integers(1, P))
+            query = (kind, draw(st.text(st.sampled_from(symbols),
+                                        min_size=n, max_size=n)), P)
+        elif kind == "uap":
+            query = (kind, P)
+        else:
+            query = (kind, draw(st.sampled_from(symbols)),
+                     draw(st.integers(1, 3)), P)
+        queries.insert(draw(st.integers(0, len(queries))), query)
     return name, queries
 
 
@@ -422,8 +424,10 @@ def long_word_pair(draw):
 def test_packed_class_matches_match_per_class_oracles(case):
     symbols, u, v = case
     corr = _Correlator(symbols, max(len(u), len(v)))
-    g, block, counts = corr.class_matches(u, v)
-    assert g == gcd(len(u), len(v)) and len(counts) == g
+    g = gcd(len(u), len(v))
+    block = len(u) // g * len(v)
+    counts = corr.class_matches(corr.packs(g)(u)[0], g, v)
+    assert len(counts) == g
     pu = residue_profile_oracle(u, g, symbols)
     pv = residue_profile_oracle(v, g, symbols)
     for k in range(g):
@@ -438,8 +442,9 @@ def test_packed_class_matches_near_powers_of_two():
     """Constant words match at all lcm cells; the digit must hold that."""
     for m, n in NEAR_POWERS:
         corr = _Correlator("01", n)
-        assert corr.class_matches("0" * m, "0" * n) == (1, m * n, [m * n])
-        assert corr.class_matches("0" * m, "1" * n) == (1, m * n, [0])
+        a = corr.packs(1)("0" * m)[0]
+        assert corr.class_matches(a, 1, "0" * n) == [m * n]
+        assert corr.class_matches(a, 1, "1" * n) == [0]
 
 
 @st.composite
