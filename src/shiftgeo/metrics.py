@@ -49,6 +49,16 @@ position phase j to phase j + 1 mod p, so Karp's cyclic classes refine the
 phases and its rows hold at most |Q| entries (time and memory linear in p).
 The best right cycle each component reaches is folded along the condensation
 DAG, so a long finite part (a chain of one-node components) is linear too.
+
+What is built depends on the arm shape.  A periodic point inf(w) builds one
+copy, Y x (the p-cycle of w's positions) on |Q| p nodes, and no
+condensation.  In the two-copy graph every left component reaches its own
+right twin, and any other right component of least mean that it reaches is
+the twin of a left one that Tarjan emits earlier; so the first component of
+least mean in the one copy serves both arms (the lemma in full is in
+``distance_to_shift_detail``).  Every other point builds both arms and the
+finite middle; when its two periods are equal strings (a finite defect
+inf(w)u.v inf(w)), Karp runs once per pair of twin components.
 """
 
 from __future__ import annotations
@@ -346,12 +356,13 @@ def _position_graph(x: Configuration):
     period + finite parts + right period, so the left cycle is [0, nl) and
     the right cycle [r0, n); succ[i] lists i's successors.  The last left
     position also exits into the finite part, which happens exactly once on
-    any bi-infinite traversal."""
+    any bi-infinite traversal.  For a periodic x = inf(w) both arms are the
+    one cycle of w's positions (nl = n, r0 = 0), with no exit."""
     lp, rp = x.left_period, x.right_period
-    word = lp + x.left_finite + x.right_finite + rp
+    word = rp if x.is_periodic else lp + x.left_finite + x.right_finite + rp
     nl, r0 = len(lp), len(word) - len(rp)
     succ = [(i + 1,) for i in range(len(word))]
-    succ[nl - 1] = (0, nl)
+    succ[nl - 1] = (0,) if x.is_periodic else (0, nl)
     succ[-1] = (r0,)
     return word, succ, nl, r0
 
@@ -374,8 +385,33 @@ def distance_to_shift_detail(x: Configuration,
     circles a right-arm cycle, so the distance is the least (left mean +
     right mean) / 2 over each left SCC and the right SCCs it reaches.  Ties
     go to the least left component index (Tarjan's emission order), then to
-    the least right (mean, component index).  With equal periods v -> v + r0
-    maps the left arm onto the right, so Karp runs once per twin pair.
+    the least right (mean, component index).  With equal periods and a finite
+    defect, v -> v + r0 maps the left arm onto the right, so Karp runs once
+    per twin pair.
+
+    A periodic x = inf(w) builds one copy only, Y x (the p-cycle of w's
+    positions), and its answer is the first component in Tarjan's emission
+    order whose minimum cycle mean m* is least, that cycle serving both
+    arms.  This is the two-copy answer, field for field:
+
+    - Left order.  In the two-copy graph no right node reaches a left one,
+      so a DFS excursion into the right copy emits all its components
+      before control returns to a left node, and a visited right node never
+      lowers a left low-link.  The left components thus come out in the one
+      copy's Tarjan order, with the same member lists and edge order, and
+      Karp returns the same cycles.
+    - Least total.  (lm + rm) / 2 = m* only when lm = rm = m*, and every
+      left component reaches its own twin: its cycle passes phase p - 1,
+      whose exit edge enters the twin.  So the left choice is the first
+      m*-component of the one copy.
+    - Right choice.  Any other m*-component that it reaches is the twin of
+      a left m*-component it reaches, which Tarjan emits earlier, against
+      that choice.  So the right choice is its twin: the same cycle, and
+      the same word anchored at the same phase.
+
+    Other points keep both copies: their right tie-break follows the order
+    in which the global DFS enters the right copy, which one copy cannot
+    reproduce without a second Tarjan.
     """
     if x.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
@@ -394,6 +430,22 @@ def distance_to_shift_detail(x: Configuration,
                 wsucc[s0 + i].append((t0 + j, cost, a))
     succ = [[t for (t, _w, _a) in row] for row in wsucc]
     comps = _graph.strongly_connected_components(size, succ)
+    if x.is_periodic:
+        comp_of = [0] * size
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+        best = None  # the first (least mean, cycle) in emission order
+        for ci, comp in enumerate(comps):
+            internal = {v: [(t, w) for (t, w, _a) in wsucc[v]
+                            if comp_of[t] == ci] for v in comp}
+            if any(internal.values()):
+                res = _graph.karp_min_mean(comp, internal)
+                if best is None or res[0] < best[0]:
+                    best = res
+        m, cyc = best
+        return ShiftDistanceDetail(m, m, m, len(cyc), len(cyc), _cycle_word(
+            n, wsucc, cyc, Y.alphabet.key))
     comp_of, dag = _graph.condensation_reach(size, succ, comps)
 
     # (minimum cycle mean, cycle) inside each SCC that has internal edges,

@@ -1045,6 +1045,44 @@ def test_equal_arm_distance_fixed_cases(w, u, v, X):
     _assert_details_match(_equal_arm_config(BINARY, w, u, v), X)
 
 
+def _assert_periodic_detail_matches(x, X):
+    """A periodic point searches one product copy: the oracle's two-copy
+    answer field for field, with one cycle serving both arms."""
+    _assert_details_match(x, X)
+    got = _outcome(distance_to_shift_detail, x, X)
+    if not isinstance(got, tuple):
+        assert got.distance == got.left_mean == got.right_mean
+        assert got.left_cycle_len == got.right_cycle_len
+
+
+@deterministic(300)
+@given(presentation(), st.data())
+def test_periodic_distance_matches_two_copy_oracle(X, data):
+    w = data.draw(st.text(st.sampled_from(X.alphabet.symbols), min_size=1,
+                          max_size=8))
+    _assert_periodic_detail_matches(periodic_config(w, X.alphabet), X)
+
+
+# the shifts of the one points inf(0) and inf(1)
+ZEROS, ONES = (compile_sft(SftSpec(BINARY, (a,))) for a in "10")
+
+
+@pytest.mark.parametrize("w, X, word", [
+    # the block shift at even periods: two components per copy, tied at
+    # 0110 and 011010
+    ("10", block_shift(), "10"), ("0110", block_shift(), "0100"),
+    ("1000", block_shift(), "1000"), ("011010", block_shift(), "001010"),
+    # equal least means with different words: the first component Tarjan
+    # emits, here the one holding node 0, wins
+    ("01", disjoint_union(ZEROS, ONES), "00"),
+    ("01", disjoint_union(ONES, ZEROS), "11")])
+def test_periodic_distance_ties_go_to_the_first_emitted_component(w, X,
+                                                                   word):
+    x = periodic_config(w, BINARY)
+    _assert_periodic_detail_matches(x, X)
+    assert distance_to_shift_detail(x, X).right_cycle_word == word
+
+
 @deterministic(400)
 @given(presentation())
 def test_mixing_distance_bitmask_rows_match_boolean_powers_oracle(X):

@@ -316,13 +316,26 @@ def _right_arm(x, nodes) -> bool:
 @pytest.mark.parametrize("w", ["0011010011", "011", "0101101001101",
                                "0010110010110010111"])
 def test_periodic_point_runs_karp_once_per_right_component(monkeypatch, w):
-    # the oracle runs Karp on every component of both arms, and each
-    # right-arm component has a left twin
+    # the oracle runs Karp on every component of both arms, and the one
+    # copy a periodic point searches has one component per twin pair
     x = periodic_config(w, BINARY)
     calls = _karp_calls(monkeypatch, distance_to_shift_detail, x, sft14())
     both = _karp_calls(monkeypatch, distance_to_shift_detail_oracle, x,
                        sft14())
     assert calls and len(both) == 2 * len(calls)
+
+
+@pytest.mark.parametrize("w", ["0011010011", "011", "01"])
+def test_periodic_point_searches_one_product_copy(monkeypatch, w):
+    """Tarjan sees |Q| p nodes for a periodic point of period p, not the
+    2 |Q| p of a product copy per arm."""
+    sizes = []
+    scc = metrics._graph.strongly_connected_components
+    monkeypatch.setattr(metrics._graph, "strongly_connected_components",
+                        lambda n, succ: sizes.append(n) or scc(n, succ))
+    Y = sft14()
+    distance_to_shift_detail(periodic_config(w, BINARY), Y)
+    assert sizes == [len(Y.states) * len(w)]
 
 
 def test_equal_arm_twins_reuse_in_either_emission_order(monkeypatch):
