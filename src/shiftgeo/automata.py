@@ -487,10 +487,12 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
     and bit p of ``marked[s]`` says the marker of period p is in X.  The
     p-periodic points of X are the orbits u with |u| dividing p, and the
     factors of inf(u) of length n are the n-windows of u^(L // |u| + 2)
-    that start in its first copy of u.  Indexing each such factor w of each
-    orbit once, bit p of ``periods[w]`` says that some p-periodic point of X
-    contains w; the least shared period is then the lowest set bit of
-    ``periods[w] & marked[s]``.
+    that start in its first copy of u.  The orbits of one length q share
+    their periods (the multiples of q), so each length group of the orbit
+    plan collects its factors into one set and each distinct factor w is
+    indexed once per group: bit p of ``periods[w]`` says that some
+    p-periodic point of X contains w.  The least shared period is then the
+    lowest set bit of ``periods[w] & marked[s]``.
     """
     if zero not in X.alphabet:
         raise ValueError(f"symbol {zero!r} not in alphabet")
@@ -509,14 +511,13 @@ def isometric_ca_precondition(X: ShiftPresentation, zero: str, L: int,
                 marked[s] |= 1 << p
             e = M.step(e, zero)
     periods: dict = {}
-    for u in _OrbitPlan.of(X, P).upto(P)[0]:
-        q = len(u)
+    for group in _OrbitPlan.of(X, P).upto(P)[1]:
+        q = len(group[0])
         multiples = sum(1 << p for p in range(q, P + 1, q))
-        text = u * (L // q + 2)
-        for i in range(q):
-            for j in range(i + 1, i + L + 1):
-                w = text[i:j]
-                periods[w] = periods.get(w, 0) | multiples
+        reps = L // q + 2
+        for w in {text[i:j] for u in group for text in [u * reps]
+                  for i in range(q) for j in range(i + 1, i + L + 1)}:
+            periods[w] = periods.get(w, 0) | multiples
     used = {}
     for n in range(1, L + 1):
         for w in language(X, n):

@@ -68,8 +68,9 @@ def load_shift(path: str) -> shifts.ShiftPresentation:
 def load_ca(spec: str) -> automata.CellularAutomaton:
     from . import automata
     if spec.startswith("eca:"):
+        rule = _integer(spec[4:])
         try:
-            return automata.elementary_ca(int(spec[4:]))
+            return automata.elementary_ca(rule)
         except ValueError as e:
             raise InputError(str(e)) from e
     return _load_json(spec, automata.CellularAutomaton.from_dict)
@@ -128,6 +129,13 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"{text!r} is not a rational number") from e
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as e:
+        raise InputError(f"{text!r} is not an integer") from e
 
 
 # every (command, mode), in the order each command lists its modes, with
@@ -394,7 +402,7 @@ def cmd_measure(ns, rep: Report) -> None:
                 f"gamma ~ {float(cert.gamma):.6g}, t = {cert.t}, "
                 f"verified to length {cert.verified_length}")
     elif mode == "binom-bound":
-        n, m, p = (int(t) for t in ns.args)
+        n, m, p = map(_integer, ns.args)
         ok = measures.verify_binomial_bound(n, m, p)
         rep.put("holds", ok, f"bound holds: {ok}")
     elif mode == "growth-threshold":
@@ -410,7 +418,7 @@ def cmd_measure(ns, rep: Report) -> None:
         rep.put("word", w, w)
     else:  # ball-count
         w = ns.args[0]
-        n = int(ns.args[1])
+        n = _integer(ns.args[1])
         eps = _rational(ns.args[2])
         count, bound, ok = measures.hamming_ball_count(w, n, eps)
         rep.put("count", count)

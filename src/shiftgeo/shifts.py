@@ -752,42 +752,64 @@ def periodic_orbits(X: ShiftPresentation, max_period: int) -> list[str]:
     is empty (the prefix is not a factor), and keeps a Lyndon word exactly
     when its element has the cycle flag set.
 
-    The cost is one table lookup per child of a visited prenecklace (on the
-    full shift O(|A|^P / P) prenecklaces), plus O(|Q|^2) per element of the
-    monoid the walk reaches (one on a full shift, never more than the
-    nodes), one join per word returned, and a final stable sort by length.
-    The walk keeps an explicit stack and one shared prefix, so memory is
-    O(|A| P) beyond the words and elements, and a one-symbol alphabet (a
-    path of depth max_period) needs no recursion.
+    The surviving children of a node depend only on its element e and
+    its kept symbol a[t - p], so each (e, kept symbol) pair steps every
+    symbol once and caches the children (symbol, element) it keeps; a
+    visited prenecklace costs one lookup in that cache and one new prefix
+    string per child.  The last level is emitted by its parent, not pushed:
+    a leaf is a Lyndon word exactly when it took a symbol larger than the
+    kept one and its element has the cycle flag.  So the cost is O(|A|)
+    steps per visited prenecklace of length < max_period (on the full shift
+    O(|A|^P / P) of them), each copying at most max_period characters,
+    plus O(|Q|^2) per element of the monoid the walk reaches (one on a full
+    shift, never more than the nodes); the words are collected per length,
+    so no sort follows.  The walk keeps an explicit stack of
+    (prefix, length, least period, element) with each prefix as a string:
+    it holds at most (|A| - 1) P + 1 prefixes, so O(|A| P^2) characters
+    beyond the words and elements, and a one-symbol alphabet (a path of
+    depth max_period) needs no recursion.
     """
     if max_period <= 0 or X.is_empty:
         return []
     M = _RelationMonoid(X)
-    succ, flags = M.succ, M.flags
+    flags = M.flags
     order = X.alphabet.symbols
-    # the symbols >= b, largest first: pushed in this order, the prefixes
+    # the symbols > b, largest first: pushed before b itself, the prefixes
     # pop in lexicographic order
-    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
-    words: list[str] = []
-    a: list[str] = []  # the current prefix
-    # (length t, last symbol a[t - 1], least period p, element of a)
-    stack = [(1, b, 1, e) for b in pushes[order[0]]
-             if (e := M.step(M.identity, b)) >= 0]
+    above = {b: order[i + 1:][::-1] for i, b in enumerate(order)}
+    kids: dict = {}
+
+    def children(e: int, keep: str) -> tuple:
+        """(element of w keep, the (b, element of w b) for b > keep with
+        w b a factor, largest first, those b with inf(w b) in X, smallest
+        first), where e is the element of w."""
+        bigger = tuple((b, f) for b in above[keep] if (f := M.step(e, b)) >= 0)
+        out = kids[e, keep] = (M.step(e, keep), bigger,
+                               tuple(b for b, f in bigger[::-1] if flags[f]))
+        return out
+
+    f, bigger, _ = children(M.identity, order[0])
+    # (prefix a, its length t, its least period p, element of a)
+    stack = [(b, 1, 1, g) for b, g in bigger]
+    if f >= 0:
+        stack.append((order[0], 1, 1, f))
+    if max_period == 1:
+        return [a for a, _t, _p, e in reversed(stack) if flags[e]]
+    words: list[list[str]] = [[] for _ in range(max_period + 1)]
+    last = max_period - 1
+    pop, push = stack.pop, stack.append
     while stack:
-        t, b, p, e = stack.pop()
-        del a[t - 1:]
-        a.append(b)
+        a, t, p, e = pop()
         if p == t and flags[e]:
-            words.append("".join(a))
-        if t == max_period:
-            continue
+            words[t].append(a)
         keep = a[t - p]
-        nxt = succ[e]
-        for b in pushes[keep]:
-            f = nxt.get(b)
-            if f is None:
-                f = M.image(e, b)
-            if f >= 0:
-                stack.append((t + 1, b, p if b == keep else t + 1, f))
-    words.sort(key=len)  # stable, so lexicographic within a length
-    return words
+        f, bigger, lyndon = kids.get((e, keep)) or children(e, keep)
+        if t == last:
+            words[max_period].extend([a + b for b in lyndon])
+            continue
+        t += 1
+        for b, g in bigger:
+            push((a + b, t, t, g))
+        if f >= 0:
+            push((a + keep, t, p, f))
+    return list(itertools.chain.from_iterable(words))

@@ -801,6 +801,93 @@ def isometric_ca_precondition_fixpoint_oracle(X, zero: str, L: int, P: int):
     return RigidityReport(True, None, used)
 
 
+# -- the list-prefix walk and the per-orbit factor loop that
+# shiftgeo.shifts.periodic_orbits and the factor index of
+# shiftgeo.automata.isometric_ca_precondition replaced ----------------------
+
+
+def periodic_orbits_list_prefix_oracle(X, max_period: int) -> list[str]:
+    """``shifts.periodic_orbits`` as the prenecklace walk on the transition
+    monoid that keeps one shared prefix list (joined once per word), steps
+    every symbol at every node, pushes and pops the last level, and sorts
+    the words by length at the end."""
+    from shiftgeo.shifts import _RelationMonoid
+    if max_period <= 0 or X.is_empty:
+        return []
+    M = _RelationMonoid(X)
+    succ, flags = M.succ, M.flags
+    order = X.alphabet.symbols
+    # the symbols >= b, largest first: pushed in this order, the prefixes
+    # pop in lexicographic order
+    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
+    words: list[str] = []
+    a: list[str] = []  # the current prefix
+    # (length t, last symbol a[t - 1], least period p, element of a)
+    stack = [(1, b, 1, e) for b in pushes[order[0]]
+             if (e := M.step(M.identity, b)) >= 0]
+    while stack:
+        t, b, p, e = stack.pop()
+        del a[t - 1:]
+        a.append(b)
+        if p == t and flags[e]:
+            words.append("".join(a))
+        if t == max_period:
+            continue
+        keep = a[t - p]
+        nxt = succ[e]
+        for b in pushes[keep]:
+            f = nxt.get(b)
+            if f is None:
+                f = M.image(e, b)
+            if f >= 0:
+                stack.append((t + 1, b, p if b == keep else t + 1, f))
+    words.sort(key=len)  # stable, so lexicographic within a length
+    return words
+
+
+def precondition_per_orbit_index_oracle(X, zero: str, L: int, P: int):
+    """``automata.isometric_ca_precondition`` with the factor index built
+    by one dict update per (orbit, start, length), not once per distinct
+    factor of each length group."""
+    from shiftgeo.automata import RigidityReport
+    from shiftgeo.errors import PreconditionError
+    from shiftgeo.shifts import _RelationMonoid, language, periodic_orbits
+    if zero not in X.alphabet:
+        raise ValueError(f"symbol {zero!r} not in alphabet")
+    if L <= 0:
+        raise PreconditionError("factor length bound must be positive")
+    if P <= 0:
+        raise PreconditionError("period bound must be positive")
+    M = _RelationMonoid(X)
+    if not M.cycles(M.step(M.identity, zero)):
+        return RigidityReport(False, None, {})
+    marked = {}
+    for s in X.alphabet:
+        e, marked[s] = M.step(M.identity, s), 0
+        for p in range(1, P + 1):
+            if M.cycles(e):
+                marked[s] |= 1 << p
+            e = M.step(e, zero)
+    periods: dict = {}
+    for u in periodic_orbits(X, P):
+        q = len(u)
+        multiples = sum(1 << p for p in range(q, P + 1, q))
+        text = u * (L // q + 2)
+        for i in range(q):
+            for j in range(i + 1, i + L + 1):
+                w = text[i:j]
+                periods[w] = periods.get(w, 0) | multiples
+    used = {}
+    for n in range(1, L + 1):
+        for w in language(X, n):
+            for s in (a for a in X.alphabet if a in w):
+                shared = periods.get(w, 0) & marked[s]
+                if not shared:
+                    return RigidityReport(False, (w, s), used)
+                used[(w, s)] = (shared & -shared).bit_length() - 1
+    return RigidityReport(True, None, used)
+
+
 # -- the |A|^k (w, u, v) loops that shiftgeo.shifts._synchronizing_words and
 # shiftgeo.shifts._pads replaced ---------------------------------------------
 

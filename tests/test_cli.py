@@ -386,12 +386,22 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
      "n = 23 exceeds the enumeration cap 22"),
     (["measure", "growth-threshold", "2", "1/1000"], 4,
      "exceeds the cap of 4194304 bits; no block count m < 23990 meets the "
-     "condition")])
+     "condition"),
+    (["classify", "eca:"], 2, "'' is not an integer"),
+    (["classify", "eca:x"], 2, "'x' is not an integer"),
+    (["classify", "eca:1e3"], 2, "'1e3' is not an integer"),
+    (["classify", "eca:256"], 2, "elementary rule number must be in [0, 255]"),
+    (["measure", "binom-bound", "x", "2", "1"], 2, "'x' is not an integer"),
+    (["measure", "binom-bound", "5", "3", "1/2"], 2,
+     "'1/2' is not an integer"),
+    (["measure", "ball-count", "01", "x", "0.5"], 2,
+     "'x' is not an integer")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == code and out == "" and message in err
+    assert "invalid literal" not in err
 
 
 def test_dist_to_shift_takes_one_configuration(capsys, golden_file):
@@ -944,9 +954,10 @@ _FUZZ_VALUES = {
     "config": ["inf(0).inf(0)", "inf(01)1.0inf(01)", "inf(0).1inf(1)",
                "inf(011).inf(10)", "inf(2).inf(0)", "inf().inf(0)",
                "inf(01.inf(1)", "0.1", "inf(0)", "", "inf(ab).inf(a)"],
-    "number": ["-1", "0", "1", "3", "1/2", "0.5", "x", "", "1/0", "-1/2"],
+    "number": ["-1", "0", "1", "3", "1/2", "0.5", "x", "", "1/0", "-1/2",
+               "1e3"],
     "word": ["0", "01", "", "2", "a", "012"],
-    "ca": ["eca:30", "eca:204", "eca:256", "eca:x", "eca:"],
+    "ca": ["eca:30", "eca:204", "eca:256", "eca:x", "eca:", "eca:1e3"],
 }
 # the positional arguments of each (command, mode), by kind; "rule" is a
 # CA literal or a file
@@ -1053,3 +1064,4 @@ def test_cli_fuzz_never_ends_in_a_traceback(fuzz_files, data):
     rc, err = _run_captured(argv)
     assert rc in (0, 2, 3, 4), (argv, rc, err)
     assert "Traceback" not in err, argv
+    assert "invalid literal" not in err, (argv, err)

@@ -24,9 +24,12 @@ image presentation of ``preserves_shift`` against the per-cell reads, the
 index arithmetic and the (q, u)-named construction they replaced, and the
 period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
 ``mixing_distance`` ran, the factor index of the rigidity precondition
-against its scan over every orbit, ``d_cantor``'s doubling windows against
-its per-cell loop, and checks on one presentation, which share its
-orbit-scan plan, against checks on a fresh one.
+against its scan over every orbit and against its one update per (orbit,
+start, length), the orbit walk with string prefixes, cached child lists
+and parent-emitted leaves against the list-prefix walk it replaced,
+``d_cantor``'s doubling windows against its per-cell loop, and checks on
+one presentation, which share its orbit-scan plan, against checks on a
+fresh one.
 
 Metamorphic tests relabel each shift onto the same symbols in character
 order, rank by rank, and check that every listing, tie-break and witness
@@ -85,9 +88,10 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
     parry_measure_numpy_oracle, periodic_orbits_fixpoint_oracle, \
-    path_window_oracle, periodic_orbits_oracle, preserves_shift_oracle, \
-    precondition_oracle, preserves_shift_tuple_oracle, project_oracle, \
-    profile_mismatches_oracle, residue_profile_oracle, sft14, \
+    path_window_oracle, periodic_orbits_list_prefix_oracle, \
+    periodic_orbits_oracle, preserves_shift_oracle, precondition_oracle, \
+    precondition_per_orbit_index_oracle, preserves_shift_tuple_oracle, \
+    project_oracle, profile_mismatches_oracle, residue_profile_oracle, sft14, \
     stable_block_set_oracle, strongly_connected_components_oracle, \
     symbol_at_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle, \
@@ -790,6 +794,18 @@ def test_periodic_orbits_match_word_loop_oracle(X, P):
 
 
 @deterministic(300)
+@given(presentation(), st.data())
+def test_periodic_orbits_match_list_prefix_oracle(X, data):
+    """The walk with string prefixes, cached child lists and leaves emitted
+    by their parent against the list-prefix walk it replaced, to period 12
+    on two symbols (8 on three), on X and on its full shift."""
+    P = data.draw(st.integers(0, 12 if len(X.alphabet) <= 2 else 8))
+    for Y in (X, full_shift(X.alphabet)):
+        assert periodic_orbits(Y, P) == \
+            periodic_orbits_list_prefix_oracle(Y, P)
+
+
+@deterministic(300)
 @given(presentation(), st.sampled_from(range(1, 9)))
 def test_uap_search_matches_word_loop_oracle(X, P):
     if X.is_empty:
@@ -868,6 +884,21 @@ def test_rigidity_precondition_matches_orbit_scan_oracle(X, data):
     P = data.draw(st.integers(1, 7 if len(X.alphabet) == 3 else 10))
     got = isometric_ca_precondition(X, zero, L, P)
     want = precondition_oracle(X, zero, L, P)
+    assert (got.passed, got.failing, got.periods_used) == \
+        (want.passed, want.failing, want.periods_used)
+
+
+@deterministic(200)
+@given(presentation(), st.data())
+def test_rigidity_precondition_matches_per_orbit_index_oracle(X, data):
+    """The factor index built once per distinct factor of each length
+    group against the one dict update per (orbit, start, length) it
+    replaced: every RigidityReport field."""
+    zero = data.draw(st.sampled_from(X.alphabet.symbols))
+    L = data.draw(st.integers(1, 6))
+    P = data.draw(st.integers(1, 8 if len(X.alphabet) == 3 else 12))
+    got = isometric_ca_precondition(X, zero, L, P)
+    want = precondition_per_orbit_index_oracle(X, zero, L, P)
     assert (got.passed, got.failing, got.periods_used) == \
         (want.passed, want.failing, want.periods_used)
 

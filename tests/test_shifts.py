@@ -16,7 +16,7 @@ from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              transitive_components,
                              find_unbordered_synchronizing)
 from oracle_utils import avoiding_words, cyclic_avoids, factor_oracle, \
-    necklaces
+    necklaces, periodic_orbits_oracle, sft14
 
 A012 = Alphabet("012")
 
@@ -363,6 +363,35 @@ def test_orbit_counts_match_trace_formula():
 
 def test_periodic_orbits_of_one_symbol_need_no_recursion():
     assert periodic_orbits(full_shift(Alphabet("0")), 3000) == ["0"]
+
+
+@pytest.mark.parametrize("X", [full_shift(Alphabet("210")), golden_mean()],
+                         ids=["full3-210", "golden"])
+@pytest.mark.parametrize("P", [0, 1, 2])
+def test_periodic_orbits_at_the_leaf_level(X, P):
+    """At P <= 2 the words of length P are the leaves their parents emit
+    (at P = 1 the roots themselves): the same list as the word loop."""
+    assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
+
+
+@pytest.mark.parametrize("X, P", [(full_shift(BINARY), 14), (sft14(), 14),
+                                  (full_shift(A012), 9)],
+                         ids=["full2", "sft14", "full3"])
+def test_orbit_walk_steps_each_element_once_per_symbol(monkeypatch, X, P):
+    """The cached child lists step through the monoid's ``succ`` table:
+    each image of an element by a symbol is computed at most once per
+    walk (on three symbols the child lists of two kept symbols share a
+    larger symbol)."""
+    seen = []
+    real = shifts._RelationMonoid.image
+
+    def image(self, e, b):
+        seen.append((id(self), e, b))
+        return real(self, e, b)
+
+    monkeypatch.setattr(shifts._RelationMonoid, "image", image)
+    assert periodic_orbits(X, P)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_lyndon_words_edge_cases():
