@@ -91,6 +91,24 @@ def bfs_period(adj) -> tuple[list[int], int]:
                         for u in range(n) for (v, _w) in adj[u]))
 
 
+def _relax_row(prev, relax, size: int):
+    """One step of Karp's recurrence: the row over ``size`` places reached
+    from row ``prev`` through the (place, place, weight) list ``relax``,
+    with a strict < (the first candidate wins ties).  Returns the row
+    shifted so that its least finite entry is 0, as a tuple, that shift,
+    and the parent place of each entry (-1 where the row is infinite)."""
+    inf = float("inf")
+    row = [inf] * size
+    parent = [-1] * size
+    for (i, j, w) in relax:
+        cand = prev[i] + w
+        if cand < row[j]:
+            row[j] = cand
+            parent[j] = i
+    low = min(row)
+    return tuple([x - low for x in row]), low, parent
+
+
 def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     """Minimum mean cycle of a strongly connected weighted graph.
 
@@ -100,12 +118,28 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
 
     Karp's recurrence over walks of exactly k edges from ``nodes[0]``, on
     the cyclic classes of :func:`bfs_period`: edges go from class c to
-    class c + 1 mod d, so row k is a list over class k mod d, relaxed from one
-    precomputed (u, v, w) list in ``nodes`` order of u with a strict < (the
-    least predecessor wins ties); only rows k = n (mod d) enter the max/min.
-    A row costs the edges out of one class and holds one class, so on the
-    product of a presentation with a position cycle of period p, whose
-    phases the classes refine, time and memory are linear in p.
+    class c + 1 mod d, so row k is a list over class k mod d, relaxed from
+    row k - 1 through one precomputed (u, v, w) list of class (k - 1) mod d,
+    in ``nodes`` order of u, with a strict < (the least predecessor wins
+    ties); only rows k = n (mod d) enter the max/min.
+
+    The rows are memoized up to a constant.  Adding a constant to every
+    finite entry of row k - 1 moves every candidate of row k by that
+    constant, so every comparison, hence every parent, stays the same, and
+    row k moves by the constant too (a min-plus step commutes with adding a
+    constant).  So row k is kept as (id, offset): the id interns the row
+    shifted so that its least finite entry is 0, which every row has, since
+    the graph is strongly connected.  Classes with equal edge lists share
+    one cache from row id to (next row id, offset added, parents), and a
+    step that hits it costs one lookup.  On the product of a presentation
+    with a position cycle, the classes refine the phases, and two phase
+    steps differ only where the point's symbols differ, so there are few
+    kinds of class step (one per symbol on every 14-state SFT call of the
+    ``arms`` benchmark) and after a short transient the rows repeat.  Time is O(E) set-up, plus the edges of each class times the
+    distinct rows it steps, plus one lookup per row, plus the max/min over
+    the rows of class n mod d; memory is one (id, offset, parents) per row
+    plus the distinct rows.  Every dist[k][v] read below is the same
+    integer as in the unmemoized recurrence.
 
     The cycle returned is the shortest, then earliest, closed subwalk of
     mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
@@ -128,35 +162,44 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     pos = {u: i for c in cls for i, u in enumerate(c)}
     relax = [[(pos[u], pos[v], w) for u in c for (v, w) in adj[u]]
              for c in cls]
+    shared: dict[tuple, dict] = {}
+    memo = [shared.setdefault(tuple(r), {}) for r in relax]
     inf = float("inf")
-    # dist[k][i] = min weight of a walk with exactly k edges from node 0 to
-    # the i-th node of class k mod d, parent[k][i] its predecessor's place
-    dist = [[0] + [inf] * (len(cls[0]) - 1)]
-    parent: list[list[int]] = [[]]
+    # dist[k][i], the min weight of a walk with exactly k edges from node 0
+    # to the i-th node of class k mod d, is rows[ids[k]][i] + offs[k], and
+    # parents[k][i] is its predecessor's place
+    start = (0,) + (inf,) * (len(cls[0]) - 1)
+    row_id = {start: 0}
+    rows = [start]
+    ids, offs, parents = [0], [0], [None]
+    r = off = 0
     for k in range(1, n + 1):
-        prev = dist[-1]
-        dk = [inf] * len(cls[k % d])
-        pk = [-1] * len(dk)
-        for (i, j, w) in relax[(k - 1) % d]:
-            cand = prev[i] + w
-            if cand < dk[j]:
-                dk[j] = cand
-                pk[j] = i
-        dist.append(dk)
-        parent.append(pk)
+        cache = memo[(k - 1) % d]
+        if (hit := cache.get(r)) is None:
+            row, low, parent = _relax_row(rows[r], relax[(k - 1) % d],
+                                          len(cls[k % d]))
+            if (nxt := row_id.setdefault(row, len(rows))) == len(rows):
+                rows.append(row)
+            cache[r] = hit = (nxt, low, parent)
+        r, low, parent = hit
+        off += low
+        ids.append(r)
+        offs.append(off)
+        parents.append(parent)
     # min over v of max over k of (dist[n][v] - dist[k][v]) / (n - k), as
     # (numerator, positive denominator) pairs compared by cross-multiplying;
     # the first maximum per v and the first minimum over ascending v win.
+    cols = [(rows[ids[k]], offs[k], n - k) for k in range(n % d, n, d)]
     best, best_v = None, -1
-    for v, dnv in enumerate(dist[n]):
-        if dnv == inf:
+    for v, top in enumerate(rows[ids[n]]):
+        if top == inf:
             continue
+        dnv = top + offs[n]
         worst = None
-        for k in range(n % d, n, d):
-            dkv = dist[k][v]
-            if dkv == inf:
+        for (row, base, den) in cols:
+            if (dkv := row[v]) == inf:
                 continue
-            num, den = dnv - dkv, n - k
+            num = dnv - dkv - base
             if worst is None or num * worst[1] > worst[0] * den:
                 worst = (num, den)
         if worst is not None and (
@@ -168,7 +211,7 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     # best_v, as places in the classes of its rows.
     walk = [best_v]
     for k in range(n, 0, -1):
-        walk.append(parent[k][walk[-1]])
+        walk.append(parents[k][walk[-1]])
     walk.reverse()
     # The walk's first j edges weigh dist[j][walk[j]], since each parent
     # edge attains the minimum; a node is (class, place).
@@ -181,7 +224,7 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
         if i is None:
             continue
         clen = j - i
-        total = dist[j][v] - dist[i][v]
+        total = rows[ids[j]][v] + offs[j] - rows[ids[i]][v] - offs[i]
         if total * mean.denominator == mean.numerator * clen and (
                 found is None or (clen, i) < found):
             found = (clen, i)

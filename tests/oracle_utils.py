@@ -495,6 +495,113 @@ def karp_min_mean_frontier_oracle(nodes: list[int],
     return mean, [nodes[w] for w in walk[i:i + clen]]
 
 
+def karp_min_mean_class_rows_oracle(nodes: list[int],
+                                    edges) -> tuple[Fraction, list[int]]:
+    """Minimum mean cycle of a strongly connected weighted graph, by the
+    dense rows over cyclic classes (one fresh list per row, every row
+    relaxed) that the memoized rows of ``shiftgeo._graph.karp_min_mean``
+    replaced.
+
+    ``nodes`` are the node ids of one SCC; ``edges[v]`` lists (target, weight)
+    pairs with both endpoints inside the SCC.  Returns the exact minimum mean
+    and one cycle (as a node list) achieving it.
+
+    Karp's recurrence over walks of exactly k edges from ``nodes[0]``, on
+    the cyclic classes of ``shiftgeo._graph.bfs_period``: edges go from
+    class c to class c + 1 mod d, so row k is a list over class k mod d,
+    relaxed from one precomputed (u, v, w) list in ``nodes`` order of u
+    with a strict < (the least predecessor wins ties); only rows
+    k = n (mod d) enter the max/min.
+    A row costs the edges out of one class and holds one class, so on the
+    product of a presentation with a position cycle of period p, whose
+    phases the classes refine, time and memory are linear in p.
+
+    The cycle returned is the shortest, then earliest, closed subwalk of
+    mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
+    runs between consecutive occurrences of one node: if any node repeated
+    strictly inside it, it would split into two closed walks, each of mean
+    at least the minimum, hence both of mean exactly the minimum, and the
+    shorter one would have been chosen.  So only the pairs (previous
+    occurrence, occurrence) are tried, in O(n).
+    """
+    from shiftgeo._graph import bfs_period
+
+    n = len(nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
+    adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
+    level, d = bfs_period(adj)
+    if d == 0:
+        raise ValueError("graph has no cycle")
+    # cls[c] lists class c in nodes order; pos[u] is u's place in its class
+    cls: list[list[int]] = [[] for _ in range(d)]
+    for u in range(n):
+        cls[level[u] % d].append(u)
+    pos = {u: i for c in cls for i, u in enumerate(c)}
+    relax = [[(pos[u], pos[v], w) for u in c for (v, w) in adj[u]]
+             for c in cls]
+    inf = float("inf")
+    # dist[k][i] = min weight of a walk with exactly k edges from node 0 to
+    # the i-th node of class k mod d, parent[k][i] its predecessor's place
+    dist = [[0] + [inf] * (len(cls[0]) - 1)]
+    parent: list[list[int]] = [[]]
+    for k in range(1, n + 1):
+        prev = dist[-1]
+        dk = [inf] * len(cls[k % d])
+        pk = [-1] * len(dk)
+        for (i, j, w) in relax[(k - 1) % d]:
+            cand = prev[i] + w
+            if cand < dk[j]:
+                dk[j] = cand
+                pk[j] = i
+        dist.append(dk)
+        parent.append(pk)
+    # min over v of max over k of (dist[n][v] - dist[k][v]) / (n - k), as
+    # (numerator, positive denominator) pairs compared by cross-multiplying;
+    # the first maximum per v and the first minimum over ascending v win.
+    best, best_v = None, -1
+    for v, dnv in enumerate(dist[n]):
+        if dnv == inf:
+            continue
+        worst = None
+        for k in range(n % d, n, d):
+            dkv = dist[k][v]
+            if dkv == inf:
+                continue
+            num, den = dnv - dkv, n - k
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (
+                best is None or best[0] * worst[1] > worst[0] * best[1]):
+            best = worst
+            best_v = v
+    mean = Fraction(*best)
+    # Recover a cycle of mean `best` from the optimal n-edge walk into
+    # best_v, as places in the classes of its rows.
+    walk = [best_v]
+    for k in range(n, 0, -1):
+        walk.append(parent[k][walk[-1]])
+    walk.reverse()
+    # The walk's first j edges weigh dist[j][walk[j]], since each parent
+    # edge attains the minimum; a node is (class, place).
+    last: dict[tuple[int, int], int] = {}
+    found = None
+    for j, v in enumerate(walk):
+        key = (j % d, v)
+        i = last.get(key)
+        last[key] = j
+        if i is None:
+            continue
+        clen = j - i
+        total = dist[j][v] - dist[i][v]
+        if total * mean.denominator == mean.numerator * clen and (
+                found is None or (clen, i) < found):
+            found = (clen, i)
+    if found is None:
+        raise AssertionError("min mean cycle not found on optimal walk")
+    clen, i = found
+    return mean, [nodes[cls[j % d][walk[j]]] for j in range(i, i + clen)]
+
+
 def strongly_connected_components_oracle(n: int, succ) -> list[list[int]]:
     """Tarjan's algorithm, iterative, with each DFS frame held as (node,
     next successor index) and rescanning ``succ[v]`` from that index: the

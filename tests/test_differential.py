@@ -47,10 +47,11 @@ import itertools
 from fractions import Fraction
 import math
 from math import gcd
+import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from shiftgeo import _graph
 from shiftgeo.automata import CellularAutomaton, apply_ca, apply_cyclic, \
@@ -82,8 +83,8 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     distance_to_shift_detail_oracle, \
     embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
-    isometric_ca_precondition_oracle, karp_min_mean_frontier_oracle, \
-    karp_min_mean_oracle, \
+    isometric_ca_precondition_oracle, karp_min_mean_class_rows_oracle, \
+    karp_min_mean_frontier_oracle, karp_min_mean_oracle, \
     lex_least_completion_oracle, lyndon_words_state_set_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
@@ -616,16 +617,16 @@ def test_distance_to_shift_detail_with_long_finite_parts(case):
 
 
 @st.composite
-def periodic_scc(draw, least_period: int = 2):
-    """(nodes, edges) of a strongly connected digraph whose cycle lengths
+def periodic_classes(draw, least_period: int = 2, unequal: bool = False):
+    """(classes, edges) of a strongly connected digraph whose cycle lengths
     are all multiples of d, for d in least_period..4: d classes of 1 to 4
-    nodes each
-    (often of unequal sizes), every edge from class c to class c + 1 mod d,
-    a closed walk through every node, and random extra edges that may be
-    parallel to others.  Ids are arbitrary and ``nodes`` lists them in a
-    random order, so classes interleave in it."""
+    nodes each (often of unequal sizes, always with ``unequal``), every
+    edge from class c to class c + 1 mod d, a closed walk through every
+    node, and random extra edges that may be parallel to others.  Ids are
+    arbitrary."""
     d = draw(st.integers(least_period, 4))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d).filter(
+        lambda s: not unequal or len(set(s)) > 1))
     ids = draw(st.lists(st.integers(0, 99), min_size=sum(sizes),
                         max_size=sum(sizes), unique=True))
     cls, at = [], 0
@@ -644,16 +645,191 @@ def periodic_scc(draw, least_period: int = 2):
     edges = {v: [] for v in ids}
     for (u, v) in pairs:
         edges[u].append((v, draw(WEIGHTS)))
-    return draw(st.permutations(ids)), edges
+    return cls, edges
+
+
+@st.composite
+def periodic_scc(draw, least_period: int = 2):
+    """(nodes, edges) of a :func:`periodic_classes` graph, with ``nodes``
+    listing its ids in a random order, so classes interleave in it."""
+    cls, edges = draw(periodic_classes(least_period))
+    return draw(st.permutations(list(edges))), edges
 
 
 @deterministic(400)
 @given(periodic_scc())
-def test_karp_min_mean_on_periodic_sccs_matches_both_oracles(graph):
+def test_karp_min_mean_on_periodic_sccs_matches_every_oracle(graph):
     nodes, edges = graph
     got = _graph.karp_min_mean(nodes, edges)
     assert got == karp_min_mean_oracle(nodes, edges)
     assert got == karp_min_mean_frontier_oracle(nodes, edges)
+    assert got == karp_min_mean_class_rows_oracle(nodes, edges)
+
+
+@st.composite
+def replicated_periodic_scc(draw):
+    """(nodes, edges) of m >= 2 copies of a :func:`periodic_classes` graph
+    with classes of unequal sizes, wired around a cycle: copy r keeps the
+    edge lists of the base graph, except that the edges out of its last
+    class enter copy r + 1 mod m.  Node v of copy r has id 100 r + v, and
+    ``nodes`` lists the copies one after another in one random order of
+    the base ids, so every copy's class steps have the same edge lists and
+    Karp's memoized rows are reused, with negative offsets from the
+    weights.  A reused row rarely holds infinities here: unless two
+    classes of the base share an edge list, a repeated row repeats with
+    the copies from then on, so an infinity in it would never fill, which
+    strong connectivity forbids; :func:`stuttering_scc` covers that case."""
+    cls, base = draw(periodic_classes(unequal=True))
+    m = draw(st.integers(2, 4))
+    last = set(cls[-1])
+    edges = {100 * r + u: [(100 * ((r + (u in last)) % m) + v, w)
+                           for (v, w) in out]
+             for r in range(m) for u, out in base.items()}
+    order = draw(st.permutations(list(base)))
+    return [100 * r + v for r in range(m) for v in order], edges
+
+
+@st.composite
+def presentation_product_scc(draw):
+    """(nodes, edges) of the largest strongly connected component of a
+    random presentation on |Q| <= 5 states over {0, 1} times the position
+    cycle of a word that repeats a block of 1 to 4 symbols up to length 60,
+    with weight 1 where an edge's label differs from the word's symbol and
+    0 where it agrees: the shape of ``distance_to_shift``.  Node (q, j)
+    has id j * |Q| + q, and the repeated block repeats Karp's class steps,
+    so its memoized rows are reused."""
+    nq = draw(st.integers(1, 5))
+    labeled = draw(st.lists(st.tuples(st.integers(0, nq - 1),
+                                      st.integers(0, nq - 1),
+                                      st.sampled_from("01")),
+                            min_size=1, max_size=3 * nq))
+    block = draw(st.text(st.sampled_from("01"), min_size=1, max_size=4))
+    word = (block * 60)[:draw(st.integers(1, 60))]
+    p = len(word)
+    succ = [[] for _ in range(nq * p)]
+    wsucc = [[] for _ in range(nq * p)]
+    for (s, t, a) in labeled:
+        for j, c in enumerate(word):
+            v = (j + 1) % p * nq + t
+            succ[j * nq + s].append(v)
+            wsucc[j * nq + s].append((v, int(a != c)))
+    comp = max(_graph.strongly_connected_components(nq * p, succ), key=len)
+    members = set(comp)
+    edges = {v: [(t, w) for (t, w) in wsucc[v] if t in members]
+             for v in comp}
+    assume(any(edges.values()))
+    return comp, edges
+
+
+@deterministic(200)
+@given(st.one_of(replicated_periodic_scc(), presentation_product_scc()))
+def test_karp_min_mean_with_reused_rows_matches_every_oracle(graph):
+    nodes, edges = graph
+    got = _graph.karp_min_mean(nodes, edges)
+    assert got == karp_min_mean_oracle(nodes, edges)
+    assert got == karp_min_mean_frontier_oracle(nodes, edges)
+    assert got == karp_min_mean_class_rows_oracle(nodes, edges)
+
+
+@st.composite
+def stuttering_scc(draw):
+    """(nodes, edges) of a graph with d in 4..8 classes around a cycle:
+    classes 0 to d - 2 have s in 2..4 places each and step to the next class
+    through one shared edge list (place 0 to place 0, and place i > 0 to
+    place i and to one lower place), class d - 2 steps to the one node of
+    class d - 1, and that node steps to every place of class 0.  ``nodes``
+    lists the classes in order, so Karp starts at place 0 of class 0, and
+    its row (0, inf, ...) recurs through the shared steps of the first lap:
+    a reused row that holds infinities, which the reach pattern of a
+    periodic copy (filled within a lap) rarely gives."""
+    d = draw(st.integers(4, 8))
+    s = draw(st.integers(2, 4))
+    shared = [(0, 0, draw(WEIGHTS))]
+    for i in range(1, s):
+        shared += [(i, i, draw(WEIGHTS)),
+                   (i, draw(st.integers(0, i - 1)), draw(WEIGHTS))]
+    z = 10 * (d - 1)
+    edges = {10 * c + i: [] for c in range(d - 1) for i in range(s)}
+    edges[z] = [(i, draw(WEIGHTS)) for i in range(s)]
+    for c in range(d - 2):
+        for (i, j, w) in shared:
+            edges[10 * c + i].append((10 * (c + 1) + j, w))
+    for i in range(s):
+        edges[10 * (d - 2) + i].append((z, draw(WEIGHTS)))
+    return list(edges), edges
+
+
+@deterministic(100)
+@given(stuttering_scc())
+def test_karp_min_mean_reusing_infinite_rows_matches_every_oracle(graph):
+    nodes, edges = graph
+    with mock.patch.object(_graph, "_relax_row",
+                           wraps=_graph._relax_row) as relax_row:
+        got = _graph.karp_min_mean(nodes, edges)
+    assert relax_row.call_count < len(nodes)
+    assert got == karp_min_mean_oracle(nodes, edges)
+    assert got == karp_min_mean_frontier_oracle(nodes, edges)
+    assert got == karp_min_mean_class_rows_oracle(nodes, edges)
+
+
+def _primitive_word(rng: random.Random, n: int) -> str:
+    while True:
+        w = "".join(rng.choice("01") for _ in range(n))
+        if w not in (w + w)[1:-1]:
+            return w
+
+
+def _large_period_point(left: int, right: int) -> Configuration:
+    """A point with arm periods ``left`` and ``right``, of the shapes that
+    the ``arms`` benchmark gives the 14-state SFT: a periodic point when
+    they are equal, else two five-cell finite parts between the arms."""
+    rng = random.Random(left * 1000 + right)
+    if left == right:
+        return periodic_config(_primitive_word(rng, left), BINARY)
+    return Configuration(BINARY, _primitive_word(rng, left), "01101",
+                         "10010", _primitive_word(rng, right))
+
+
+ARM_PERIODS = [(96, 96), (240, 240), (61, 127)]
+
+
+@pytest.mark.parametrize("left,right", ARM_PERIODS)
+def test_distance_to_shift_detail_at_large_periods_matches_class_rows_karp(
+        left, right):
+    """The hypothesis products stop at period 30; at the benchmark's
+    periods, the memoized rows give every detail field of the class-row
+    Karp they replaced."""
+    x, Y = _large_period_point(left, right), sft14()
+    got = distance_to_shift_detail(x, Y)
+    with mock.patch.object(_graph, "karp_min_mean",
+                           karp_min_mean_class_rows_oracle):
+        want = distance_to_shift_detail(x, Y)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("left,right", ARM_PERIODS)
+def test_karp_relaxes_each_class_step_and_shifted_row_once(left, right):
+    """Cost guard for the memoized rows: no Karp call relaxes one (edge
+    list, shifted row) pair twice, and on the 14-state SFT at the
+    benchmark's periods fewer than a tenth of the rows of the recurrences
+    are relaxed at all."""
+    relaxed, rows = [], []
+    relax_row, karp = _graph._relax_row, _graph.karp_min_mean
+
+    def spy_relax(prev, relax, size):
+        relaxed[-1].append((tuple(relax), prev))
+        return relax_row(prev, relax, size)
+
+    def spy_karp(nodes, edges):
+        relaxed.append([])
+        rows.append(len(nodes))
+        return karp(nodes, edges)
+
+    with mock.patch.object(_graph, "_relax_row", spy_relax), \
+            mock.patch.object(_graph, "karp_min_mean", spy_karp):
+        distance_to_shift_detail(_large_period_point(left, right), sft14())
+    assert all(len(set(steps)) == len(steps) for steps in relaxed)
+    assert 10 * sum(map(len, relaxed)) < sum(rows)
 
 
 @deterministic(50)
@@ -665,6 +841,7 @@ def test_karp_min_mean_on_one_node_with_self_loops(v, weights):
     assert got == (Fraction(min(weights)), [v])
     assert got == karp_min_mean_oracle([v], edges)
     assert got == karp_min_mean_frontier_oracle([v], edges)
+    assert got == karp_min_mean_class_rows_oracle([v], edges)
 
 
 @deterministic(400)
@@ -684,7 +861,8 @@ def test_bfs_period_matches_cover_period_oracle(graph):
 
 
 @pytest.mark.parametrize("karp", [_graph.karp_min_mean, karp_min_mean_oracle,
-                                  karp_min_mean_frontier_oracle])
+                                  karp_min_mean_frontier_oracle,
+                                  karp_min_mean_class_rows_oracle])
 def test_karp_min_mean_on_one_node_without_edges_raises(karp):
     with pytest.raises(ValueError, match="graph has no cycle"):
         karp([7], {7: []})
