@@ -113,8 +113,9 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     """Minimum mean cycle of a strongly connected weighted graph.
 
     ``nodes`` are the node ids of one SCC; ``edges[v]`` lists (target, weight)
-    pairs with both endpoints inside the SCC.  Returns the exact minimum mean
-    and one cycle (as a node list) achieving it.
+    pairs, and those with a target outside the SCC are skipped, so ``edges``
+    may be a whole graph's adjacency.  Returns the exact minimum mean and one
+    cycle (as a node list) achieving it.
 
     Karp's recurrence over walks of exactly k edges from ``nodes[0]``, on
     the cyclic classes of :func:`bfs_period`: edges go from class c to
@@ -135,11 +136,12 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     with a position cycle, the classes refine the phases, and two phase
     steps differ only where the point's symbols differ, so there are few
     kinds of class step (one per symbol on every 14-state SFT call of the
-    ``arms`` benchmark) and after a short transient the rows repeat.  Time is O(E) set-up, plus the edges of each class times the
-    distinct rows it steps, plus one lookup per row, plus the max/min over
-    the rows of class n mod d; memory is one (id, offset, parents) per row
-    plus the distinct rows.  Every dist[k][v] read below is the same
-    integer as in the unmemoized recurrence.
+    ``arms`` benchmark) and after a short transient the rows repeat.  Time
+    is O(E) set-up (skipped pairs included), plus the edges of each class
+    times the distinct rows it steps, plus one lookup per row, plus the
+    max/min over the rows of class n mod d; memory is one (id, offset,
+    parents) per row plus the distinct rows.  Every dist[k][v] read below
+    is the same integer as in the unmemoized recurrence.
 
     The cycle returned is the shortest, then earliest, closed subwalk of
     mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
@@ -151,7 +153,8 @@ def karp_min_mean(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     """
     n = len(nodes)
     idx = {v: i for i, v in enumerate(nodes)}
-    adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
+    adj = [[(j, w) for (t, w) in edges[v] if (j := idx.get(t)) is not None]
+           for v in nodes]
     level, d = bfs_period(adj)
     if d == 0:
         raise ValueError("graph has no cycle")

@@ -44,9 +44,11 @@ presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
 run per strongly connected component, and the best co-reachable (left cycle,
 right cycle) pair wins.  The n positions are numbered left cycle, finite
 middle, right cycle, and product node (q, i) is q_index * n + i, so i = v mod
-n tells a node's arm.  Every edge inside an arm's component goes from
-position phase j to phase j + 1 mod p, so Karp's cyclic classes refine the
-phases and its rows hold at most |Q| entries (time and memory linear in p).
+n tells a node's arm.  The product is one list of (target, cost) pairs per
+node, read in place by Tarjan and Karp; edges carry no label.  Every edge
+inside an arm's component goes from position phase j to phase j + 1 mod p,
+so Karp's cyclic classes refine the phases and its rows hold at most |Q|
+entries (time and memory linear in p).
 The best right cycle each component reaches is folded along the condensation
 DAG, so a long finite part (a chain of one-node components) is linear too.
 
@@ -77,7 +79,7 @@ from .errors import EmptyShiftError, PreconditionError
 from .shifts import ShiftPresentation, full_shift, periodic_orbits
 
 
-def _check_alphabets(x: Configuration, y: Configuration):
+def _check_alphabets(x, y):  # configurations or presentations
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
 
@@ -412,9 +414,12 @@ def distance_to_shift_detail(x: Configuration,
     Other points keep both copies: their right tie-break follows the order
     in which the global DFS enters the right copy, which one copy cannot
     reproduce without a second Tarjan.
+
+    The product is built once, as the (target, cost) pairs ``wsucc[v]``.
+    Tarjan's successors are projected from it, and Karp gets ``wsucc``
+    itself for each cyclic component (more than one node, or a self-loop).
     """
-    if x.alphabet != Y.alphabet:
-        raise ValueError("alphabet mismatch")
+    _check_alphabets(x, Y)
     if Y.is_empty:
         raise EmptyShiftError("distance to the empty shift is undefined")
     word, psucc, nl, r0 = _position_graph(x)
@@ -425,53 +430,40 @@ def distance_to_shift_detail(x: Configuration,
     for (s, t, a) in Y.edges:
         s0, t0 = q_index[s] * n, q_index[t] * n
         for i, c in enumerate(word):
-            cost = int(a != c)
             for j in psucc[i]:
-                wsucc[s0 + i].append((t0 + j, cost, a))
-    succ = [[t for (t, _w, _a) in row] for row in wsucc]
+                wsucc[s0 + i].append((t0 + j, int(a != c)))
+    succ = [[t for (t, _w) in row] for row in wsucc]
     comps = _graph.strongly_connected_components(size, succ)
+    cyclic = [(ci, comp) for ci, comp in enumerate(comps)
+              if len(comp) > 1 or comp[0] in succ[comp[0]]]
     if x.is_periodic:
-        comp_of = [0] * size
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        best = None  # the first (least mean, cycle) in emission order
-        for ci, comp in enumerate(comps):
-            internal = {v: [(t, w) for (t, w, _a) in wsucc[v]
-                            if comp_of[t] == ci] for v in comp}
-            if any(internal.values()):
-                res = _graph.karp_min_mean(comp, internal)
-                if best is None or res[0] < best[0]:
-                    best = res
-        m, cyc = best
-        return ShiftDistanceDetail(m, m, m, len(cyc), len(cyc), _cycle_word(
-            n, wsucc, cyc, Y.alphabet.key))
-    comp_of, dag = _graph.condensation_reach(size, succ, comps)
+        # the first (least mean, cycle) in emission order
+        m, cyc = min((_graph.karp_min_mean(comp, wsucc)
+                      for _ci, comp in cyclic), key=lambda res: res[0])
+        return ShiftDistanceDetail(m, m, m, len(cyc), len(cyc),
+                                   _cycle_word(word, Y, cyc))
+    dag = _graph.condensation_reach(size, succ, comps)[1]
 
-    # (minimum cycle mean, cycle) inside each SCC that has internal edges,
-    # by arm and component index
+    # (minimum cycle mean, cycle) inside each cyclic SCC, by arm and
+    # component index
     left: dict[int, tuple[Fraction, list[int]]] = {}
     right: dict[int, tuple[Fraction, list[int]]] = {}
     # Karp results by least node in left-arm coordinates: with equal periods
     # (twin = r0) whichever twin Tarjan emits first serves the other
     twin = r0 if x.left_period == x.right_period else 0
     done: dict[int, tuple[int, Fraction, list[int]]] = {}
-    for ci, comp in enumerate(comps):
+    for ci, comp in cyclic:
         off = twin if comp[0] % n >= r0 else 0
         if (hit := done.get(comp[0] - off)) is not None:
             d = off - hit[0]
             (right if off else left)[ci] = hit[1], [v + d for v in hit[2]]
-            continue
-        internal = {v: [(t, w) for (t, w, _a) in wsucc[v]
-                        if comp_of[t] == ci] for v in comp}
-        if not any(internal.values()):
             continue
         sides = {"L" if v % n < nl else "R" if v % n >= r0 else "M"
                  for v in comp}
         if sides != {"L"} and sides != {"R"}:
             raise AssertionError("cycle mixes position arms")
         arm = left if sides == {"L"} else right
-        arm[ci] = res = _graph.karp_min_mean(comp, internal)
+        arm[ci] = res = _graph.karp_min_mean(comp, wsucc)
         done[comp[0] - off] = off, *res
 
     # least right-arm (mean, index) reachable from each component, folded
@@ -494,22 +486,27 @@ def distance_to_shift_detail(x: Configuration,
     if best is None:
         raise AssertionError("no bi-infinite path pairs the arms")
     total, lm, rm, lci, rci = best
-    lcyc = left[lci][1]
     rcyc = right[rci][1]
-    # labels along the right cycle, anchored at its smallest R-phase
-    labels = _cycle_word(n, wsucc, rcyc, Y.alphabet.key)
-    return ShiftDistanceDetail(total, lm, rm, len(lcyc), len(rcyc), labels)
+    return ShiftDistanceDetail(total, lm, rm, len(left[lci][1]), len(rcyc),
+                               _cycle_word(word, Y, rcyc))
 
 
-def _cycle_word(n, wsucc, cyc, key) -> str:
-    """Label word along a product cycle on n positions, rotated so that it
-    starts at the node of least position (phase 0 on an arm cycle, for
-    alignment with the configuration); between two nodes, the cheapest
-    parallel edge, least label by `key`."""
+def _cycle_word(word: str, Y: ShiftPresentation, cyc) -> str:
+    """Label word along a cycle of Y x (positions of ``word``), rotated so
+    that it starts at the node of least position (phase 0 on an arm cycle,
+    for alignment with the configuration).  Between two nodes, the label is
+    read off Y's edges between their states: the cheapest (the position's
+    symbol), then the least by the alphabet's key."""
+    n, rank = len(word), Y.alphabet.key
+    labels: dict = {}
+    for (s, t, a) in Y.edges:
+        labels.setdefault((s, t), []).append(a)
     start = min(range(len(cyc)), key=lambda i: (cyc[i] % n, i))
     order = cyc[start:] + cyc[:start]
-    return "".join(min((w, key(a), a) for (t, w, a) in wsucc[v] if t == u)[2]
-                   for v, u in zip(order, order[1:] + order[:1]))
+    return "".join(
+        min(labels[Y.states[v // n], Y.states[u // n]],
+            key=lambda a: (a != word[v % n], rank(a)))
+        for v, u in zip(order, order[1:] + order[:1]))
 
 
 def distance_to_shift(x: Configuration, Y: ShiftPresentation) -> Fraction:

@@ -602,6 +602,19 @@ def karp_min_mean_class_rows_oracle(nodes: list[int],
     return mean, [nodes[cls[j % d][walk[j]]] for j in range(i, i + clen)]
 
 
+def internal_edges_only(karp):
+    """``karp`` behind the edge contract of ``shiftgeo._graph.karp_min_mean``:
+    ``edges[v]`` may list targets outside ``nodes``.  The Karp oracles take
+    the edges inside one SCC only, so the wrapper hands them a dict of
+    those, in their listed order, for patching in where the library passes
+    its whole product adjacency."""
+    def karp_on_internal_edges(nodes: list[int], edges):
+        members = set(nodes)
+        return karp(nodes, {v: [(t, w) for (t, w) in edges[v]
+                                if t in members] for v in nodes})
+    return karp_on_internal_edges
+
+
 def strongly_connected_components_oracle(n: int, succ) -> list[list[int]]:
     """Tarjan's algorithm, iterative, with each DFS frame held as (node,
     next successor index) and rescanning ``succ[v]`` from that index: the

@@ -81,7 +81,8 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     contains_config_oracle, cover_period_oracle, \
     cyclic_avoids, cyclic_density_oracle, d_cantor_oracle, \
     distance_to_shift_detail_oracle, \
-    embed_complex_oracle, find_unbordered_synchronizing_oracle, is_lyndon, \
+    embed_complex_oracle, find_unbordered_synchronizing_oracle, \
+    internal_edges_only, is_lyndon, \
     isometric_ca_precondition_fixpoint_oracle, \
     isometric_ca_precondition_oracle, karp_min_mean_class_rows_oracle, \
     karp_min_mean_frontier_oracle, karp_min_mean_oracle, \
@@ -600,7 +601,8 @@ def point_and_sft(draw, max_finite=4):
 def test_distance_to_shift_detail_matches_dense_karp(case):
     x, Y = case
     got = distance_to_shift_detail(x, Y)
-    with mock.patch.object(_graph, "karp_min_mean", karp_min_mean_oracle):
+    with mock.patch.object(_graph, "karp_min_mean",
+                           internal_edges_only(karp_min_mean_oracle)):
         want = distance_to_shift_detail(x, Y)
     assert got == want
 
@@ -664,6 +666,33 @@ def test_karp_min_mean_on_periodic_sccs_matches_every_oracle(graph):
     assert got == karp_min_mean_oracle(nodes, edges)
     assert got == karp_min_mean_frontier_oracle(nodes, edges)
     assert got == karp_min_mean_class_rows_oracle(nodes, edges)
+
+
+@deterministic(300)
+@given(periodic_scc(), st.data())
+def test_karp_min_mean_skips_edges_leaving_nodes(graph, data):
+    """``edges[v]`` may list targets outside ``nodes``, as the distance
+    product's adjacency does for every component: Karp skips them, and
+    answers as on the internal edges alone."""
+    nodes, edges = graph
+    outside = st.integers(100, 199)
+    wider = {v: list(out) for v, out in edges.items()}
+    for _ in range(data.draw(st.integers(1, 2 * len(nodes)))):
+        out = wider[data.draw(st.sampled_from(nodes))]
+        out.insert(data.draw(st.integers(0, len(out))),
+                   (data.draw(outside), data.draw(WEIGHTS)))
+    for t in {t for out in wider.values() for (t, _w) in out} - set(nodes):
+        wider[t] = [(data.draw(st.sampled_from(nodes)), data.draw(WEIGHTS))]
+    got = _graph.karp_min_mean(nodes, wider)
+    assert got == _graph.karp_min_mean(nodes, edges)
+    assert got == karp_min_mean_oracle(nodes, edges)
+    assert got == karp_min_mean_frontier_oracle(nodes, edges)
+    assert got == karp_min_mean_class_rows_oracle(nodes, edges)
+
+
+def test_karp_min_mean_on_one_node_whose_only_edge_leaves_raises():
+    with pytest.raises(ValueError, match="graph has no cycle"):
+        _graph.karp_min_mean([7], {7: [(8, 0)], 8: [(7, 0)]})
 
 
 @st.composite
@@ -802,7 +831,8 @@ def test_distance_to_shift_detail_at_large_periods_matches_class_rows_karp(
     x, Y = _large_period_point(left, right), sft14()
     got = distance_to_shift_detail(x, Y)
     with mock.patch.object(_graph, "karp_min_mean",
-                           karp_min_mean_class_rows_oracle):
+                           internal_edges_only(
+                               karp_min_mean_class_rows_oracle)):
         want = distance_to_shift_detail(x, Y)
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
@@ -1290,6 +1320,28 @@ def test_periodic_distance_ties_go_to_the_first_emitted_component(w, X,
     x = periodic_config(w, BINARY)
     _assert_periodic_detail_matches(x, X)
     assert distance_to_shift_detail(x, X).right_cycle_word == word
+
+
+# key order 2 < 1 < 0, not character order; A -> B has two labels, and
+# B -> A one that the key ranks before the other
+TERNARY_210 = Alphabet("210")
+PARALLEL_LABELS = ShiftPresentation(TERNARY_210, "AB", [
+    ("A", "B", "1"), ("A", "B", "2"), ("B", "A", "0"), ("B", "A", "1")])
+
+
+@pytest.mark.parametrize("x", [
+    periodic_config("001", TERNARY_210),
+    Configuration(TERNARY_210, "001", "2", "2", "001")])
+def test_right_cycle_word_reads_the_tie_break_off_the_presentation(x):
+    """The product carries no labels, so the word is read back off Y's
+    edges: on A -> B at a 0 both labels cost 1 and the key's first, 2,
+    wins; on B -> A at a 0 the label 0 costs nothing and beats 1, which
+    the key ranks first.  Every field against the oracle, whose product
+    edges carry their labels."""
+    got = distance_to_shift_detail(x, PARALLEL_LABELS)
+    assert dataclasses.asdict(got) == dataclasses.asdict(
+        distance_to_shift_detail_oracle(x, PARALLEL_LABELS))
+    assert got.right_cycle_word == "201021"
 
 
 @deterministic(400)

@@ -18,7 +18,8 @@ from shiftgeo.shifts import (ShiftPresentation, SftSpec, compile_sft,
                              periodic_orbits)
 from oracle_utils import block_shift, cyclic_density_oracle, \
     distance_to_shift_detail_oracle, necklaces, parity_shift_distance, \
-    parity_shift_orbits, parity_shift_uap_oracle, rand_config, sft14
+    parity_shift_orbits, parity_shift_uap_oracle, rand_config, sft14, \
+    strongly_connected_components_oracle
 
 ZERO = parse_config("inf(0).inf(0)", BINARY)
 ONE = parse_config("inf(1).inf(1)", BINARY)
@@ -323,6 +324,29 @@ def test_periodic_point_runs_karp_once_per_right_component(monkeypatch, w):
     both = _karp_calls(monkeypatch, distance_to_shift_detail_oracle, x,
                        sft14())
     assert calls and len(both) == 2 * len(calls)
+
+
+@pytest.mark.parametrize("text", ["inf(0011010011).inf(0011010011)",
+                                  "inf(0011).1inf(011)"])
+def test_karp_reads_the_product_adjacency_in_place(monkeypatch, text):
+    """Every Karp call gets the one product adjacency itself, not a copy of
+    a component's edges, and a periodic point runs Karp once per cyclic
+    component (more than one node, or a self-loop) of its one copy."""
+    calls = []
+    karp = metrics._graph.karp_min_mean
+    monkeypatch.setattr(metrics._graph, "karp_min_mean",
+                        lambda nodes, edges: calls.append((nodes, edges))
+                        or karp(nodes, edges))
+    x, Y = parse_config(text, BINARY), sft14()
+    distance_to_shift_detail(x, Y)
+    edges = calls[0][1]
+    assert all(e is edges for (_nodes, e) in calls)
+    assert len(edges) == len(Y.states) * len(metrics._position_graph(x)[0])
+    if x.is_periodic:
+        succ = [[t for (t, _w) in row] for row in edges]
+        cyclic = [c for c in strongly_connected_components_oracle(
+            len(succ), succ) if len(c) > 1 or c[0] in succ[c[0]]]
+        assert sorted(nodes for (nodes, _e) in calls) == sorted(cyclic)
 
 
 @pytest.mark.parametrize("w", ["0011010011", "011", "01"])
