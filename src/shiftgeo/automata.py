@@ -24,8 +24,8 @@ from .configs import Alphabet, Configuration, cyclic_slice, json_field, \
     periodic_config
 from .errors import PreconditionError
 from .metrics import _OrbitPlan, cyclic_mismatch_density
-from .shifts import (ShiftPresentation, language_subset, shannon_cover,
-                     language, _RelationMonoid)
+from .shifts import (ShiftPresentation, shannon_cover, language,
+                     _mask_subset, _RelationMonoid, _symbol_rows)
 
 MAX_WIDTH = 12
 
@@ -299,27 +299,39 @@ def isometry_decomposition(f: CellularAutomaton):
 
 
 def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
-    """Exact test that f maps X into X, via an image presentation: on the
-    Shannon cover, (q, u) with |u| = width - 1 readable from q steps by a
-    to (q.(u+a)[0], (u+a)[1:]), labeled f(u + a).
+    """Exact test that f maps X into X: on the Shannon cover C, (q, u) with
+    |u| = width - 1 readable from q steps by a to (q.(u+a)[0], (u+a)[1:]),
+    labeled f(u + a), and f(X) lies in X iff every word of this image graph
+    is a word of C.  The image states are numbered 0..n-1 in the order the
+    words are built: q in the cover's order, u in the alphabet's.
 
-    Each (q, u) carries the state q.u, so extending u, and testing that
-    u + a is readable, is one step from it.  The image states are numbered
-    0..n-1 in the order the words are built: q in the cover's order, u in
-    the alphabet's."""
+    The image graph is essential: C is, so q.u has an out-edge (labeled a,
+    say) and (q, u) steps by a; and q has an in-edge p -> q (labeled b), so
+    (p, (b + u)[:-1]) steps to (q, u).  So it needs no trim, and its edges
+    go straight into mask rows for the subset BFS ``shifts._mask_subset``
+    against C's rows.  C is deterministic, so each of its rows has at most
+    one bit, read into the table ``nxt[a][i]`` (-1 for none); each (q, u)
+    carries the state q.u, so extending u is one lookup."""
     if f.alphabet != X.alphabet:
         raise ValueError("alphabet mismatch")
     C = shannon_cover(X)
-    paths = [(q, "", frozenset([q])) for q in C.states]
+    syms = C.alphabet.symbols
+    rows = _symbol_rows(C, syms)
+    if any(m & (m - 1) for row in rows for m in row):
+        raise RuntimeError("Shannon cover is not deterministic")
+    nxt = {a: [m.bit_length() - 1 for m in row] for a, row in zip(syms, rows)}
+    paths = [(q, "", q) for q in range(len(C.states))]
     for _ in range(f.width - 1):
-        paths = [(q, u + a, T) for (q, u, S) in paths for a in C.alphabet
-                 if (T := C.step(S, a))]
-    ids = {(q, u): i for i, (q, u, _S) in enumerate(paths)}
-    edges = [(i, ids[t, (u + a)[1:]], f.table[u + a])
-             for i, (q, u, S) in enumerate(paths) for a in C.alphabet
-             if C.step(S, a) for t in C.step({q}, (u + a)[0])]
-    return language_subset(
-        ShiftPresentation(C.alphabet, range(len(paths)), edges), C)
+        paths = [(q, u + a, t) for (q, u, s) in paths for a in syms
+                 if (t := nxt[a][s]) >= 0]
+    ids = {(q, u): i for i, (q, u, _s) in enumerate(paths)}
+    image = {b: [0] * len(paths) for b in syms}
+    for i, (q, u, s) in enumerate(paths):
+        for a in syms:
+            if nxt[a][s] >= 0:
+                w = u + a
+                image[f.table[w]][i] |= 1 << ids[nxt[w[0]][q], w[1:]]
+    return _mask_subset(list(image.values()), rows)
 
 
 @dataclass
@@ -395,13 +407,16 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     they are words of X) and the B(w2) batches with their masks and guard
     bits.  A survey of many rules on one shift lists and packs its orbits
     once.  Per rule stay the images f(w), their B(f w2) batches and the
-    scan itself.
+    scan itself.  The plan also keeps the rules found to map X into X, so a
+    rule checked again on X runs ``preserves_shift`` only once.
     """
     if P <= 0:
         raise PreconditionError("period bound must be positive")
-    if not preserves_shift(f, X):
+    plan = X._orbit_plan
+    if not (plan and f in plan.preserved or preserves_shift(f, X)):
         raise PreconditionError("rule does not map the shift into itself")
     plan = _OrbitPlan.of(X, P)
+    plan.preserved.add(f)
     orbits, groups = plan.upto(P)
     S, packs, digits = plan.corr.S, plan.corr.packs, plan.corr.digits
     images = {w: apply_cyclic(f, w) for w in orbits}

@@ -178,6 +178,11 @@ def cmd_dist(ns, rep: Report) -> None:
     from . import metrics
     ab = _alphabet_from(ns)
     if ns.to_shift:
+        conflict = [flag for flag, on in (("--dw", ns.dw), ("--dc", ns.dc),
+                                          ("--estimate", ns.estimate)) if on]
+        if conflict:
+            raise InputError(f"dist --to-shift gives the Besicovitch distance "
+                             f"only and cannot take {', '.join(conflict)}")
         if len(ns.args) != 1:
             raise InputError(f"dist --to-shift takes one configuration, "
                              f"got {len(ns.args)}")

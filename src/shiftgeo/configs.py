@@ -247,7 +247,10 @@ def parse_config(literal: str, alphabet: Alphabet) -> Configuration:
     rest = s[close1 + 1:]
     start2 = rest.rfind("inf(")
     if start2 < 0 or not rest.endswith(")"):
-        raise ValueError("configuration literal must end with 'inf(WORD)'")
+        need = "a second period" if "." in rest else \
+            "a '.' and a second period"
+        raise ValueError(f"configuration literal needs {need} 'inf(WORD)' "
+                         f"after the first, as in 'inf(01).inf(01)'")
     right_period = rest[start2 + 4:-1]
     middle = rest[:start2]
     if middle.count(".") != 1:

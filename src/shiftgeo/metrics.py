@@ -181,10 +181,11 @@ class _OrbitPlan:
     prefix of the list, sorted by length, and the digits of width D(P)
     cannot carry for shorter words, so ``of`` keeps one plan per
     presentation and rebuilds it only for a larger P.  Its caches hold
-    words of X only (orbits, and images under rules preserving X) and no
-    reference to X, so keeping it on X makes no cycle."""
+    words of X only (orbits, and images under rules preserving X), the set
+    ``preserved`` of rules that ``automata.check_on_subshift`` found to map
+    X into X, and no reference to X, so keeping it on X makes no cycle."""
 
-    __slots__ = ("P", "orbits", "groups", "corr", "_batches")
+    __slots__ = ("P", "orbits", "groups", "corr", "_batches", "preserved")
 
     def __init__(self, X: ShiftPresentation, P: int):
         self.P = P
@@ -193,6 +194,7 @@ class _OrbitPlan:
                             itertools.groupby(self.orbits, len))
         self.corr = _Correlator(X.alphabet.symbols, P)
         self._batches = {}
+        self.preserved = set()
 
     @staticmethod
     def of(X: ShiftPresentation, P: int) -> "_OrbitPlan":

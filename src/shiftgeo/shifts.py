@@ -20,15 +20,17 @@ the Lyndon walk.  The same greatest fixpoint,
 ``_RelationMonoid.stable``, decides both arms of an eventually periodic
 point in ``contains_config``.
 
-Every walk on a presentation reads words through its one forward step
-``step`` (and ``read``, a fold of it) or its one backward step
-``step_back``; a symbol outside the alphabet steps to the empty set.  Each
-search has one private implementation that its callers share: the factor
-walk ``_factors``, the subset construction ``_subset_graph``, the index
-adjacency ``_indexed``, the SCCs ``_components`` (each as its state names
-and its internal edges), and the marker search ``_marker_search`` (a
-synchronizing w with pads u, w u w a factor) whose first hit both
-``mixing_sft_inside`` and ``homotopy.embed_complex`` take.
+Every walk on sets of named states reads words through its one forward
+step ``step`` (and ``read``, a fold of it) or its one backward step
+``step_back``; a symbol outside the alphabet steps to the empty set, as
+in the mask rows ``_symbol_rows``.  Each search has one private
+implementation that its callers share: the factor walk ``_factors``, the
+subset construction ``_subset_graph``, the inclusion BFS on state masks
+``_mask_subset``, the index adjacency ``_indexed``, the SCCs
+``_components`` (each as its state names and its internal edges), and
+the marker search ``_marker_search`` (a synchronizing w with pads u,
+w u w a factor) whose first hit both ``mixing_sft_inside`` and
+``homotopy.embed_complex`` take.
 
 All operations are pure; presentations are immutable after construction.
 """
@@ -283,33 +285,51 @@ def language(X: ShiftPresentation, n: int) -> list[str]:
     return list(_factors(X, n))
 
 
-def _separating_word(A: ShiftPresentation, B: ShiftPresentation):
-    """A word that is a factor of A but not of B, or None."""
-    if A.is_empty:
-        return None
-    if B.is_empty:
-        return ""
-    start = (frozenset(A.states), frozenset(B.states))
+def _symbol_rows(X: ShiftPresentation, symbols) -> list[list[int]]:
+    """Per symbol a of ``symbols``, the masks of the a-successors of X's
+    states (bit j for X.states[j]); all zero for a symbol X lacks."""
+    idx = {s: i for i, s in enumerate(X.states)}
+    rows = {a: [0] * len(idx) for a in symbols}
+    for (s, t, a) in X.edges:
+        if a in rows:
+            rows[a][idx[s]] |= 1 << idx[t]
+    return list(rows.values())
+
+
+def _mask_subset(rows_a, rows_b) -> bool:
+    """The subset BFS: True iff every word the A rows read from all of A's
+    states, the B rows (of the same symbols, see ``_symbol_rows``) read
+    from all of B's.  A pair of state sets is one mask, A's n states in its
+    low bits, so one step ORs the joint row entries of its set bits."""
+    n = len(rows_a[0])
+    rows = [ra + [m << n for m in rb] for ra, rb in zip(rows_a, rows_b)]
+    start = (1 << (n + len(rows_b[0]))) - 1
     seen = {start}
-    queue = [(start, "")]
-    for (SA, SB), w in queue:
-        for a in A.alphabet:
-            TA = A.step(SA, a)
-            if not TA:
+    queue = [start]
+    for S in queue:
+        for row in rows:
+            T, R = 0, S
+            while R:
+                low = R & -R
+                T |= row[low.bit_length() - 1]
+                R ^= low
+            if not T & ((1 << n) - 1):
                 continue
-            TB = B.step(SB, a)
-            if not TB:
-                return w + a
-            key = (TA, TB)
-            if key not in seen:
-                seen.add(key)
-                queue.append((key, w + a))
-    return None
+            if not T >> n:
+                return False
+            if T not in seen:
+                seen.add(T)
+                queue.append(T)
+    return True
 
 
 def language_subset(A: ShiftPresentation, B: ShiftPresentation) -> bool:
-    """Exact: every factor of A is a factor of B."""
-    return _separating_word(A, B) is None
+    """Exact: every factor of A is a factor of B.  Symbols are matched by
+    name: a symbol of A that B lacks steps B to the empty set.  The BFS
+    walks the R <= 2^(|Q_A| + |Q_B|) reachable pairs of state sets in
+    O(R |A| (|Q_A| + |Q_B|)) bit operations after O(|E_A| + |E_B|) set-up."""
+    symbols = A.alphabet.symbols
+    return _mask_subset(_symbol_rows(A, symbols), _symbol_rows(B, symbols))
 
 
 def language_equal(A: ShiftPresentation, B: ShiftPresentation) -> bool:

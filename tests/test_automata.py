@@ -286,6 +286,27 @@ def test_rigidity_precondition():
     assert not isometric_ca_precondition(orbit, "0", 1, 4).passed
 
 
+def test_check_on_subshift_tests_a_rule_on_a_shift_once(monkeypatch):
+    """The verdict that a rule maps X into X is kept on X's orbit plan: a
+    second check of the rule on X, at any bound the plan serves, runs no
+    preserves_shift, while another presentation of the same shift and a
+    rule that does not preserve X are tested on every call."""
+    calls = []
+    real = automata.preserves_shift
+    monkeypatch.setattr(automata, "preserves_shift",
+                        lambda f, X: calls.append(f) or real(f, X))
+    X, f, g = golden_mean(), elementary_ca(184), elementary_ca(90)
+    first = check_on_subshift(f, X, 6)
+    assert check_on_subshift(f, X, 5).period_bound == 5
+    assert check_on_subshift(elementary_ca(184), X, 6) == first
+    assert calls == [f]
+    assert check_on_subshift(f, golden_mean(), 6) == first
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            check_on_subshift(g, X, 6)
+    assert calls == [f, f, g, g]
+
+
 def test_periodic_points_make_no_contains_config_call(monkeypatch):
     """Periodic points are tested by the cycle flags of the transition
     monoid alone: no contains_config call.  On the full 2-shift every word

@@ -404,6 +404,21 @@ def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--dw"], "--dw"), (["--dc"], "--dc"), (["--estimate"], "--estimate"),
+    (["--estimate", "--dw"], "--dw, --estimate"),
+])
+def test_dist_to_shift_rejects_other_distances(capsys, golden_file, flags,
+                                               named):
+    """The distance to a shift is the Besicovitch one: a flag asking for
+    another distance is refused, not silently ignored."""
+    rc, out, err = run(capsys, "dist", "--to-shift", golden_file,
+                       "inf(1).inf(0)", *flags)
+    assert rc == 2 and out == ""
+    assert ("dist --to-shift gives the Besicovitch distance only and "
+            f"cannot take {named}") in err
+
+
 def test_dist_to_shift_takes_one_configuration(capsys, golden_file):
     rc, out, err = run(capsys, "dist", "--to-shift", golden_file,
                        "inf(0).inf(0)", "inf(1).inf(1)")

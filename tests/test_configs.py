@@ -65,6 +65,21 @@ def test_parse_errors():
         parse_config("inf(2).inf(0)", BINARY)
 
 
+@pytest.mark.parametrize("literal, need", [
+    ("inf(01)", "needs a '.' and a second period 'inf(WORD)'"),
+    ("inf(01)1", "needs a '.' and a second period 'inf(WORD)'"),
+    ("inf(01).", "needs a second period 'inf(WORD)'"),
+    ("inf(0).1", "needs a second period 'inf(WORD)'"),
+])
+def test_parse_error_names_the_missing_dot_and_period(literal, need):
+    """A literal with one period ends in 'inf(WORD)' already: the message
+    names what is missing after it."""
+    with pytest.raises(ValueError) as err:
+        parse_config(literal, BINARY)
+    assert str(err.value) == (f"configuration literal {need} after the "
+                              f"first, as in 'inf(01).inf(01)'")
+
+
 def test_roundtrip_and_canonical_idempotence():
     rng = random.Random(11)
     for _ in range(100):

@@ -21,7 +21,9 @@ the sliced windows of points and paths, the sliding rule read of
 ``apply_ca`` and ``apply_cyclic``, the one-window reads of ``project``
 and ``average``, ``symbol_at`` as a one-cell window and the integer-id
 image presentation of ``preserves_shift`` against the per-cell reads, the
-index arithmetic and the (q, u)-named construction they replaced, and the
+index arithmetic and the (q, u)-named construction they replaced, the
+subset BFS of ``language_subset`` on state masks against the one on
+frozensets of named states, and the
 period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
 ``mixing_distance`` ran, the factor index of the rigidity precondition
 against its scan over every orbit and against its one update per (orbit,
@@ -86,6 +88,7 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     isometric_ca_precondition_fixpoint_oracle, \
     isometric_ca_precondition_oracle, karp_min_mean_class_rows_oracle, \
     karp_min_mean_frontier_oracle, karp_min_mean_oracle, \
+    language_subset_oracle, \
     lex_least_completion_oracle, lyndon_words_state_set_oracle, \
     merge_equivalent_oracle, mixing_distance_oracle, \
     mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
@@ -1521,6 +1524,25 @@ def test_preserves_shift_matches_old_image_oracle(X, data):
     f = dataclasses.replace(f, left=f.left + shift, right=f.right + shift)
     assert preserves_shift(f, X) == preserves_shift_oracle(f, X) == \
         preserves_shift_tuple_oracle(f, X)
+
+
+@deterministic(300)
+@given(presentation(), presentation(), st.sampled_from(
+    ("drawn", "reordered", "empty")), st.data())
+def test_language_subset_matches_frozenset_bfs_oracle(A, B, kind, data):
+    """The subset BFS on state masks against the one on frozensets of
+    named states, both ways round, on two independent draws (often over
+    different alphabets, so a symbol of one is missing from the other, and
+    sometimes empty after the trim), on A's graph over its symbols in
+    another order, and against an empty presentation."""
+    if kind == "reordered":
+        B = ShiftPresentation(
+            Alphabet(data.draw(st.permutations(A.alphabet.symbols))),
+            A.states, A.edges)
+    elif kind == "empty":
+        B = ShiftPresentation(B.alphabet, [], [])
+    for P, Q in ((A, B), (B, A)):
+        assert language_subset(P, Q) == language_subset_oracle(P, Q)
 
 
 # -- sliced windows and the sliding rule read against per-cell reads --------
