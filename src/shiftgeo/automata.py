@@ -25,7 +25,7 @@ from .configs import Alphabet, Configuration, cyclic_slice, json_field, \
 from .errors import PreconditionError
 from .metrics import _OrbitPlan, cyclic_mismatch_density
 from .shifts import (ShiftPresentation, shannon_cover, language,
-                     _mask_subset, _RelationMonoid, _symbol_rows)
+                     _mask_subset, _RelationMonoid)
 
 MAX_WIDTH = 12
 
@@ -309,17 +309,16 @@ def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
     say) and (q, u) steps by a; and q has an in-edge p -> q (labeled b), so
     (p, (b + u)[:-1]) steps to (q, u).  So it needs no trim, and its edges
     go straight into mask rows for the subset BFS ``shifts._mask_subset``
-    against C's rows.  C is deterministic, so each of its rows has at most
-    one bit, read into the table ``nxt[a][i]`` (-1 for none); each (q, u)
-    carries the state q.u, so extending u is one lookup."""
+    against C's rows ``C._fwd``.  C is deterministic, so each row entry has
+    at most one bit, read into the table ``nxt[a][i]`` (-1 for none); each
+    (q, u) carries the state q.u, so extending u is one lookup."""
     if f.alphabet != X.alphabet:
         raise ValueError("alphabet mismatch")
     C = shannon_cover(X)
-    syms = C.alphabet.symbols
-    rows = _symbol_rows(C, syms)
-    if any(m & (m - 1) for row in rows for m in row):
+    if not C.is_deterministic():
         raise RuntimeError("Shannon cover is not deterministic")
-    nxt = {a: [m.bit_length() - 1 for m in row] for a, row in zip(syms, rows)}
+    syms = C.alphabet.symbols
+    nxt = {a: [m.bit_length() - 1 for m in row] for a, row in C._fwd.items()}
     paths = [(q, "", q) for q in range(len(C.states))]
     for _ in range(f.width - 1):
         paths = [(q, u + a, t) for (q, u, s) in paths for a in syms
@@ -331,7 +330,7 @@ def preserves_shift(f: CellularAutomaton, X: ShiftPresentation) -> bool:
             if nxt[a][s] >= 0:
                 w = u + a
                 image[f.table[w]][i] |= 1 << ids[nxt[w[0]][q], w[1:]]
-    return _mask_subset(list(image.values()), rows)
+    return _mask_subset(list(image.values()), list(C._fwd.values()))
 
 
 @dataclass

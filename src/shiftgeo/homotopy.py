@@ -22,7 +22,7 @@ from .paths import block_bounds
 from .shifts import (ShiftPresentation, concatenation_closure,
                      contains_config, intersect, language_equal,
                      language_subset, mixing_distance, transitive_components,
-                     _marker_search)
+                     _marker_search, _walk)
 
 # ---------------------------------------------------------------------------
 # abstract complexes and barycentric points
@@ -138,15 +138,16 @@ def inverse_weighted_average(points, weights):
 
 def lex_least_completion(X: ShiftPresentation, constraints) -> str:
     """Lexicographically least word of X's language matching the constraint
-    list (each cell a symbol or None)."""
+    list (each cell a symbol or None); viable[pos] masks the states from
+    which the cells from pos on can be read."""
     n = len(constraints)
-    viable = [None] * (n + 1)
-    viable[n] = frozenset(X.states)
+    viable = [0] * (n + 1)
+    viable[n] = (1 << len(X.states)) - 1
     for pos in range(n - 1, -1, -1):
         allowed = ([constraints[pos]] if constraints[pos] is not None
                    else list(X.alphabet))
-        viable[pos] = frozenset().union(
-            *(X.step_back(viable[pos + 1], a) for a in allowed))
+        for a in allowed:
+            viable[pos] |= _walk(X._back, viable[pos + 1], (a,))
         if not viable[pos]:
             raise PreconditionError(
                 f"constraints are not completable in the shift (cell {pos})")
@@ -156,7 +157,7 @@ def lex_least_completion(X: ShiftPresentation, constraints) -> str:
         allowed = ([constraints[pos]] if constraints[pos] is not None
                    else list(X.alphabet))
         for a in allowed:
-            nxt = X.step(cur, a) & viable[pos + 1]
+            nxt = _walk(X._fwd, cur, (a,)) & viable[pos + 1]
             if nxt:
                 out.append(a)
                 cur = nxt

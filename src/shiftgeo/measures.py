@@ -21,7 +21,7 @@ from operator import mul, sub
 from .configs import Alphabet
 from .errors import CapError, PreconditionError
 from .shifts import ShiftPresentation, language, shannon_cover, \
-    _components, _indexed
+    _components
 
 STOCHASTIC_TOL = 1e-12
 POWER_TOL = 1e-15
@@ -80,7 +80,7 @@ def parry_measure(X: ShiftPresentation) -> MarkovMeasure:
     if len(_components(C)) != 1:
         raise PreconditionError("presentation is reducible")
     n = len(C.states)
-    idx = _indexed(C)[0]
+    idx = C._index
     A = [[0.0] * n for _ in range(n)]
     for (s, t, _a) in C.edges:
         A[idx[s]][idx[t]] += 1.0
@@ -337,23 +337,21 @@ def bernoulli_prefix(alphabet: Alphabet, seed: int, N: int) -> str:
     return "".join(syms[rng.randrange(k)] for _ in range(N))
 
 
-def hamming_ball_count(w: str, n: int, eps,
-                       alphabet: Alphabet | None = None):
+def hamming_ball_count(w: str, n: int, eps):
     """Exact count of the length-n words within relative Hamming distance
     eps of some window of the periodic point given by w, compared against
-    the bound p * C(n, floor(n eps)) * |A|^ceil(n eps).
+    the bound p * C(n, floor(n eps)) * |A|^ceil(n eps), where A is the set
+    of w's symbols, padded with the least of 0, 1 that w lacks when w has
+    one symbol.
 
     Returns (count, bound, count <= bound).
     """
     if not w:
         raise PreconditionError("need a non-empty period word")
-    if alphabet is None:
-        syms = set(w)
-        if len(syms) < 2:  # pad with the least of 0, 1 not in w
-            syms.add(min({"0", "1"} - syms))
-        syms = tuple(sorted(syms))
-    else:
-        syms = alphabet.symbols
+    syms = set(w)
+    if len(syms) < 2:
+        syms.add(min({"0", "1"} - syms))
+    syms = tuple(sorted(syms))
     if n < 0:
         raise PreconditionError("word length must be non-negative")
     if n > BALL_N_CAP:

@@ -43,12 +43,12 @@ product construction: each arm's cyclic position graph is crossed with the
 presentation, mismatches give 0/1 edge costs, Karp's minimum mean cycle is
 run per strongly connected component, and the best co-reachable (left cycle,
 right cycle) pair wins.  The n positions are numbered left cycle, finite
-middle, right cycle, and product node (q, i) is q_index * n + i, so i = v mod
-n tells a node's arm.  The product is one list of (target, cost) pairs per
-node, read in place by Tarjan and Karp; edges carry no label.  Every edge
-inside an arm's component goes from position phase j to phase j + 1 mod p,
-so Karp's cyclic classes refine the phases and its rows hold at most |Q|
-entries (time and memory linear in p).
+middle, right cycle, and product node (q, i) is Y._index[q] * n + i, so
+i = v mod n tells a node's arm.  The product is one list of (target, cost)
+pairs per node, read in place by Tarjan and Karp; edges carry no label.
+Every edge inside an arm's component goes from position phase j to phase
+j + 1 mod p, so Karp's cyclic classes refine the phases and its rows hold
+at most |Q| entries (time and memory linear in p).
 The best right cycle each component reaches is folded along the condensation
 DAG, so a long finite part (a chain of one-node components) is linear too.
 
@@ -426,11 +426,10 @@ def distance_to_shift_detail(x: Configuration,
         raise EmptyShiftError("distance to the empty shift is undefined")
     word, psucc, nl, r0 = _position_graph(x)
     n = len(word)
-    q_index = {q: i for i, q in enumerate(Y.states)}
     size = len(Y.states) * n
     wsucc = [[] for _ in range(size)]
     for (s, t, a) in Y.edges:
-        s0, t0 = q_index[s] * n, q_index[t] * n
+        s0, t0 = Y._index[s] * n, Y._index[t] * n
         for i, c in enumerate(word):
             for j in psucc[i]:
                 wsucc[s0 + i].append((t0 + j, int(a != c)))

@@ -20,17 +20,18 @@ the Lyndon walk.  The same greatest fixpoint,
 ``_RelationMonoid.stable``, decides both arms of an eventually periodic
 point in ``contains_config``.
 
-Every walk on sets of named states reads words through its one forward
-step ``step`` (and ``read``, a fold of it) or its one backward step
-``step_back``; a symbol outside the alphabet steps to the empty set, as
-in the mask rows ``_symbol_rows``.  Each search has one private
-implementation that its callers share: the factor walk ``_factors``, the
-subset construction ``_subset_graph``, the inclusion BFS on state masks
-``_mask_subset``, the index adjacency ``_indexed``, the SCCs
-``_components`` (each as its state names and its internal edges), and
-the marker search ``_marker_search`` (a synchronizing w with pads u,
-w u w a factor) whose first hit both ``mixing_sft_inside`` and
-``homotopy.embed_complex`` take.
+A presentation holds one adjacency: ``_index`` numbers its states, and
+``_fwd[a][i]`` and ``_back[a][i]`` are the masks of the a-successors and
+a-predecessors of state i (bit j for states[j]).  Every walk on sets of
+states steps masks through the one image step ``_image``; a symbol
+outside the alphabet has no row and steps to the empty set.  The public
+``step``, ``step_back`` and ``read`` convert frozensets of state names.
+Each search has one private implementation that its callers share: the
+factor walk ``_factors``, the subset construction ``_subset_graph``, the
+inclusion BFS ``_mask_subset``, the SCCs ``_components`` (each as its
+state names and its internal edges), and the marker search
+``_marker_search`` (a synchronizing w with pads u, w u w a factor) whose
+first hit both ``mixing_sft_inside`` and ``homotopy.embed_complex`` take.
 
 All operations are pure; presentations are immutable after construction.
 """
@@ -61,6 +62,27 @@ def _edge_key(alphabet: Alphabet, e) -> tuple:
     return (_state_key(e[0]), alphabet.index(e[2]), _state_key(e[1]))
 
 
+def _image(row, mask: int) -> int:
+    """The union of row[j] over the set bits j of mask: one step of a set
+    of states through the mask rows of one symbol."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _walk(rows: dict, mask: int, word) -> int:
+    """The mask of the states where paths from the states of mask that
+    read word through ``rows`` (``_fwd``, or ``_back`` backwards) end."""
+    for a in word:
+        if not mask or a not in rows:
+            return 0
+        mask = _image(rows[a], mask)
+    return mask
+
+
 class ShiftPresentation:
     """Labeled directed graph presenting a sofic shift.
 
@@ -70,8 +92,8 @@ class ShiftPresentation:
     presentation (no states) is valid and presents the empty shift.
     """
 
-    __slots__ = ("alphabet", "states", "edges", "_out", "_in", "_cover",
-                 "_orbit_plan")
+    __slots__ = ("alphabet", "states", "edges", "_index", "_fwd", "_back",
+                 "_cover", "_orbit_plan")
 
     def __init__(self, alphabet: Alphabet, states, edges):
         self.alphabet = alphabet
@@ -93,13 +115,12 @@ class ShiftPresentation:
         self.states = tuple(sorted(states, key=_state_key))
         self.edges = tuple(sorted(edges,
                                   key=lambda e: _edge_key(alphabet, e)))
-        out: dict = {s: {} for s in self.states}
-        inc: dict = {s: {} for s in self.states}
+        self._index = index = {s: i for i, s in enumerate(self.states)}
+        self._fwd = {a: [0] * len(index) for a in alphabet}
+        self._back = {a: [0] * len(index) for a in alphabet}
         for (s, t, a) in self.edges:
-            out[s].setdefault(a, set()).add(t)
-            inc[t].setdefault(a, set()).add(s)
-        self._out = out
-        self._in = inc
+            self._fwd[a][index[s]] |= 1 << index[t]
+            self._back[a][index[t]] |= 1 << index[s]
         self._cover = None   # filled by the first shannon_cover(self)
         # the orbit plan (metrics._OrbitPlan) that every periodic-orbit
         # query on self up to its bound shares; filled by the first query
@@ -113,32 +134,29 @@ class ShiftPresentation:
         return not self.states
 
     def is_deterministic(self) -> bool:
-        return all(len(ts) == 1 for m in self._out.values()
-                   for ts in m.values())
+        return not any(m & (m - 1) for row in self._fwd.values()
+                       for m in row)
+
+    def _names(self, mask: int) -> frozenset:
+        return frozenset(s for i, s in enumerate(self.states)
+                         if mask >> i & 1)
+
+    def _walk_names(self, rows: dict, state_set, word) -> frozenset:
+        mask = sum(1 << self._index[s] for s in set(state_set))
+        return self._names(_walk(rows, mask, word))
 
     def step(self, state_set, symbol) -> frozenset:
-        out = set()
-        for s in state_set:
-            out |= self._out[s].get(symbol, set())
-        return frozenset(out)
+        return self._walk_names(self._fwd, state_set, (symbol,))
 
     def step_back(self, state_set, symbol) -> frozenset:
-        out = set()
-        for s in state_set:
-            out |= self._in[s].get(symbol, set())
-        return frozenset(out)
+        return self._walk_names(self._back, state_set, (symbol,))
 
     def read(self, state_set, word: str) -> frozenset:
-        cur = frozenset(state_set)
-        for a in word:
-            if not cur:
-                break
-            cur = self.step(cur, a)
-        return cur
+        return self._walk_names(self._fwd, state_set, word)
 
     def accepts_word(self, word: str) -> bool:
         """True iff word is a factor of the presented shift."""
-        return bool(self.read(self.states, word))
+        return bool(_walk(self._fwd, (1 << len(self.states)) - 1, word))
 
     def renamed(self) -> "ShiftPresentation":
         """Relabel states to q0..qn in canonical order."""
@@ -260,21 +278,22 @@ def disjoint_union(*parts: ShiftPresentation) -> ShiftPresentation:
 
 
 def _factors(X: ShiftPresentation, n: int):
-    """Yield the length-n factors of X in the alphabet's lexicographic
-    order, by a depth-first walk on the state sets of their prefixes."""
+    """Yield the length-n factors w of X in the alphabet's lexicographic
+    order, each with the mask of the states where reading w ends, by a
+    depth-first walk on the masks of their prefixes."""
     if n < 0:
         raise ValueError(f"factor length must be non-negative, got {n}")
     if X.is_empty:
         return
-    backwards = X.alphabet.symbols[::-1]
-    stack = [("", frozenset(X.states))]
+    backwards = [(a, X._fwd[a]) for a in X.alphabet.symbols[::-1]]
+    stack = [("", (1 << len(X.states)) - 1)]
     while stack:
         w, S = stack.pop()
         if len(w) == n:
-            yield w
+            yield w, S
             continue
-        for a in backwards:
-            T = X.step(S, a)
+        for a, row in backwards:
+            T = _image(row, S)
             if T:
                 stack.append((w + a, T))
 
@@ -282,25 +301,14 @@ def _factors(X: ShiftPresentation, n: int):
 def language(X: ShiftPresentation, n: int) -> list[str]:
     """All length-n factors of X, in the alphabet's lexicographic order.
     Raises ValueError for n < 0."""
-    return list(_factors(X, n))
-
-
-def _symbol_rows(X: ShiftPresentation, symbols) -> list[list[int]]:
-    """Per symbol a of ``symbols``, the masks of the a-successors of X's
-    states (bit j for X.states[j]); all zero for a symbol X lacks."""
-    idx = {s: i for i, s in enumerate(X.states)}
-    rows = {a: [0] * len(idx) for a in symbols}
-    for (s, t, a) in X.edges:
-        if a in rows:
-            rows[a][idx[s]] |= 1 << idx[t]
-    return list(rows.values())
+    return [w for w, _S in _factors(X, n)]
 
 
 def _mask_subset(rows_a, rows_b) -> bool:
     """The subset BFS: True iff every word the A rows read from all of A's
-    states, the B rows (of the same symbols, see ``_symbol_rows``) read
-    from all of B's.  A pair of state sets is one mask, A's n states in its
-    low bits, so one step ORs the joint row entries of its set bits."""
+    states, the B rows (of the same symbols, in the same order) read from
+    all of B's.  A pair of state sets is one mask, A's n states in its low
+    bits, so one ``_image`` step through the joint rows moves both."""
     n = len(rows_a[0])
     rows = [ra + [m << n for m in rb] for ra, rb in zip(rows_a, rows_b)]
     start = (1 << (n + len(rows_b[0]))) - 1
@@ -308,11 +316,7 @@ def _mask_subset(rows_a, rows_b) -> bool:
     queue = [start]
     for S in queue:
         for row in rows:
-            T, R = 0, S
-            while R:
-                low = R & -R
-                T |= row[low.bit_length() - 1]
-                R ^= low
+            T = _image(row, S)
             if not T & ((1 << n) - 1):
                 continue
             if not T >> n:
@@ -327,9 +331,9 @@ def language_subset(A: ShiftPresentation, B: ShiftPresentation) -> bool:
     """Exact: every factor of A is a factor of B.  Symbols are matched by
     name: a symbol of A that B lacks steps B to the empty set.  The BFS
     walks the R <= 2^(|Q_A| + |Q_B|) reachable pairs of state sets in
-    O(R |A| (|Q_A| + |Q_B|)) bit operations after O(|E_A| + |E_B|) set-up."""
-    symbols = A.alphabet.symbols
-    return _mask_subset(_symbol_rows(A, symbols), _symbol_rows(B, symbols))
+    O(R |A| (|Q_A| + |Q_B|)) bit operations on the presentations' rows."""
+    return _mask_subset(list(A._fwd.values()), [
+        B._fwd.get(a, [0] * len(B.states)) for a in A._fwd])
 
 
 def language_equal(A: ShiftPresentation, B: ShiftPresentation) -> bool:
@@ -340,17 +344,17 @@ def language_equal(A: ShiftPresentation, B: ShiftPresentation) -> bool:
 # Shannon cover
 
 
-def _subset_graph(X: ShiftPresentation, step):
-    """The state sets reachable from X.states under ``step`` (``X.step`` or
-    ``X.step_back``), in breadth-first order, and the labeled edges
-    (S, step(S, a), a) between them."""
-    start = frozenset(X.states)
+def _subset_graph(X: ShiftPresentation, rows: dict):
+    """The masks of the state sets reachable from all of X's states under
+    ``rows`` (``X._fwd`` or ``X._back``), in breadth-first order, and the
+    labeled edges (S, T, a) between them, T the image of S under rows[a]."""
+    start = (1 << len(X.states)) - 1
     sets = [start]
     seen = {start}
     edges = []
     for S in sets:
-        for a in X.alphabet:
-            T = step(S, a)
+        for a, row in rows.items():
+            T = _image(row, S)
             if not T:
                 continue
             edges.append((S, T, a))
@@ -363,25 +367,27 @@ def _subset_graph(X: ShiftPresentation, step):
 def _merge_equivalent(X: ShiftPresentation) -> ShiftPresentation:
     """Merge states of a deterministic presentation with equal follower sets
     (Moore partition refinement on the partial transition function)."""
-    out = X._out
-    part = {s: frozenset(out[s]) for s in X.states}
-    count = len(set(part.values()))
+    nxt = [tuple(m.bit_length() - 1 for m in col)
+           for col in zip(*X._fwd.values())]
+    part = [tuple(t >= 0 for t in row) for row in nxt]
+    count = len(set(part))
     while True:
         # signatures are numbered as they come: the numbers need to agree
         # within a round only, as merged states are named by their member
         # sets; each round refines the last, so an equal count is a fixpoint
         ids: dict = {}
-        part = {s: ids.setdefault((part[s], tuple(
-            part[next(iter(out[s][a]))] if a in out[s] else -1
-            for a in X.alphabet)), len(ids)) for s in X.states}
+        part = [ids.setdefault((part[i], tuple(
+            part[t] if t >= 0 else -1 for t in row)), len(ids))
+            for i, row in enumerate(nxt)]
         if len(ids) == count:
             break
         count = len(ids)
     reps: dict[int, list] = {}
-    for s in X.states:
-        reps.setdefault(part[s], []).append(s)
+    for i, s in enumerate(X.states):
+        reps.setdefault(part[i], []).append(s)
     name = {c: frozenset(grp) for c, grp in reps.items()}
-    edges = {(name[part[s]], name[part[t]], a) for (s, t, a) in X.edges}
+    edges = {(name[part[X._index[s]]], name[part[X._index[t]]], a)
+             for (s, t, a) in X.edges}
     return ShiftPresentation(X.alphabet, list(name.values()), edges)
 
 
@@ -403,8 +409,10 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
         return X._cover
     if X.is_empty:
         raise EmptyShiftError("empty shift has no cover")
-    M = _merge_equivalent(ShiftPresentation(X.alphabet,
-                                            *_subset_graph(X, X.step)))
+    sets, edges = _subset_graph(X, X._fwd)
+    name = {S: X._names(S) for S in sets}  # named by sets of X's names
+    M = _merge_equivalent(ShiftPresentation(X.alphabet, name.values(), [
+        (name[S], name[T], a) for (S, T, a) in edges]))
     changed = True
     while changed:
         changed = False
@@ -424,20 +432,18 @@ def shannon_cover(X: ShiftPresentation) -> ShiftPresentation:
     return X._cover
 
 
-def _indexed(C: ShiftPresentation):
-    """(idx, succ): the index of each state in C.states, and the successor
-    index list of each state, one entry per edge."""
-    idx = {s: i for i, s in enumerate(C.states)}
+def _successors(C: ShiftPresentation) -> list[list[int]]:
+    """The successor index list of each state of C, one entry per edge."""
     succ = [[] for _ in C.states]
     for (s, t, _a) in C.edges:
-        succ[idx[s]].append(idx[t])
-    return idx, succ
+        succ[C._index[s]].append(C._index[t])
+    return succ
 
 
 def _components(C: ShiftPresentation) -> list:
     """Strongly connected components of C, each as (the set of its state
     names, the edges of C inside it in C's edge order)."""
-    comps = _graph.strongly_connected_components(len(C.states), _indexed(C)[1])
+    comps = _graph.strongly_connected_components(len(C.states), _successors(C))
     return [(names, [e for e in C.edges if e[0] in names and e[1] in names])
             for names in ({C.states[i] for i in comp} for comp in comps)]
 
@@ -488,9 +494,9 @@ def transitive_components(X: ShiftPresentation) -> ComponentDecomposition:
 # mixing distance
 
 
-def _minimal_sets(family: list[frozenset]) -> list[frozenset]:
+def _minimal_sets(family: list[int]) -> list[int]:
     return [S for S in family
-            if not any(T < S for T in family)]
+            if not any(T != S and T | S == S for T in family)]
 
 
 def mixing_distance(X: ShiftPresentation) -> int:
@@ -499,7 +505,7 @@ def mixing_distance(X: ShiftPresentation) -> int:
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     C = shannon_cover(X)
-    idx, succ = _indexed(C)
+    succ = _successors(C)
     if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
         raise PreconditionError("shift is not irreducible")
     g = _graph.bfs_period([[(w, 1) for w in row] for row in succ])[1]
@@ -507,21 +513,18 @@ def mixing_distance(X: ShiftPresentation) -> int:
         raise PreconditionError(f"shift is not mixing (period {g})")
     # rows[i]: bitmask of the states that paths of exactly k edges from
     # state i reach, for k = 0, 1, ...; joins[k]: every end-of-word state
-    # set reaches every start-of-word state set in exactly k steps.  Rows
-    # are joined by OR, so parallel edges (repeats in succ) count once.
-    mask = lambda S: sum(1 << idx[s] for s in S)
-    ends = [mask(S) for S in _minimal_sets(_subset_graph(C, C.step)[0])]
-    starts = [mask(S)
-              for S in _minimal_sets(_subset_graph(C, C.step_back)[0])]
+    # set reaches every start-of-word state set in exactly k steps; adj[i]:
+    # the mask of the successors of state i.
+    ends = _minimal_sets(_subset_graph(C, C._fwd)[0])
+    starts = _minimal_sets(_subset_graph(C, C._back)[0])
+    adj = [functools.reduce(or_, col) for col in zip(*C._fwd.values())]
     n = len(C.states)
     rows = [1 << i for i in range(n)]
     joins = []
     for _ in range((n - 1) ** 2 + n + 2):
-        reach = [functools.reduce(or_, (r for i, r in enumerate(rows)
-                                        if E >> i & 1)) for E in ends]
+        reach = [_image(rows, E) for E in ends]
         joins.append(all(r & S for r in reach for S in starts))
-        rows = [functools.reduce(or_, (rows[j] for j in row))
-                for row in succ]
+        rows = [_image(rows, m) for m in adj]
         if all(r == (1 << n) - 1 for r in rows):
             break
     else:
@@ -541,15 +544,15 @@ def _synchronizing_words(C: ShiftPresentation, cap: int):
     deterministic presentation C (reading one leads to a single state), by
     length and then in the alphabet's lexicographic order."""
     for length in range(1, cap + 1):
-        for w in _factors(C, length):
-            if len(C.read(C.states, w)) == 1 and is_unbordered(w):
+        for w, S in _factors(C, length):
+            if not S & (S - 1) and is_unbordered(w):
                 yield w
 
 
 def _pads(C: ShiftPresentation, w: str, k: int) -> list[str]:
     """The words u of length k that avoid w and have w u w a factor of C, in
     the alphabet's lexicographic order."""
-    return [u for u in _factors(C, k)
+    return [u for u, _S in _factors(C, k)
             if w not in u and C.accepts_word(w + u + w)]
 
 
@@ -659,7 +662,7 @@ def intersect(X: ShiftPresentation, Y: ShiftPresentation) -> ShiftPresentation:
         raise ValueError("alphabet mismatch")
     states = [(s, t) for s in X.states for t in Y.states]
     edges = [((s1, s2), (t1, t2), a) for (s1, t1, a) in X.edges
-             for s2 in Y.states for t2 in Y.step({s2}, a)]
+             for s2, m in zip(Y.states, Y._fwd[a]) for t2 in Y._names(m)]
     return ShiftPresentation(X.alphabet, states, edges).renamed()
 
 
@@ -675,32 +678,29 @@ def contains_config(X: ShiftPresentation, x: Configuration) -> bool:
                         (x.left_period, x.left_finite + x.right_finite,
                          x.right_period))
     into, out = M.stable(left, False), M.stable(right, True)
-    return mid >= 0 and any(into >> s & 1 and r & out
-                            for s, r in enumerate(M.relations[mid]))
+    return mid >= 0 and bool(_image(M.relations[mid], into) & out)
 
 
 class _RelationMonoid:
     """The transition monoid of X, interned as the walks reach it.
 
     The relation R_w of a word w (s to t when a path from s to t reads w)
-    is one bitmask row per source state, in X's state order.  Each distinct
-    nonempty R_w is an element id with ``succ``, its images under the
-    symbols stepped so far (-1: the empty relation, also for symbols
-    outside the alphabet), and ``flags``, its cycle flag: ``stable`` is
-    nonempty exactly when a cycle of X reads a power of w, so when inf(w)
-    lies in X (Lind and Marcus).  An image costs O(|Q|^2) once; a later
-    step is one lookup.
+    is one bitmask row per source state, in X's state order, so R_a is X's
+    own row ``X._fwd[a]`` and R_wb is R_w stepped through R_b row by row.
+    Each distinct nonempty R_w is an element id with ``succ``, its images
+    under the symbols stepped so far (-1: the empty relation, also for
+    symbols outside the alphabet), and ``flags``, its cycle flag:
+    ``stable`` is nonempty exactly when a cycle of X reads a power of w, so
+    when inf(w) lies in X (Lind and Marcus).  An image costs O(|Q|^2)
+    once; a later step is one lookup.
     """
 
     __slots__ = ("rows", "ids", "relations", "succ", "flags", "identity")
 
     def __init__(self, X: ShiftPresentation):
-        idx = {s: i for i, s in enumerate(X.states)}
-        self.rows = {a: [0] * len(idx) for a in X.alphabet}
-        for (s, t, a) in X.edges:
-            self.rows[a][idx[s]] |= 1 << idx[t]
+        self.rows = X._fwd
         self.ids, self.relations, self.succ, self.flags = {}, [], [], []
-        self.identity = self._element(tuple(1 << i for i in range(len(idx))))
+        self.identity = self._element(tuple(1 << i for i in X._index.values()))
 
     def _element(self, rel: tuple) -> int:
         if not any(rel):
@@ -727,8 +727,7 @@ class _RelationMonoid:
             if outgoing:
                 nxt = sum(1 << s for s, r in enumerate(rel) if r & live)
             else:
-                nxt = functools.reduce(
-                    or_, (r for s, r in enumerate(rel) if live >> s & 1), 0)
+                nxt = _image(rel, live)
             if nxt == live:
                 return live
             live = nxt
@@ -737,9 +736,7 @@ class _RelationMonoid:
         """Compute and record the step of element e >= 0 by b."""
         row = self.rows.get(b)
         self.succ[e][b] = f = self._element(tuple(
-            functools.reduce(or_, (row[j] for j in range(len(row))
-                                   if r >> j & 1), 0)
-            for r in self.relations[e]) if row else ())
+            _image(row, r) for r in self.relations[e]) if row else ())
         return f
 
     def step(self, e: int, b) -> int:

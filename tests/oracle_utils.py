@@ -1173,7 +1173,7 @@ def parry_measure_numpy_oracle(X):
     from shiftgeo.measures import MarkovMeasure, POWER_CAP, POWER_TOL, \
         STOCHASTIC_TOL
     from shiftgeo.errors import PreconditionError
-    from shiftgeo.shifts import shannon_cover, _components, _indexed
+    from shiftgeo.shifts import shannon_cover, _components
 
     if X.is_empty:
         raise PreconditionError("presentation is reducible")
@@ -1181,7 +1181,7 @@ def parry_measure_numpy_oracle(X):
     if len(_components(C)) != 1:
         raise PreconditionError("presentation is reducible")
     n = len(C.states)
-    idx = _indexed(C)[0]
+    idx = {s: i for i, s in enumerate(C.states)}
     A = np.zeros((n, n))
     for (s, t, _a) in C.edges:
         A[idx[s], idx[t]] += 1.0
@@ -1220,21 +1220,23 @@ def parry_measure_numpy_oracle(X):
 
 def language_subset_oracle(A, B) -> bool:
     """Exact: every factor of A is a factor of B, by a breadth-first search
-    on pairs (state set of A, state set of B) through the presentations'
-    own ``step``, which stops at the first word A reads and B does not."""
+    on pairs (state set of A, state set of B) through the per-state dicts
+    of ``StepOracle``, which stops at the first word A reads and B does
+    not."""
     if A.is_empty:
         return True
     if B.is_empty:
         return False
+    step_a, step_b = StepOracle(A).step, StepOracle(B).step
     start = (frozenset(A.states), frozenset(B.states))
     seen = {start}
     queue = [start]
     for SA, SB in queue:
         for a in A.alphabet:
-            TA = A.step(SA, a)
+            TA = step_a(SA, a)
             if not TA:
                 continue
-            TB = B.step(SB, a)
+            TB = step_b(SB, a)
             if not TB:
                 return False
             if (TA, TB) not in seen:
@@ -1586,12 +1588,14 @@ def mixing_distance_oracle(X) -> int:
     kept as a list of boolean lists, multiplied by an O(n^3) ``any``."""
     from shiftgeo import _graph
     from shiftgeo.errors import EmptyShiftError, PreconditionError
-    from shiftgeo.shifts import _indexed, _minimal_sets, _subset_graph, \
-        shannon_cover
+    from shiftgeo.shifts import shannon_cover
     if X.is_empty:
         raise EmptyShiftError("empty shift")
     C = shannon_cover(X)
-    idx, succ = _indexed(C)
+    idx = {s: i for i, s in enumerate(C.states)}
+    succ = [[] for _ in C.states]
+    for (s, t, _a) in C.edges:
+        succ[idx[s]].append(idx[t])
     if len(_graph.strongly_connected_components(len(succ), succ)) != 1:
         raise PreconditionError("shift is not irreducible")
     g = cover_period_oracle(succ)
@@ -1602,8 +1606,11 @@ def mixing_distance_oracle(X) -> int:
     for i, row in enumerate(succ):
         for j in row:
             adj[i][j] = True
-    ends = _minimal_sets(_subset_graph(C, C.step)[0])
-    starts = _minimal_sets(_subset_graph(C, C.step_back)[0])
+    steps = StepOracle(C)
+    ends, starts = (
+        [S for S in sets if not any(T < S for T in sets)]
+        for sets in (subset_graph_oracle(C, steps.step)[0],
+                     subset_graph_oracle(C, steps.step_back)[0]))
     end_sets = [sorted(idx[s] for s in S) for S in ends]
     start_sets = [frozenset(idx[s] for s in S) for S in starts]
 
@@ -1633,6 +1640,73 @@ def mixing_distance_oracle(X) -> int:
     while m > 0 and condition(powers[m - 1]):
         m -= 1
     return m
+
+
+# -- the per-state dicts that shiftgeo.shifts.ShiftPresentation stepped
+# through before it held one adjacency of mask rows ---------------------------
+
+
+class StepOracle:
+    """The stepping of a presentation X through per-state dicts built from
+    X.edges: ``out[s][a]`` holds the a-successors of s and ``inc[t][a]`` the
+    a-predecessors of t.  State sets are frozensets of names; a symbol
+    outside the alphabet steps to the empty set."""
+
+    def __init__(self, X):
+        self.states = X.states
+        self.out = {s: {} for s in X.states}
+        self.inc = {s: {} for s in X.states}
+        for (s, t, a) in X.edges:
+            self.out[s].setdefault(a, set()).add(t)
+            self.inc[t].setdefault(a, set()).add(s)
+
+    def is_deterministic(self) -> bool:
+        return all(len(ts) == 1 for m in self.out.values()
+                   for ts in m.values())
+
+    def step(self, state_set, symbol) -> frozenset:
+        out = set()
+        for s in state_set:
+            out |= self.out[s].get(symbol, set())
+        return frozenset(out)
+
+    def step_back(self, state_set, symbol) -> frozenset:
+        out = set()
+        for s in state_set:
+            out |= self.inc[s].get(symbol, set())
+        return frozenset(out)
+
+    def read(self, state_set, word: str) -> frozenset:
+        cur = frozenset(state_set)
+        for a in word:
+            if not cur:
+                break
+            cur = self.step(cur, a)
+        return cur
+
+    def accepts_word(self, word: str) -> bool:
+        return bool(self.read(self.states, word))
+
+
+def subset_graph_oracle(X, step):
+    """The state sets reachable from X.states under ``step`` (a
+    ``StepOracle``'s ``step`` or ``step_back``), as frozensets of names in
+    breadth-first order, and the labeled edges (S, step(S, a), a) between
+    them."""
+    start = frozenset(X.states)
+    sets = [start]
+    seen = {start}
+    edges = []
+    for S in sets:
+        for a in X.alphabet:
+            T = step(S, a)
+            if not T:
+                continue
+            edges.append((S, T, a))
+            if T not in seen:
+                seen.add(T)
+                sets.append(T)
+    return sets, edges
 
 
 # -- the per-state walks that shiftgeo.shifts and shiftgeo.homotopy ran before
@@ -1677,7 +1751,8 @@ def merge_equivalent_oracle(X):
     (Moore partition refinement on the partial transition function)."""
     from shiftgeo.shifts import ShiftPresentation, _state_key
     states = list(X.states)
-    sig0 = {s: frozenset(X._out[s]) for s in states}
+    out = StepOracle(X).out
+    sig0 = {s: frozenset(out[s]) for s in states}
     classes = {}
     for s in states:
         classes.setdefault(sig0[s], []).append(s)
@@ -1687,7 +1762,7 @@ def merge_equivalent_oracle(X):
         sig = {}
         for s in states:
             sig[s] = (part[s], tuple(
-                (a, part[next(iter(X._out[s][a]))] if a in X._out[s] else -1)
+                (a, part[next(iter(out[s][a]))] if a in out[s] else -1)
                 for a in X.alphabet))
         groups: dict = {}
         for s in states:

@@ -23,7 +23,9 @@ and ``average``, ``symbol_at`` as a one-cell window and the integer-id
 image presentation of ``preserves_shift`` against the per-cell reads, the
 index arithmetic and the (q, u)-named construction they replaced, the
 subset BFS of ``language_subset`` on state masks against the one on
-frozensets of named states, and the
+frozensets of named states, the mask rows behind ``step``, ``step_back``,
+``read``, ``accepts_word`` and ``is_deterministic`` and the mask subset
+construction against the per-state dicts they replaced, and the
 period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
 ``mixing_distance`` ran, the factor index of the rigidity precondition
 against its scan over every orbit and against its one update per (orbit,
@@ -97,7 +99,8 @@ from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     periodic_orbits_oracle, preserves_shift_oracle, precondition_oracle, \
     precondition_per_orbit_index_oracle, preserves_shift_tuple_oracle, \
     project_oracle, profile_mismatches_oracle, residue_profile_oracle, sft14, \
-    stable_block_set_oracle, strongly_connected_components_oracle, \
+    stable_block_set_oracle, StepOracle, \
+    strongly_connected_components_oracle, subset_graph_oracle, \
     symbol_at_oracle, unfolded_arm_densities, \
     unique_approximation_search_oracle, verify_binomial_bound_oracle, \
     window_oracle
@@ -1357,6 +1360,51 @@ def test_mixing_distance_bitmask_rows_match_boolean_powers_oracle(X):
 # -- walks through step / step_back against the per-state loops ------------
 
 
+@deterministic(400)
+@given(presentation(), st.data())
+def test_mask_rows_step_like_the_per_state_dicts_oracle(X, data):
+    """step, step_back, read, accepts_word and is_deterministic against the
+    per-state dicts built from the edges: on X, its cover and the empty
+    presentation over its alphabet, from a random state set (the empty set
+    among them) and from all states, by every symbol and one outside the
+    alphabet, on words that may hold that symbol."""
+    foreign = _foreign_symbol(X.alphabet)
+    syms = X.alphabet.symbols + (foreign,)
+    words = st.text(st.sampled_from(syms), max_size=6)
+    empty = ShiftPresentation(X.alphabet, [], [])
+    for Y in [X, empty] + ([] if X.is_empty else [shannon_cover(X)]):
+        O = StepOracle(Y)
+        assert Y.is_deterministic() == O.is_deterministic()
+        some = frozenset(data.draw(st.sets(st.sampled_from(Y.states)))
+                         if Y.states else ())
+        for S in (some, frozenset(), Y.states):
+            for a in syms:
+                got = Y.step(S, a), Y.step_back(S, a)
+                assert got == (O.step(S, a), O.step_back(S, a)), (S, a)
+                assert all(type(T) is frozenset for T in got)
+            word = data.draw(words)
+            assert Y.read(S, word) == O.read(S, word), (S, word)
+        for word in (data.draw(words), "", foreign,
+                     "".join(data.draw(st.lists(
+                         st.sampled_from(X.alphabet.symbols), max_size=6)))):
+            assert Y.accepts_word(word) == O.accepts_word(word), word
+
+
+@deterministic(300)
+@given(presentation())
+def test_mask_subset_graph_matches_frozenset_oracle(X):
+    """The subset construction on masks, forward and backward, names the
+    same state sets in the same breadth-first order with the same edges as
+    the one on frozensets of state names."""
+    O = StepOracle(X)
+    for rows, step in ((X._fwd, O.step), (X._back, O.step_back)):
+        sets, edges = _subset_graph(X, rows)
+        name = X._names
+        assert ([name(S) for S in sets],
+                [(name(S), name(T), a) for (S, T, a) in edges]) == \
+            subset_graph_oracle(X, step)
+
+
 def _foreign_symbol(ab: Alphabet) -> str:
     """A symbol outside `ab` (whose symbols are among 0, 1, 2)."""
     return next(c for c in "0123" if c not in ab)
@@ -1477,7 +1525,8 @@ def test_merge_equivalent_interned_rounds_match_sorted_round_oracle(X, G):
     on a random deterministic graph."""
     if X.is_empty:
         reject()
-    D = ShiftPresentation(X.alphabet, *_subset_graph(X, X.step))
+    D = ShiftPresentation(X.alphabet,
+                          *subset_graph_oracle(X, StepOracle(X).step))
     for M in (D, D.renamed(), shannon_cover(X), G):
         got, want = _merge_equivalent(M), merge_equivalent_oracle(M)
         assert (got.states, got.edges) == (want.states, want.edges)

@@ -106,7 +106,7 @@ def test_shannon_cover_builds_once_per_presentation(monkeypatch):
     built = []
     real = shifts._subset_graph
     monkeypatch.setattr(shifts, "_subset_graph",
-                        lambda X, step: built.append(X) or real(X, step))
+                        lambda X, rows: built.append(X) or real(X, rows))
     X = triangle_union()
     C = shannon_cover(X)
     assert shannon_cover(X) is C and shannon_cover(X) is C
