@@ -10,7 +10,15 @@ explicit periodic witness pair with exact distances.  On general subshifts a
 bounded exhaustive check over periodic orbit pairs is provided, and a
 bounded check of the rigidity precondition, which tests its periodic points
 by their block cycles on the presentation (see ``shifts``).
-"""
+
+On the full shift a rule is read through its flat table ``vals``, the
+outputs in pattern-index order: a pattern read as base-n digits (n = |A|,
+alphabet order, leftmost offset most significant, as ``itertools.product``
+lists them), so offset j has stride n^(right - j).  j is essential iff some
+block of n * stride entries has two unequal stride-long chunks.  The table
+on [lo, hi] (r cells) is ``vals[::n^(right - hi)][:n^r]``, the pads being
+digit 0; for one essential offset it is the symbol map.  Its rows of n
+entries are the contexts u + s, its columns (step n^(r - 1)) the s + v."""
 
 from __future__ import annotations
 
@@ -137,25 +145,28 @@ class NeighborhoodInfo:
         return len(self.essential)
 
 
-def minimal_neighborhood(f: CellularAutomaton) -> NeighborhoodInfo:
-    """Exhaustive per-coordinate dependency analysis of the rule table."""
+def _neighborhood(f: CellularAutomaton) -> tuple:
+    """(vals, minimal neighborhood): each table entry is read once."""
+    n, k = len(f.alphabet), f.width
+    vals = [f.table[p] for p in map(
+        "".join, itertools.product(f.alphabet.symbols, repeat=k))]
     essential = []
-    syms = f.alphabet.symbols
-    for pos, off in enumerate(range(f.left, f.right + 1)):
-        depends = False
-        for pat in itertools.product(syms, repeat=f.width - 1):
-            outs = {f.table["".join(pat[:pos]) + s + "".join(pat[pos:])]
-                    for s in syms}
-            if len(outs) > 1:
-                depends = True
+    for p in range(k):
+        stride, step = n ** (k - 1 - p), n ** (k - p)
+        for b in range(0, len(vals), step):
+            if vals[b:b + stride] * n != vals[b:b + step]:
+                essential.append(f.left + p)
                 break
-        if depends:
-            essential.append(off)
     if not essential:
-        return NeighborhoodInfo((), None, ())
+        return vals, NeighborhoodInfo((), None, ())
     lo, hi = essential[0], essential[-1]
     mask = tuple(o in essential for o in range(lo, hi + 1))
-    return NeighborhoodInfo(tuple(essential), (lo, hi), mask)
+    return vals, NeighborhoodInfo(tuple(essential), (lo, hi), mask)
+
+
+def minimal_neighborhood(f: CellularAutomaton) -> NeighborhoodInfo:
+    """Exhaustive per-coordinate dependency analysis of the rule table."""
+    return _neighborhood(f)[1]
 
 
 def minimal_neighborhood_on(f: CellularAutomaton,
@@ -186,18 +197,6 @@ def minimal_neighborhood_on(f: CellularAutomaton,
     raise AssertionError("the full offset set always factors")
 
 
-def _restrict_table(f: CellularAutomaton, lo: int, hi: int) -> dict:
-    """Rule table over the window [lo, hi] (must contain all dependencies)."""
-    syms = f.alphabet.symbols
-    pad_l = lo - f.left
-    pad_r = f.right - hi
-    out = {}
-    for pat in itertools.product(syms, repeat=hi - lo + 1):
-        full = syms[0] * pad_l + "".join(pat) + syms[0] * pad_r
-        out["".join(pat)] = f.table[full]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # classification on the full shift
 
@@ -221,58 +220,60 @@ def classify_full_shift(f: CellularAutomaton) -> ClassificationReport:
     neighborhood of size r.  Isometric (equivalently expanding) holds iff
     the single dependent cell acts by a symbol permutation.
     """
-    info = minimal_neighborhood(f)
+    (vals, info), n = _neighborhood(f), len(f.alphabet)
     if info.size <= 1:
-        iso = False
-        decomp = None
+        iso, decomp = False, None
         if info.size == 1:
             off = info.essential[0]
-            gmap = _restrict_table(f, off, off)
+            gmap = dict(zip(f.alphabet.symbols, vals[:n ** (
+                f.right - off + 1):n ** (f.right - off)]))
             if sorted(gmap.values()) == sorted(f.alphabet.symbols):
-                iso = True
-                decomp = (off, gmap)
+                iso, decomp = True, (off, gmap)
         return ClassificationReport(info, True, iso, iso, decomp, None)
-    witness = _non_contracting_witness(f, info)
+    witness = _non_contracting_witness(f, vals, info)
     return ClassificationReport(info, False, False, False, None, witness)
 
 
-def _separating_context(table: dict, syms, r: int, place):
-    """The first (u, a, b), u of length r - 1 in the alphabet's order and
-    a before b, with table[place(u, a)] != table[place(u, b)]; or None."""
-    for u in ("".join(t) for t in itertools.product(syms, repeat=r - 1)):
-        for a, b in itertools.combinations(syms, 2):
-            if table[place(u, a)] != table[place(u, b)]:
-                return u, a, b
+def _separating(lines):
+    """(i, b): line i is the first not constant, b its first entry unequal
+    to entry 0, so (0, b) is its first separated pair of symbols; or None."""
+    for i, line in enumerate(lines):
+        for b, out in enumerate(line):
+            if out != line[0]:
+                return i, b
     return None
 
 
-def _non_contracting_witness(f: CellularAutomaton, info: NeighborhoodInfo):
+def _word(i: int, length: int, syms) -> str:
+    """The word of the given length whose pattern index is i."""
+    return "".join(syms[i // len(syms) ** e % len(syms)]
+                   for e in range(length - 1, -1, -1))
+
+
+def _non_contracting_witness(f: CellularAutomaton, vals: list,
+                             info: NeighborhoodInfo):
     """Periodic pair from the matrix construction over the minimal connected
     neighborhood: one mismatch per period in, at least two out."""
     lo, hi = info.span
-    r = hi - lo + 1
-    table = _restrict_table(f, lo, hi)
-    syms = f.alphabet.symbols
-    left_ctx = _separating_context(table, syms, r, lambda u, s: u + s)
-    right_ctx = _separating_context(table, syms, r, lambda v, s: s + v)
+    r, syms, n = hi - lo + 1, f.alphabet.symbols, len(f.alphabet)
+    table = vals[:n ** (f.right - lo + 1):n ** (f.right - hi)]
+    m = n ** (r - 1)
+    left_ctx = _separating(table[i:i + n] for i in range(0, n * m, n))
+    right_ctx = _separating(table[j::m] for j in range(m))
     if not (left_ctx and right_ctx):
         raise AssertionError("reduced table must depend on both ends")
-    u, a, b = left_ctx
-    v, c, d = right_ctx
-    row = {s: table[u + s] for s in syms}
-    col = {s: table[s + v] for s in syms}
-    pair = None
-    for alpha, gamma in ((a, c), (a, d), (b, c), (b, d)):
+    (u, b), (v, d) = left_ctx, right_ctx
+    row, col = table[u * n:u * n + n], table[v::m]
+    for alpha, gamma in ((0, d), (b, 0), (b, d)):
         if alpha != gamma and row[alpha] != row[gamma] \
                 and col[alpha] != col[gamma]:
-            pair = (alpha, gamma)
             break
-    if pair is None:
+    else:
         raise AssertionError("no separated symbol pair exists")
-    alpha, gamma = pair
+    u, v = _word(u, r - 1, syms), _word(v, r - 1, syms)
+    xw, yw = u + syms[alpha] + v, u + syms[gamma] + v
     # equal-length period words: the distance of their points, and of the
     # images, is the mismatch density of the words
-    xw, yw = u + alpha + v, u + gamma + v
     d_in = cyclic_mismatch_density(xw, yw)
     d_out = cyclic_mismatch_density(apply_cyclic(f, xw), apply_cyclic(f, yw))
     if d_in != Fraction(1, 2 * r - 1):
@@ -420,19 +421,19 @@ def check_on_subshift(f: CellularAutomaton, X: ShiftPresentation,
     S, packs, digits = plan.corr.S, plan.corr.packs, plan.corr.digits
     images = {w: apply_cyclic(f, w) for w in orbits}
 
-    @functools.cache
-    def batch(i: int, g: int) -> tuple:
-        """(stride, B of group i, B of its images, class mask, guards)."""
-        stride, b_in, mask, guards = plan.batch(i, g)
-        b_out = plan.pack_group([images[w] for w in groups[i]], g)[1]
-        return stride, b_in, b_out, mask, guards
+    # the B(f w2) of group i mod g, shared by the lengths of w1 with that g
+    b_outs = functools.cache(
+        lambda i, g: plan.pack_group([images[w] for w in groups[i]], g)[1])
 
     first = {"contracting": None, "isometric": None, "expanding": None}
+    q1 = 0
     for w1 in orbits:
-        for i, group in enumerate(groups):
-            g = gcd(len(w1), len(group[0]))
-            stride, b_in, b_out, M, G = batch(i, g)
-            pack = packs(g)
+        if len(w1) != q1:    # each w2 group's g, packs(g) and batches
+            q1 = len(w1)
+            gs = [gcd(q1, len(group[0])) for group in groups]
+            setup = [(groups[i], g, packs(g), *plan.batch(i, g),
+                      b_outs(i, g)) for i, g in enumerate(gs)]
+        for group, g, pack, stride, b_in, M, G, b_out in setup:
             cin = pack(w1)[0] * b_in
             cout = pack(images[w1])[0] * b_out
             I, O = cin & M, cout & M
@@ -554,8 +555,7 @@ def ca_pseudometric(f: CellularAutomaton, g: CellularAutomaton, w: str,
     if not 0 <= origin <= len(w):
         raise ValueError("origin outside the word")
     x = Configuration(f.alphabet, zero, w[:origin], w[origin:], zero)
-    lo = min(f.left, g.left)
-    hi = max(f.right, g.right)
+    lo, hi = min(f.left, g.left), max(f.right, g.right)
     window = x.window(lo, hi)
     fv = f.table[window[f.left - lo:f.right - lo + 1]]
     gv = g.table[window[g.left - lo:g.right - lo + 1]]

@@ -2,8 +2,9 @@
 
 Every command is deterministic given its flags and ``--seed`` and prints a
 reproducible result section; ``--json`` emits a machine-readable run report
-instead.  Exit codes: 0 success, 2 input error, 3 precondition violation,
-4 resource cap exceeded, 5 internal error (a broken invariant).
+instead.  Exit codes: 0 success, 1 standard output closed by its reader,
+2 input error, 3 precondition violation, 4 resource cap exceeded, 5
+internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -564,6 +565,10 @@ def main(argv=None) -> int:
         _check_arg_count(ns)
         _HANDLERS[ns.cmd](ns, rep)
         rep.emit(ns)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 4

@@ -329,6 +329,8 @@ def estimator_error_bound(x: Configuration, y: Configuration) -> int:
 
 def density_estimate(xw, yw, N: int) -> Fraction:
     """Mismatch density of the centered windows [-N, N], exact rational."""
+    if N < 0:
+        raise ValueError(f"window radius must be non-negative, got {N}")
     a = xw.window(-N, N)
     b = yw.window(-N, N)
     mism = sum(c != d for c, d in zip(a, b))

@@ -155,14 +155,20 @@ def block_path_source(r: Fraction) -> PathSource:
     return PathSource(lambda n: block_path_prefix(r, n))
 
 
+def _radius(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"window radius must be non-negative, got {n}")
+    return n
+
+
 def intersperse_path_window(r: Fraction, n: int) -> str:
     """Window [-n, n] of the reflected interspersing path."""
-    return intersperse_path_source(r).window(-n, n)
+    return intersperse_path_source(r).window(-_radius(n), n)
 
 
 def block_path_window(r: Fraction, n: int) -> str:
     """Window [-n, n] of the reflected block-fill path."""
-    return block_path_source(r).window(-n, n)
+    return block_path_source(r).window(-_radius(n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,102 @@ def check_on_subshift_pairwise_oracle(f, X, P: int):
                          first["expanding"])
 
 
+def _minimal_neighborhood_oracle(f):
+    """Per-offset dependency test through joined pattern strings: offset
+    j is essential iff some context, the symbol at j varied, changes the
+    output."""
+    from shiftgeo.automata import NeighborhoodInfo
+    essential = []
+    syms = f.alphabet.symbols
+    for pos, off in enumerate(range(f.left, f.right + 1)):
+        for pat in itertools.product(syms, repeat=f.width - 1):
+            outs = {f.table["".join(pat[:pos]) + s + "".join(pat[pos:])]
+                    for s in syms}
+            if len(outs) > 1:
+                essential.append(off)
+                break
+    if not essential:
+        return NeighborhoodInfo((), None, ())
+    lo, hi = essential[0], essential[-1]
+    mask = tuple(o in essential for o in range(lo, hi + 1))
+    return NeighborhoodInfo(tuple(essential), (lo, hi), mask)
+
+
+def _restrict_table_oracle(f, lo: int, hi: int) -> dict:
+    """Rule table over the window [lo, hi], padded with the first symbol."""
+    syms = f.alphabet.symbols
+    out = {}
+    for pat in itertools.product(syms, repeat=hi - lo + 1):
+        full = syms[0] * (lo - f.left) + "".join(pat) + \
+            syms[0] * (f.right - hi)
+        out["".join(pat)] = f.table[full]
+    return out
+
+
+def _separating_context_oracle(table: dict, syms, r: int, place):
+    """The first (u, a, b), u of length r - 1 in the alphabet's order and
+    a before b, with table[place(u, a)] != table[place(u, b)]; or None."""
+    for u in ("".join(t) for t in itertools.product(syms, repeat=r - 1)):
+        for a, b in itertools.combinations(syms, 2):
+            if table[place(u, a)] != table[place(u, b)]:
+                return u, a, b
+    return None
+
+
+def _non_contracting_witness_oracle(f, info):
+    from shiftgeo.automata import apply_cyclic
+    from shiftgeo.configs import periodic_config
+    lo, hi = info.span
+    r = hi - lo + 1
+    table = _restrict_table_oracle(f, lo, hi)
+    syms = f.alphabet.symbols
+    left_ctx = _separating_context_oracle(table, syms, r,
+                                          lambda u, s: u + s)
+    right_ctx = _separating_context_oracle(table, syms, r,
+                                           lambda v, s: s + v)
+    if not (left_ctx and right_ctx):
+        raise AssertionError("reduced table must depend on both ends")
+    u, a, b = left_ctx
+    v, c, d = right_ctx
+    row = {s: table[u + s] for s in syms}
+    col = {s: table[s + v] for s in syms}
+    pair = None
+    for alpha, gamma in ((a, c), (a, d), (b, c), (b, d)):
+        if alpha != gamma and row[alpha] != row[gamma] \
+                and col[alpha] != col[gamma]:
+            pair = (alpha, gamma)
+            break
+    if pair is None:
+        raise AssertionError("no separated symbol pair exists")
+    alpha, gamma = pair
+    xw, yw = u + alpha + v, u + gamma + v
+    d_in = cyclic_density_oracle(xw, yw)
+    d_out = cyclic_density_oracle(apply_cyclic(f, xw), apply_cyclic(f, yw))
+    if d_in != Fraction(1, 2 * r - 1):
+        raise AssertionError(f"witness distance {d_in} is not 1/{2 * r - 1}")
+    return (periodic_config(xw, f.alphabet), periodic_config(yw, f.alphabet),
+            d_in, d_out)
+
+
+def classify_full_shift_oracle(f):
+    """``automata.classify_full_shift`` on joined pattern strings: every
+    dependency test, the restricted tables and the separating contexts
+    read f.table by string, in the alphabet's order.  Returns the same
+    ``ClassificationReport``."""
+    from shiftgeo.automata import ClassificationReport
+    info = _minimal_neighborhood_oracle(f)
+    if info.size <= 1:
+        iso, decomp = False, None
+        if info.size == 1:
+            off = info.essential[0]
+            gmap = _restrict_table_oracle(f, off, off)
+            if sorted(gmap.values()) == sorted(f.alphabet.symbols):
+                iso, decomp = True, (off, gmap)
+        return ClassificationReport(info, True, iso, iso, decomp, None)
+    witness = _non_contracting_witness_oracle(f, info)
+    return ClassificationReport(info, False, False, False, None, witness)
+
+
 def unfolded_arm_densities(x: Configuration,
                            y: Configuration) -> tuple[Fraction, Fraction]:
     """(left, right) mismatch densities of the arms of x and y, counted

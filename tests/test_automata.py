@@ -69,6 +69,44 @@ def test_apply_cyclic_matches_oracle():
             apply_cyclic_oracle(eca_table(rule), -1, 1, w)
 
 
+class CountingTable(dict):
+    """A rule table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _wide_rule(out) -> CellularAutomaton:
+    """The binary rule of width 10 whose output is out(pattern), its table
+    counting reads."""
+    pats = ("".join(t) for t in itertools.product("01", repeat=10))
+    return CellularAutomaton(BINARY, 0, 9,
+                             CountingTable({p: out(p) for p in pats}))
+
+
+def test_classify_reads_a_wide_table_once():
+    """A rule that depends on its last cell only is classified from one
+    read of each of its 2^10 entries (joining a string per pattern and
+    offset took 9220 reads)."""
+    f = _wide_rule(lambda p: p[-1])
+    rep = classify_full_shift(f)
+    assert rep.isometric and rep.decomposition == (9, {"0": "0", "1": "1"})
+    assert f.table.reads <= 2 ** 10
+
+
+def test_classify_majority_reads_the_table_once_plus_the_witness():
+    """The width-10 majority rule depends on every cell: one read of each
+    entry, then 2 * 19 for the images of the two witness words of period
+    2r - 1 = 19 (1702 reads through joined strings)."""
+    f = _wide_rule(lambda p: "1" if p.count("1") > 5 else "0")
+    rep = classify_full_shift(f)
+    assert not rep.contracting and rep.witness[2] == F(1, 19)
+    assert f.table.reads <= 2 ** 10 + 2 * 19
+
+
 def test_minimal_neighborhood():
     assert minimal_neighborhood(elementary_ca(204)).span == (0, 0)
     assert minimal_neighborhood(elementary_ca(170)).span == (1, 1)

@@ -395,7 +395,13 @@ def test_measure_checks_argument_count(capsys, golden_file, mode, args,
     (["measure", "binom-bound", "5", "3", "1/2"], 2,
      "'1/2' is not an integer"),
     (["measure", "ball-count", "01", "x", "0.5"], 2,
-     "'x' is not an integer")])
+     "'x' is not an integer"),
+    (["dist", "--estimate", "--window", "-5", "inf(0).inf(0)",
+      "inf(1).inf(1)"], 2, "window radius must be non-negative, got -5"),
+    (["path", "window", "-r", "1/3", "--window", "-2"], 2,
+     "window radius must be non-negative, got -2"),
+    (["path", "sample", "--window", "-2"], 2,
+     "window radius must be non-negative, got -2")])
 def test_bad_numeric_arguments_exit_cleanly(capsys, golden_file, argv, code,
                                             message):
     argv = [golden_file if a == "GOLDEN" else a for a in argv]
@@ -619,6 +625,23 @@ def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_closed_stdout_exits_1_without_a_traceback(golden_file):
+    """A reader that closes the pipe before the report is written (as
+    `| head -c 10` may) ends the run with exit 1 and nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shiftgeo.cli", "shift", "language",
+         golden_file, "--length", "16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_cold_start_loads_neither_numpy_nor_mpmath(capsys, golden_file):
@@ -998,14 +1021,15 @@ _FUZZ_SIGNATURES = {
 # so that every bounded search stays fast
 _FUZZ_FLAGS = {
     "dist": {"--db": None, "--dw": None, "--dc": None, "--estimate": None,
-             "--window": ["5", "-2", "x", "0", "3"], "--to-shift": "file"},
+             "--window": ["5", "-2", "x", "0", "3", "-5"],
+             "--to-shift": "file"},
     "classify": {"--shift": "file", "--period": ["3", "-1", "x", "0", "2"],
                  "--precondition": None, "--zero": ["0", "2", "01", "1"],
                  "--length": ["2", "-1", "x", "0", "3"]},
     "complex": {},
     "path": {"--construction": ["block", "intersperse", "x"],
              "-r": ["1/3", "3/2", "-1", "x", "0", "1"],
-             "--window": ["5", "-2", "x", "0", "3"]},
+             "--window": ["5", "-2", "x", "0", "3", "-5"]},
     "uap": {"--period": ["3", "-1", "x", "0", "2"]},
     "shift": {"--length": ["2", "-1", "x", "0", "3"]},
     "measure": {"--length": ["2", "-1", "x", "0", "3"]},
@@ -1080,3 +1104,4 @@ def test_cli_fuzz_never_ends_in_a_traceback(fuzz_files, data):
     assert rc in (0, 2, 3, 4), (argv, rc, err)
     assert "Traceback" not in err, argv
     assert "invalid literal" not in err, (argv, err)
+    assert "empty window" not in err, (argv, err)

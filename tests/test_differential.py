@@ -81,6 +81,7 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     _synchronizing_words
 from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     average_oracle, block_shift, check_on_subshift_oracle, \
+    classify_full_shift_oracle, \
     check_on_subshift_pairwise_oracle, condensation_reach_oracle, \
     contains_config_oracle, cover_period_oracle, \
     cyclic_avoids, cyclic_density_oracle, d_cantor_oracle, \
@@ -270,6 +271,12 @@ def test_batched_check_on_subshift_fixed_cases():
     chk = _assert_scans_agree(_rule("012", -1, 0, "101222212"), full3, 4)
     assert chk.expanding != chk.isometric
     assert _group_slot(full3, 4, chk.expanding.y) == 2
+    # all three fire on the full 3-shift, contracting only for a w1 of the
+    # second length group: each group of w2 is set up again for that length
+    chk = _assert_scans_agree(_rule("012", -1, 0, "101111201"), full3, 4)
+    assert None not in (chk.contracting, chk.isometric, chk.expanding)
+    assert len(chk.contracting.x.right_period) == 2
+    assert len(chk.expanding.x.right_period) == 1
     # a symbol permutation is an isometry of the full 3-shift
     chk = _assert_scans_agree(_rule("012", 0, 0, "120"), full3, 5)
     assert (chk.contracting, chk.isometric, chk.expanding) == (None,) * 3
@@ -368,6 +375,54 @@ def test_non_contracting_witnesses_match_the_besicovitch_distance():
         assert d_out == d_besicovitch(apply_ca(f, x), apply_ca(f, y)), rule
         witnesses += 1
     assert witnesses == 248
+
+
+@st.composite
+def rule_table(draw):
+    """A rule over 1 to 3 symbols of width 1 to 5 (4 on three symbols) with
+    offsets in -3..3.  Its outputs come from a random sub-alphabet, either
+    one per pattern or as a map of one cell's symbol, so constant, one-cell
+    and permutation rules all occur."""
+    symbols = "012"[:draw(st.integers(1, 3))]
+    width = draw(st.integers(1, 5 if len(symbols) < 3 else 4))
+    lo = draw(st.integers(-3, 4 - width))
+    outs = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=3))
+    pats = ["".join(t) for t in itertools.product(symbols, repeat=width)]
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, width - 1))
+        image = dict(zip(symbols, draw(st.one_of(
+            st.permutations(symbols), st.lists(
+                st.sampled_from(outs), min_size=len(symbols),
+                max_size=len(symbols))))))
+        table = {p: image[p[cell]] for p in pats}
+    else:
+        table = {p: draw(st.sampled_from(outs)) for p in pats}
+    return CellularAutomaton(Alphabet(symbols), lo, lo + width - 1, table)
+
+
+def _assert_classifications_agree(f):
+    got, want = classify_full_shift(f), classify_full_shift_oracle(f)
+    assert got == want
+    if want.decomposition is not None:
+        assert list(got.decomposition[1].items()) == \
+            list(want.decomposition[1].items())
+    return got
+
+
+@deterministic(400)
+@given(rule_table())
+def test_classify_full_shift_matches_string_pattern_oracle(f):
+    """The flat-table classifier equals the one reading joined pattern
+    strings field for field: neighborhood, flags, the decomposition with
+    the item order of its symbol map, and the witness."""
+    _assert_classifications_agree(f)
+
+
+def test_classify_full_shift_matches_oracle_on_every_eca():
+    kinds = {(rep.contracting, rep.isometric) for rep in (
+        _assert_classifications_agree(elementary_ca(rule))
+        for rule in range(256))}
+    assert kinds == {(True, True), (True, False), (False, False)}
 
 
 @st.composite
