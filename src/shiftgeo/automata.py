@@ -225,8 +225,7 @@ def classify_full_shift(f: CellularAutomaton) -> ClassificationReport:
         iso, decomp = False, None
         if info.size == 1:
             off = info.essential[0]
-            gmap = dict(zip(f.alphabet.symbols, vals[:n ** (
-                f.right - off + 1):n ** (f.right - off)]))
+            gmap = dict(zip(f.alphabet.symbols, vals[::n ** (f.right - off)]))
             if sorted(gmap.values()) == sorted(f.alphabet.symbols):
                 iso, decomp = True, (off, gmap)
         return ClassificationReport(info, True, iso, iso, decomp, None)
@@ -555,7 +554,8 @@ def ca_pseudometric(f: CellularAutomaton, g: CellularAutomaton, w: str,
     if not 0 <= origin <= len(w):
         raise ValueError("origin outside the word")
     x = Configuration(f.alphabet, zero, w[:origin], w[origin:], zero)
-    lo, hi = min(f.left, g.left), max(f.right, g.right)
+    lo = min(f.left, g.left)
+    hi = max(f.right, g.right)
     window = x.window(lo, hi)
     fv = f.table[window[f.left - lo:f.right - lo + 1]]
     gv = g.table[window[g.left - lo:g.right - lo + 1]]

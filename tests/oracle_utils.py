@@ -336,7 +336,6 @@ def _separating_context_oracle(table: dict, syms, r: int, place):
 
 
 def _non_contracting_witness_oracle(f, info):
-    from shiftgeo.automata import apply_cyclic
     from shiftgeo.configs import periodic_config
     lo, hi = info.span
     r = hi - lo + 1
@@ -363,7 +362,9 @@ def _non_contracting_witness_oracle(f, info):
     alpha, gamma = pair
     xw, yw = u + alpha + v, u + gamma + v
     d_in = cyclic_density_oracle(xw, yw)
-    d_out = cyclic_density_oracle(apply_cyclic(f, xw), apply_cyclic(f, yw))
+    d_out = cyclic_density_oracle(
+        apply_cyclic_oracle(f.table, f.left, f.right, xw),
+        apply_cyclic_oracle(f.table, f.left, f.right, yw))
     if d_in != Fraction(1, 2 * r - 1):
         raise AssertionError(f"witness distance {d_in} is not 1/{2 * r - 1}")
     return (periodic_config(xw, f.alphabet), periodic_config(yw, f.alphabet),

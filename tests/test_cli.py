@@ -618,25 +618,27 @@ def test_classify_ca_over_larger_alphabet_is_input_error(capsys, tmp_path,
     assert (rc, out) == (2, "") and "alphabet mismatch" in err
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter that imports this checkout."""
-    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
 
 
 def test_closed_stdout_exits_1_without_a_traceback(golden_file):
     """A reader that closes the pipe before the report is written (as
     `| head -c 10` may) ends the run with exit 1 and nothing on stderr."""
-    src = os.path.dirname(os.path.dirname(shiftgeo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "shiftgeo.cli", "shift", "language",
-         golden_file, "--length", "16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+         golden_file, "--length", "16"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_child_env(), text=True)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
