@@ -3,8 +3,8 @@
 Every command is deterministic given its flags and ``--seed`` and prints a
 reproducible result section; ``--json`` emits a machine-readable run report
 instead.  Exit codes: 0 success, 1 standard output closed by its reader,
-2 input error, 3 precondition violation, 4 resource cap exceeded, 5
-internal error (a broken invariant).
+2 input error, 3 precondition violation, 4 resource cap exceeded or out of
+memory, 5 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -571,6 +571,9 @@ def main(argv=None) -> int:
         return 1
     except CapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return 4
     except (AssertionError, RuntimeError) as e:  # a broken invariant
         print(f"internal error: {e}", file=sys.stderr)

@@ -169,7 +169,8 @@ class Configuration:
             ab.check_word(part)
 
         lp = primitive_root(self.left_period)
-        rp = primitive_root(self.right_period)
+        rp = lp if self.right_period == self.left_period \
+            else primitive_root(self.right_period)
         lf, rf = self.left_finite, self.right_finite
         # Absorb the finite parts into the tails one cell at a time,
         # rotating the period to keep the block alignment.

@@ -23,9 +23,15 @@ def lcm(a: int, b: int) -> int:
 
 
 def cyclic_density_oracle(u: str, v: str) -> Fraction:
+    """Mismatch density of inf(u) against inf(v), counted cell by cell over
+    one unfolded lcm block: each symbol is one byte (so at most 256
+    symbols), the two blocks are XORed as integers, and the zero bytes of
+    the XOR are the cells where they agree."""
     n = lcm(len(u), len(v))
-    mism = sum(u[i % len(u)] != v[i % len(v)] for i in range(n))
-    return Fraction(mism, n)
+    code = {ord(c): i for i, c in enumerate(dict.fromkeys(u + v))}
+    bu, bv = (int.from_bytes(w.translate(code).encode("latin-1")
+                             * (n // len(w)), "big") for w in (u, v))
+    return Fraction(n - (bu ^ bv).to_bytes(n, "big").count(0), n)
 
 
 # -- the per-class residue sum that the packed correlation in
@@ -420,13 +426,6 @@ def rand_config(rng, alphabet: Alphabet, max_period: int = 4,
                          word(1, max_period))
 
 
-def unfolded_density(x: Configuration, y: Configuration,
-                     N: int) -> Fraction:
-    mism = sum(symbol_at_oracle(x, i) != symbol_at_oracle(y, i)
-               for i in range(-N, N + 1))
-    return Fraction(mism, 2 * N + 1)
-
-
 def karp_min_mean_oracle(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
     """Minimum mean cycle of a strongly connected weighted graph, by the
     dense Karp tables and the full (length, start) scan of the optimal walk
@@ -495,101 +494,6 @@ def karp_min_mean_oracle(nodes: list[int], edges) -> tuple[Fraction, list[int]]:
                 if Fraction(total, clen) == best:
                     return best, [nodes[w] for w in walk[i:i + clen]]
     raise AssertionError("min mean cycle not found on optimal walk")
-
-
-def karp_min_mean_frontier_oracle(nodes: list[int],
-                                  edges) -> tuple[Fraction, list[int]]:
-    """Minimum mean cycle of a strongly connected weighted graph, by the
-    frontier-dict rows (a dict per k of the nodes k-edge walks reach,
-    expanded in ``sorted`` order) that the cyclic-class rows of
-    ``shiftgeo._graph.karp_min_mean`` replaced.
-
-    ``nodes`` are the node ids of one SCC; ``edges[v]`` lists (target, weight)
-    pairs with both endpoints inside the SCC.  Returns the exact minimum mean
-    and one cycle (as a node list) achieving it.
-
-    Karp's recurrence over walks of exactly k edges from ``nodes[0]``, with
-    each row holding only the nodes some k-edge walk reaches.  Time is
-    O(sum_k |frontier_k| * outdeg) and memory is one entry per reached
-    (k, node) pair.  On a phase-layered graph (every edge goes from phase j
-    to phase j + 1 mod p, as in the product of a presentation with a
-    position cycle) every frontier lies in one phase, so both are linear in
-    the number of nodes rather than quadratic.
-
-    The cycle returned is the shortest, then earliest, closed subwalk of
-    mean equal to the minimum on the optimal n-edge walk.  Such a subwalk
-    runs between consecutive occurrences of one node: if any node repeated
-    strictly inside it, it would split into two closed walks, each of mean
-    at least the minimum, hence both of mean exactly the minimum, and the
-    shorter one would have been chosen.  So only the pairs (previous
-    occurrence, occurrence) are tried, in O(n).
-    """
-    n = len(nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    adj = [[(idx[t], w) for (t, w) in edges[v]] for v in nodes]
-    # dist[k][v] = min weight of a walk with exactly k edges from node 0 to
-    # v, parent[k][v] = its predecessor; seen[v] lists (k, dist[k][v]) for
-    # every k < n that reaches v, in ascending k.
-    dist: list[dict[int, int]] = [{0: 0}]
-    parent: list[dict[int, int]] = [{}]
-    seen: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k in range(1, n + 1):
-        prev = dist[-1]
-        dk: dict[int, int] = {}
-        pk: dict[int, int] = {}
-        # ascending u with a strict < keeps the least predecessor on ties
-        for u in sorted(prev):
-            du = prev[u]
-            seen[u].append((k - 1, du))
-            for (v, w) in adj[u]:
-                cand = du + w
-                if v not in dk or cand < dk[v]:
-                    dk[v] = cand
-                    pk[v] = u
-        dist.append(dk)
-        parent.append(pk)
-    # min over v of max over k of (dist[n][v] - dist[k][v]) / (n - k), as
-    # (numerator, positive denominator) pairs compared by cross-multiplying;
-    # the first maximum per v and the first minimum over ascending v win.
-    dn = dist[n]
-    best = None
-    best_v = -1
-    for v in sorted(dn):
-        worst = None
-        for (k, dkv) in seen[v]:
-            num, den = dn[v] - dkv, n - k
-            if worst is None or num * worst[1] > worst[0] * den:
-                worst = (num, den)
-        if worst is not None and (
-                best is None or best[0] * worst[1] > worst[0] * best[1]):
-            best = worst
-            best_v = v
-    if best is None:
-        raise ValueError("graph has no cycle")
-    mean = Fraction(*best)
-    # Recover a cycle of mean `best` from the optimal n-edge walk into best_v.
-    walk = [best_v]
-    for k in range(n, 0, -1):
-        walk.append(parent[k][walk[-1]])
-    walk.reverse()  # length n+1, indices into `nodes`
-    # The walk's first j edges weigh dist[j][walk[j]], since each parent
-    # edge attains the minimum.
-    last: dict[int, int] = {}
-    found = None
-    for j, v in enumerate(walk):
-        i = last.get(v)
-        last[v] = j
-        if i is None:
-            continue
-        clen = j - i
-        total = dist[j][v] - dist[i][v]
-        if total * mean.denominator == mean.numerator * clen and (
-                found is None or (clen, i) < found):
-            found = (clen, i)
-    if found is None:
-        raise AssertionError("min mean cycle not found on optimal walk")
-    clen, i = found
-    return mean, [nodes[w] for w in walk[i:i + clen]]
 
 
 def karp_min_mean_class_rows_oracle(nodes: list[int],
@@ -860,14 +764,17 @@ def unique_approximation_search_oracle(X, P: int):
 
 def precondition_words_oracle(X, P: int) -> dict:
     """For p = 1..P, every word w of length p, in the alphabet's order,
-    with inf(w) in X."""
+    with inf(w) in X.  The rotations of w spell the shifts of inf(w), which
+    lie in X together, so membership is decided once per rotation class."""
     from shiftgeo.configs import periodic_config
-    periodic_words: dict[int, list[str]] = {}
-    for p in range(1, P + 1):
-        periodic_words[p] = [w for w in _all_words(X.alphabet, p)
-                             if contains_config_oracle(
-                                 X, periodic_config(w, X.alphabet))]
-    return periodic_words
+
+    @functools.cache
+    def member(rep: str) -> bool:
+        return contains_config_oracle(X, periodic_config(rep, X.alphabet))
+
+    return {p: [w for w in _all_words(X.alphabet, p)
+                if member(min(w[i:] + w[:i] for i in range(p)))]
+            for p in range(1, P + 1)}
 
 
 def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
@@ -887,131 +794,13 @@ def isometric_ca_precondition_oracle(X, zero: str, L: int, P: int):
             for s in sorted(set(w), key=rank):
                 found = None
                 for p in range(1, P + 1):
-                    marker = s + zero * (p - 1)
-                    if not contains_config_oracle(
-                            X, periodic_config(marker, X.alphabet)):
+                    if s + zero * (p - 1) not in periodic_words[p]:
                         continue
                     horizon = len(w) + p
                     if any(w in (c * (horizon // p + 2))
                            for c in periodic_words[p]):
                         found = p
                         break
-                if found is None:
-                    return RigidityReport(False, (w, s), used)
-                used[(w, s)] = found
-    return RigidityReport(True, None, used)
-
-
-def precondition_oracle(X, zero: str, L: int, P: int):
-    """``automata.isometric_ca_precondition`` as it was before the factor
-    index: for each (w, s) the least marked p with some orbit u, |u|
-    dividing p, whose power u^(|w| // |u| + 2) contains w, found by a scan
-    over every orbit per (word, symbol, period)."""
-    from shiftgeo.automata import RigidityReport
-    from shiftgeo.errors import PreconditionError
-    from shiftgeo.shifts import _RelationMonoid, language, periodic_orbits
-    if zero not in X.alphabet:
-        raise ValueError(f"symbol {zero!r} not in alphabet")
-    if L <= 0:
-        raise PreconditionError("factor length bound must be positive")
-    if P <= 0:
-        raise PreconditionError("period bound must be positive")
-    M = _RelationMonoid(X)
-    if not M.cycles(M.step(M.identity, zero)):
-        return RigidityReport(False, None, {})
-    marked = {}
-    for s in X.alphabet:
-        e, marked[s] = M.step(M.identity, s), []
-        for p in range(1, P + 1):
-            if M.cycles(e):
-                marked[s].append(p)
-            e = M.step(e, zero)
-    orbits = periodic_orbits(X, P)
-    used = {}
-    for n in range(1, L + 1):
-        for w in language(X, n):
-            for s in (a for a in X.alphabet if a in w):
-                found = next((p for p in marked[s] if any(
-                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
-                    for u in orbits)), None)
-                if found is None:
-                    return RigidityReport(False, (w, s), used)
-                used[(w, s)] = found
-    return RigidityReport(True, None, used)
-
-
-# -- the state-set walk and per-word fixpoints that the transition monoid of
-# shiftgeo.shifts._RelationMonoid replaced -----------------------------------
-
-
-def lyndon_words_state_set_oracle(X, max_period: int) -> list[str]:
-    """Lyndon words of length <= max_period all of whose prefixes are
-    factors of X, by length and then in the alphabet's order, on the
-    prenecklace walk that carries each prefix's state set, stepped by
-    ``X.step``."""
-    if max_period <= 0 or X.is_empty:
-        return []
-    order = X.alphabet.symbols
-    # the symbols >= b, largest first: pushed in this order, the prefixes
-    # pop in lexicographic order
-    pushes = {b: order[i:][::-1] for i, b in enumerate(order)}
-    start = frozenset(X.states)
-    words: list[str] = []
-    a: list[str] = []  # the current prefix
-    # (length t, last symbol a[t - 1], least period p, state set)
-    stack = [(1, b, 1, S) for b in pushes[order[0]]
-             if (S := X.step(start, b))]
-    while stack:
-        t, b, p, S = stack.pop()
-        del a[t - 1:]
-        a.append(b)
-        if p == t:
-            words.append("".join(a))
-        if t == max_period:
-            continue
-        keep = a[t - p]
-        for b in pushes[keep]:
-            T = X.step(S, b)
-            if T:
-                stack.append((t + 1, b, p if b == keep else t + 1, T))
-    words.sort(key=len)  # stable, so lexicographic within a length
-    return words
-
-
-def periodic_orbits_fixpoint_oracle(X, max_period: int) -> list[str]:
-    """``shifts.periodic_orbits`` as the state-set walk plus one
-    :func:`stable_block_set_oracle` fixpoint per Lyndon word."""
-    return [w for w in lyndon_words_state_set_oracle(X, max_period)
-            if stable_block_set_oracle(X, w, outgoing=True)]
-
-
-def isometric_ca_precondition_fixpoint_oracle(X, zero: str, L: int, P: int):
-    """``automata.isometric_ca_precondition`` with its zero point and every
-    marker s zero^(p-1) tested by its own :func:`stable_block_set_oracle`
-    fixpoint, and its orbits from :func:`periodic_orbits_fixpoint_oracle`."""
-    from shiftgeo.automata import RigidityReport
-    from shiftgeo.errors import PreconditionError
-    from shiftgeo.shifts import language
-    if zero not in X.alphabet:
-        raise ValueError(f"symbol {zero!r} not in alphabet")
-    if L <= 0:
-        raise PreconditionError("factor length bound must be positive")
-    if P <= 0:
-        raise PreconditionError("period bound must be positive")
-    if not stable_block_set_oracle(X, zero, outgoing=True):
-        return RigidityReport(False, None, {})
-    marked = {s: [p for p in range(1, P + 1)
-                  if stable_block_set_oracle(X, s + zero * (p - 1),
-                                             outgoing=True)]
-              for s in X.alphabet}
-    orbits = periodic_orbits_fixpoint_oracle(X, P)
-    used = {}
-    for n in range(1, L + 1):
-        for w in language(X, n):
-            for s in (a for a in X.alphabet if a in w):
-                found = next((p for p in marked[s] if any(
-                    p % len(u) == 0 and w in u * (len(w) // len(u) + 2)
-                    for u in orbits)), None)
                 if found is None:
                     return RigidityReport(False, (w, s), used)
                 used[(w, s)] = found
@@ -1814,10 +1603,10 @@ def stable_block_set_oracle(X, word: str, outgoing: bool) -> frozenset:
     """States carrying an infinite aligned run of `word`-blocks: leaving the
     state when ``outgoing``, arriving into it otherwise."""
     cur = frozenset(X.states)
+    reach = {s: X.read({s}, word) for s in X.states} if outgoing else None
     while True:
         if outgoing:
-            nxt = frozenset(s for s in X.states
-                            if X.read({s}, word) & cur)
+            nxt = frozenset(s for s in X.states if reach[s] & cur)
         else:
             nxt = X.read(cur, word)
         if nxt == cur:

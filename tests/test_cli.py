@@ -809,6 +809,23 @@ def test_devices_are_neither_digested_nor_read(argv, message):
     assert "Traceback" not in proc.stderr and message in proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="caps the child's address space with RLIMIT_AS")
+def test_out_of_memory_exits_4_without_a_traceback(tmp_path):
+    """A search that outgrows the memory it may take ends as a resource cap:
+    the orbit scan of the full 2-shift to period 60, in a child under a
+    256 MB address-space cap."""
+    full2 = tmp_path / "full2.json"
+    full2.write_text(json.dumps({"alphabet": "01", "forbidden": []}))
+    proc = _run_python("import resource\n"
+                       "resource.setrlimit(resource.RLIMIT_AS,\n"
+                       "                   (1 << 28, 1 << 28))\n"
+                       + _CLI_CHILD, "classify", "eca:110", "--shift",
+                       str(full2), "--period", "60")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "resource cap: out of memory\n"
+
+
 def test_fifo_argument_is_not_digested(tmp_path):
     """Opening a FIFO with no writer blocks, so the digest never opens
     one; the argument is then just a malformed configuration literal."""

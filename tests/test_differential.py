@@ -3,7 +3,7 @@ rotation-class correlation and the gcd-class CA scan against the unfolded
 brute-force oracles and the per-class residue sum in oracle_utils, the
 batched CA scan against the per-pair loop it replaced, the
 nearest-point search against its loop over every rotation, the
-cyclic-class Karp against the dense-table and frontier-row Karps it
+memoized-row Karp against the dense-table Karp and the class-row Karp it
 replaced, Tarjan's components and the condensation DAG against the
 index-frame Tarjan and the reach-set closure they replaced, and the
 Lyndon-word orbit enumerator and the (w, u, v) triple search against the
@@ -14,8 +14,8 @@ the distance product on integer node ids against the product on named
 nodes (and, on points whose two arms share one period, one Karp run per
 twin pair of components against Karp on both arms), the bitmask powers of
 ``mixing_distance`` against the boolean matrix powers, and the orbit walk
-and rigidity markers on the transition monoid against the state-set walk
-and per-word block-set fixpoints they replaced, and the Parry measure's
+and rigidity markers on the transition monoid against the |A|^p word loops
+on compiled SFTs with long forbidden words, and the Parry measure's
 power iteration on Python floats against the numpy one it replaced, and
 the sliced windows of points and paths, the sliding rule read of
 ``apply_ca`` and ``apply_cyclic``, the one-window reads of ``project``
@@ -28,9 +28,9 @@ frozensets of named states, the mask rows behind ``step``, ``step_back``,
 construction against the per-state dicts they replaced, and the
 period of ``_graph.bfs_period`` against the ``pop(0)`` BFS that
 ``mixing_distance`` ran, the factor index of the rigidity precondition
-against its scan over every orbit and against its one update per (orbit,
-start, length), the orbit walk with string prefixes, cached child lists
-and parent-emitted leaves against the list-prefix walk it replaced,
+against its one update per (orbit, start, length), the orbit walk with
+string prefixes, cached child lists and parent-emitted leaves against the
+list-prefix walk it replaced,
 ``d_cantor``'s doubling windows against its per-cell loop, and checks on
 one presentation, which share its orbit-scan plan, against checks on a
 fresh one.
@@ -81,23 +81,18 @@ from shiftgeo.shifts import SftSpec, ShiftPresentation, compile_sft, \
     _synchronizing_words
 from oracle_utils import apply_ca_oracle, apply_cyclic_oracle, \
     average_oracle, block_shift, check_on_subshift_oracle, \
-    classify_full_shift_oracle, \
-    check_on_subshift_pairwise_oracle, condensation_reach_oracle, \
-    contains_config_oracle, cover_period_oracle, \
+    classify_full_shift_oracle, check_on_subshift_pairwise_oracle, \
+    condensation_reach_oracle, contains_config_oracle, cover_period_oracle, \
     cyclic_avoids, cyclic_density_oracle, d_cantor_oracle, \
-    distance_to_shift_detail_oracle, \
-    embed_complex_oracle, find_unbordered_synchronizing_oracle, \
-    internal_edges_only, is_lyndon, \
-    isometric_ca_precondition_fixpoint_oracle, \
+    distance_to_shift_detail_oracle, embed_complex_oracle, \
+    find_unbordered_synchronizing_oracle, internal_edges_only, is_lyndon, \
     isometric_ca_precondition_oracle, karp_min_mean_class_rows_oracle, \
-    karp_min_mean_frontier_oracle, karp_min_mean_oracle, \
-    language_subset_oracle, \
-    lex_least_completion_oracle, lyndon_words_state_set_oracle, \
-    merge_equivalent_oracle, mixing_distance_oracle, \
-    mixing_sft_inside_oracle, nearest_periodic_oracle, necklaces, \
-    parry_measure_numpy_oracle, periodic_orbits_fixpoint_oracle, \
+    karp_min_mean_oracle, language_subset_oracle, \
+    lex_least_completion_oracle, merge_equivalent_oracle, \
+    mixing_distance_oracle, mixing_sft_inside_oracle, \
+    nearest_periodic_oracle, necklaces, parry_measure_numpy_oracle, \
     path_window_oracle, periodic_orbits_list_prefix_oracle, \
-    periodic_orbits_oracle, preserves_shift_oracle, precondition_oracle, \
+    periodic_orbits_oracle, preserves_shift_oracle, \
     precondition_per_orbit_index_oracle, preserves_shift_tuple_oracle, \
     project_oracle, profile_mismatches_oracle, residue_profile_oracle, sft14, \
     stable_block_set_oracle, StepOracle, \
@@ -725,7 +720,6 @@ def test_karp_min_mean_on_periodic_sccs_matches_every_oracle(graph):
     nodes, edges = graph
     got = _graph.karp_min_mean(nodes, edges)
     assert got == karp_min_mean_oracle(nodes, edges)
-    assert got == karp_min_mean_frontier_oracle(nodes, edges)
     assert got == karp_min_mean_class_rows_oracle(nodes, edges)
 
 
@@ -747,7 +741,6 @@ def test_karp_min_mean_skips_edges_leaving_nodes(graph, data):
     got = _graph.karp_min_mean(nodes, wider)
     assert got == _graph.karp_min_mean(nodes, edges)
     assert got == karp_min_mean_oracle(nodes, edges)
-    assert got == karp_min_mean_frontier_oracle(nodes, edges)
     assert got == karp_min_mean_class_rows_oracle(nodes, edges)
 
 
@@ -817,7 +810,6 @@ def test_karp_min_mean_with_reused_rows_matches_every_oracle(graph):
     nodes, edges = graph
     got = _graph.karp_min_mean(nodes, edges)
     assert got == karp_min_mean_oracle(nodes, edges)
-    assert got == karp_min_mean_frontier_oracle(nodes, edges)
     assert got == karp_min_mean_class_rows_oracle(nodes, edges)
 
 
@@ -858,7 +850,6 @@ def test_karp_min_mean_reusing_infinite_rows_matches_every_oracle(graph):
         got = _graph.karp_min_mean(nodes, edges)
     assert relax_row.call_count < len(nodes)
     assert got == karp_min_mean_oracle(nodes, edges)
-    assert got == karp_min_mean_frontier_oracle(nodes, edges)
     assert got == karp_min_mean_class_rows_oracle(nodes, edges)
 
 
@@ -931,7 +922,6 @@ def test_karp_min_mean_on_one_node_with_self_loops(v, weights):
     got = _graph.karp_min_mean([v], edges)
     assert got == (Fraction(min(weights)), [v])
     assert got == karp_min_mean_oracle([v], edges)
-    assert got == karp_min_mean_frontier_oracle([v], edges)
     assert got == karp_min_mean_class_rows_oracle([v], edges)
 
 
@@ -952,7 +942,6 @@ def test_bfs_period_matches_cover_period_oracle(graph):
 
 
 @pytest.mark.parametrize("karp", [_graph.karp_min_mean, karp_min_mean_oracle,
-                                  karp_min_mean_frontier_oracle,
                                   karp_min_mean_class_rows_oracle])
 def test_karp_min_mean_on_one_node_without_edges_raises(karp):
     with pytest.raises(ValueError, match="graph has no cycle"):
@@ -1045,12 +1034,6 @@ def _lyndon_oracle(X, P: int) -> list[str]:
             and all(X.accepts_word(w[:i]) for i in range(1, p + 1))]
 
 
-def _walks_match_fixpoint_oracle(X, P: int):
-    """The monoid walk against the state-set walk and per-word fixpoints
-    it replaced."""
-    assert periodic_orbits(X, P) == periodic_orbits_fixpoint_oracle(X, P)
-
-
 @deterministic(300)
 @given(presentation(), st.sampled_from(range(9)))
 def test_periodic_orbits_match_word_loop_oracle(X, P):
@@ -1059,7 +1042,6 @@ def test_periodic_orbits_match_word_loop_oracle(X, P):
     F = full_shift(X.alphabet)
     assert periodic_orbits(F, P) == _lyndon_oracle(F, P)
     assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
-    _walks_match_fixpoint_oracle(X, P)
 
 
 @deterministic(300)
@@ -1146,13 +1128,13 @@ def test_rigidity_precondition_matches_word_list_oracle(X, data):
 @deterministic(200)
 @given(presentation(), st.data())
 def test_rigidity_precondition_matches_orbit_scan_oracle(X, data):
-    """The factor index against the scan over every orbit per (word,
-    symbol, period) it replaced: every RigidityReport field."""
+    """The factor index against the index that scans every orbit with one
+    update per (orbit, start, length): every RigidityReport field."""
     zero = data.draw(st.sampled_from(X.alphabet.symbols))
     L = data.draw(st.integers(1, 5))
     P = data.draw(st.integers(1, 7 if len(X.alphabet) == 3 else 10))
     got = isometric_ca_precondition(X, zero, L, P)
-    want = precondition_oracle(X, zero, L, P)
+    want = precondition_per_orbit_index_oracle(X, zero, L, P)
     assert (got.passed, got.failing, got.periods_used) == \
         (want.passed, want.failing, want.periods_used)
 
@@ -1185,7 +1167,7 @@ def test_rigidity_precondition_counts_only_multiples_of_an_orbit(symbols,
     these shifts a marker exists at a period p >= |u| that |u| does not
     divide, and the precondition fails."""
     X = ShiftPresentation(Alphabet(symbols), range(5), edges)
-    want = precondition_oracle(X, "0", L, P)
+    want = isometric_ca_precondition_oracle(X, "0", L, P)
     got = isometric_ca_precondition(X, "0", L, P)
     assert not want.passed
     assert (got.passed, got.failing, got.periods_used) == \
@@ -1497,8 +1479,7 @@ def test_stable_block_fold_matches_per_state_read_oracle(X, data):
     assert contains_config(X, x) == contains_config_oracle(X, x)
 
 
-# -- the transition monoid against the state-set walk and the per-word
-# fixpoints it replaced ------------------------------------------------------
+# -- the transition monoid on compiled SFTs with long forbidden words -------
 
 
 @st.composite
@@ -1519,8 +1500,9 @@ def long_word_sft(draw):
 
 @deterministic(60)
 @given(long_word_sft(), st.integers(3, 12))
-def test_monoid_walk_matches_fixpoint_oracle_on_long_word_sfts(X, P):
-    _walks_match_fixpoint_oracle(X, min(P, 8) if len(X.alphabet) == 3 else P)
+def test_monoid_walk_matches_word_loop_oracle_on_long_word_sfts(X, P):
+    P = min(P, 8) if len(X.alphabet) == 3 else P
+    assert periodic_orbits(X, P) == periodic_orbits_oracle(X, P)
 
 
 @deterministic(400)
@@ -1551,12 +1533,15 @@ def test_monoid_element_matches_per_state_read_oracle(X, data):
 
 @deterministic(200)
 @given(st.one_of(presentation(), long_word_sft()), st.data())
-def test_rigidity_precondition_matches_fixpoint_oracle(X, data):
+def test_rigidity_precondition_matches_word_list_oracle_on_long_word_sfts(
+        X, data):
+    """Every RigidityReport field, on random presentations and on compiled
+    SFTs with up to 27 states."""
     zero = data.draw(st.sampled_from(X.alphabet.symbols))
     L = data.draw(st.integers(1, 3))
     P = data.draw(st.integers(1, 6 if len(X.alphabet) == 3 else 9))
     assert isometric_ca_precondition(X, zero, L, P) == \
-        isometric_ca_precondition_fixpoint_oracle(X, zero, L, P)
+        isometric_ca_precondition_oracle(X, zero, L, P)
 
 
 @st.composite

@@ -4,18 +4,22 @@ definition line mentions is dead code, typically a helper left behind after
 a faster path replaced it (the replaced path belongs in tests/oracle_utils.py
 as an oracle, not in the library).  Likewise every ``__slots__`` entry of a
 class in src/shiftgeo is read somewhere in src/: a slot that is only ever
-assigned holds a structure nothing uses."""
+assigned holds a structure nothing uses.  And every module-level name in
+tests/oracle_utils.py is named somewhere else in tests/ or perfbench/: an
+oracle that no test calls checks nothing."""
 
 import ast
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shiftgeo"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shiftgeo"
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, line) of each module-level private def, class or assignment;
-    dunder names are the interpreter's, not helpers."""
+def _definitions(tree: ast.Module, private: bool):
+    """(name, line) of each module-level def, class or assignment, only the
+    private ones if `private`; dunder names are the interpreter's, not
+    helpers."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -28,16 +32,23 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name, line in found:
-            if name.startswith("_") and not (name.startswith("__")
-                                             and name.endswith("__")):
+            if (name.startswith("_") or not private) and not (
+                    name.startswith("__") and name.endswith("__")):
                 yield name, line
 
 
-def dead_helpers(src: Path = SRC) -> list[str]:
-    lines = {p: p.read_text().splitlines() for p in sorted(src.glob("*.py"))}
+def dead_helpers(src: Path = SRC, pattern: str = "*.py", also=(),
+                 private: bool = True) -> list[str]:
+    """The module-level names (only the private ones if `private`) defined
+    in the modules of `src` that match `pattern` and named on no line of a
+    module in `src` or in the directories `also` but their own definition
+    line."""
+    lines = {p: p.read_text().splitlines()
+             for d in (src, *also) for p in sorted(d.glob("*.py"))}
     dead = []
-    for path, text in lines.items():
-        for name, line in _private_definitions(ast.parse("\n".join(text))):
+    for path in sorted(src.glob(pattern)):
+        for name, line in _definitions(ast.parse("\n".join(lines[path])),
+                                       private):
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(row)
                        for p, rows in lines.items()
@@ -84,6 +95,25 @@ def test_the_guard_sees_an_unused_helper(tmp_path):
         "def _unused():\n    return 0\n\n\nclass _Gone:\n    pass\n\n\n"
         "def public():\n    return _used()\n")
     assert dead_helpers(tmp_path) == ["mod.py:8: _unused", "mod.py:12: _Gone"]
+
+
+def test_every_oracle_is_named_elsewhere_in_tests_or_perfbench():
+    assert dead_helpers(ROOT / "tests", "oracle_utils.py",
+                        [ROOT / "perfbench"], private=False) == []
+
+
+def test_the_guard_sees_an_unused_oracle(tmp_path):
+    tests, bench = tmp_path / "tests", tmp_path / "perfbench"
+    tests.mkdir()
+    bench.mkdir()
+    (tests / "oracle_utils.py").write_text(
+        "LIMIT = 3\n\n\ndef kept_oracle():\n    return LIMIT\n\n\n"
+        "def bench_oracle():\n    return 1\n\n\n"
+        "def dead_oracle():\n    return 0\n")
+    (tests / "test_mod.py").write_text("from oracle_utils import kept_oracle\n")
+    (bench / "run.py").write_text("from oracle_utils import bench_oracle\n")
+    assert dead_helpers(tests, "oracle_utils.py", [bench], private=False) \
+        == ["oracle_utils.py:12: dead_oracle"]
 
 
 def test_every_slot_is_read_in_src():
